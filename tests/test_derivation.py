@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxicity.boxes import box_rep_to_dict, verify_representation
+from boxicity.boxes import BoxRepresentation, relabel_box_representation
 from boxicity.certificates import (
     CycleClassification,
     ForestStablePartition,
@@ -30,7 +32,8 @@ from boxicity.derivation import (
 )
 from boxicity.errors import BudgetExhausted, CertificateError, ParseError
 from boxicity.exact import SearchBudget, acyclic_coloring, exact_boxicity
-from boxicity.graphs import complete, cycle, make_graph, roberts_graph
+from boxicity.graphs import complete, cycle, make_graph, path, roberts_graph
+from boxicity.intervals import Interval
 
 from util import assert_represents, gadget_instance, universal_representation
 
@@ -359,3 +362,103 @@ def test_report_serializes():
     assert parsed["total_dimension"] == 4
     assert parsed["steps"][0]["note"] == "separator taken from a drawing"
     assert parsed["steps"][1]["rule"] == "base_oracle"
+
+
+# ------------------------------------------------------- pinned reports
+
+
+def _row(path, rule, vertices, formula, dim, note=None):
+    return {"path": path, "rule": rule, "vertices": vertices, "formula": formula,
+            "claimed": dim, "achieved": dim, "verified": True, "note": note}
+
+
+def pinned_reports():
+    """Nested scripts that together use every rule, with their full reports."""
+    yield two_square_blocks(), Sur2Step(
+        sep=Separation(V1=(4, 5, 6, 7), V2=(0, 1, 2, 3), X=()),
+        sub1=Sur1Step(cover=PairCover(X=(4, 6), pairs=((4, 6),)),
+                      sub=BaseOracleStep(d_max=3), note="inner reduction"),
+        sub2=RobertsStep(),
+    ), [
+        _row("root", "sur2", 8, "sub1 + sub2 + 1 = 2 + 2 + 1", 5),
+        _row("root/sub1", "sur1", 4, "sub + |X| - k = 1 + 2 - 1", 2, "inner reduction"),
+        _row("root/sub1/sub", "base_oracle", 2, "box(G) by search = 1", 1),
+        _row("root/sub2", "roberts", 4, "n = 2", 2),
+    ]
+    base, cls = gadget_instance(6, classes=("S2", "S3"))
+    G = make_graph(base.n + 2, sorted(base.edges) + [(6, base.n), (base.n, base.n + 1)])
+    rest = tuple(range(6, G.n))
+    yield G, Figure1Step(cls=cls, sub=Girth4Step(part=ForestStablePartition(F=rest, S=()))), [
+        _row("root", "figure1", 20, "sub + 5 = 4 + 5", 9),
+        _row("root/sub", "girth4", 14, "4", 4),
+    ]
+    yield complete(3), Sur2bisStep(K=(0, 2), sub=AcyclicStep(coloring={0: 0, 1: 1, 2: 0})), [
+        _row("root", "sur2bis", 3, "2 * sub = 2 * 2", 4),
+        _row("root/sub", "acyclic", 3, "k(k-1) = 2*1", 2),
+    ]
+    on_path = relabel_box_representation(universal_representation(path(4)),
+                                         {i: i + 1 for i in range(4)})
+    yield cycle(5), Sur1Step(cover=PairCover(X=(0,), pairs=()),
+                             sub=BaseExplicitStep(rep=on_path)), [
+        _row("root", "sur1", 5, "sub + |X| - k = 4 + 1 - 0", 5),
+        _row("root/sub", "base_explicit", 4, "given (4)", 4),
+    ]
+
+
+def test_pinned_reports_cover_every_rule():
+    rules = {row["rule"] for _, _, rows in pinned_reports() for row in rows}
+    assert rules == {"sur1", "sur2", "sur2bis", "figure1", "acyclic", "girth4",
+                     "roberts", "base_explicit", "base_oracle"}
+    for G, script, rows in pinned_reports():
+        B, report = assemble(G, script)
+        assert_represents(B, G)
+        assert report_to_dict(report) == {
+            "total_dimension": rows[0]["achieved"], "verified": True, "steps": rows,
+        }
+
+
+# ---------------------------------------------------- JSON properties
+
+_ids = st.integers(-3, 40)
+_id_tuples = st.lists(_ids, max_size=5).map(tuple)
+_notes = st.none() | st.text(max_size=8)
+_intervals = st.tuples(st.fractions(), st.fractions()).map(
+    lambda p: Interval(min(p), max(p)))
+_box_reps = st.integers(1, 3).flatmap(lambda d: st.builds(
+    BoxRepresentation, st.just(d),
+    st.dictionaries(_ids, st.lists(_intervals, min_size=d, max_size=d).map(tuple),
+                    min_size=1, max_size=4)))
+_budgets = st.builds(
+    SearchBudget,
+    max_nodes=st.integers(1, 10**15),
+    time_limit=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    symmetry_pruning=st.booleans(),
+)
+_leaves = st.one_of(
+    st.builds(AcyclicStep, coloring=st.dictionaries(_ids, st.integers(-2, 9), max_size=5),
+              note=_notes),
+    st.builds(Girth4Step, part=st.builds(ForestStablePartition, _id_tuples, _id_tuples),
+              note=_notes),
+    st.builds(RobertsStep, note=_notes),
+    st.builds(BaseExplicitStep, rep=_box_reps, note=_notes),
+    st.builds(BaseOracleStep, d_max=st.none() | st.integers(-2, 20),
+              budget=st.none() | _budgets, note=_notes),
+)
+scripts = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Sur1Step, note=_notes, sub=sub, cover=st.builds(
+        PairCover, _id_tuples, st.lists(st.tuples(_ids, _ids), max_size=3).map(tuple))),
+    st.builds(Sur2Step, sep=st.builds(Separation, _id_tuples, _id_tuples, _id_tuples),
+              sub1=sub, sub2=sub, note=_notes),
+    st.builds(Sur2bisStep, K=_id_tuples, sub=sub, note=_notes),
+    st.builds(Figure1Step, sub=sub, note=_notes, cls=st.builds(
+        CycleClassification, _id_tuples,
+        st.dictionaries(_ids, st.tuples(st.text(max_size=3), st.integers(-2, 9)),
+                        max_size=4))),
+), max_leaves=6)
+
+
+@settings(deadline=None)
+@given(scripts)
+def test_step_json_round_trip_property(script):
+    text = json.dumps(step_to_dict(script), sort_keys=True)
+    assert step_from_dict(json.loads(text)) == script
