@@ -22,7 +22,6 @@ a representation whose dimension is an exact function of the inputs:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,8 +31,8 @@ from .certificates import (
     Separation,
     validate_acyclic_coloring,
 )
-from .errors import InvalidInput, ParseError
-from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph
+from .errors import InvalidInput
+from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, is_int
 from .intervals import (
     Interval,
     IntervalRepresentation,
@@ -84,21 +83,6 @@ class BoxRepresentation:
 
 def box_adjacent(B: BoxRepresentation, u: int, v: int) -> bool:
     return all(a.intersects(b) for a, b in zip(B.boxes[u], B.boxes[v]))
-
-
-def box_edges(B: BoxRepresentation) -> set[tuple[int, int]]:
-    return {
-        (u, v) for u, v in combinations(B.domain(), 2) if box_adjacent(B, u, v)
-    }
-
-
-def box_graph_of(B: BoxRepresentation) -> Graph:
-    """The represented graph, relabeled densely through the sorted domain."""
-    dom = B.domain()
-    index = {v: i for i, v in enumerate(dom)}
-    return Graph(
-        len(dom), frozenset((index[u], index[v]) for u, v in box_edges(B))
-    )
 
 
 def stack(reps) -> BoxRepresentation:
@@ -532,7 +516,7 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
     if not isinstance(doc, dict) or set(doc) != {"d", "vertices"}:
         raise InvalidInput("box representation document needs exactly 'd' and 'vertices'")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not is_int(d) or d < 1:
         raise InvalidInput(f"'d' must be a positive int, got {d!r}")
     if not isinstance(doc["vertices"], dict):
         raise InvalidInput("'vertices' must map vertex ids to interval lists")
@@ -551,17 +535,3 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
             for i, iv in enumerate(val)
         )
     return BoxRepresentation(d, boxes)
-
-
-def serialize_box_representation(B: BoxRepresentation) -> str:
-    return json.dumps(box_rep_to_dict(B), indent=2, sort_keys=True) + "\n"
-
-
-def parse_box_representation(text: str) -> BoxRepresentation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return box_rep_from_dict(doc)

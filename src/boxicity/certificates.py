@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CertificateError, InvalidInput
-from .graphs import Graph, bfs_distances, check_vertex_set, find_cycle, induced_subgraph
+from .graphs import (
+    Graph,
+    bfs_distances,
+    check_vertex_set,
+    find_cycle,
+    induced_subgraph,
+    is_int,
+)
 
 CYCLE_CLASSES = ("S1", "S2", "S3", "S4")
 
@@ -264,8 +271,9 @@ def validate_acyclic_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(doc, where: str) -> tuple[int, ...]:
-    if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
+def int_list(doc, where: str) -> tuple[int, ...]:
+    """A JSON list of ints as a tuple; bools and floats are rejected."""
+    if not isinstance(doc, list) or not all(is_int(x) for x in doc):
         raise InvalidInput(f"{where} must be a list of ints")
     return tuple(doc)
 
@@ -277,12 +285,14 @@ def pair_cover_to_dict(c: PairCover) -> dict:
 def pair_cover_from_dict(doc) -> PairCover:
     if not isinstance(doc, dict) or set(doc) != {"X", "pairs"}:
         raise InvalidInput("pair cover document needs exactly 'X' and 'pairs'")
+    if not isinstance(doc["pairs"], list):
+        raise InvalidInput("'pairs' must be a list of [a, b] pairs")
     pairs = []
     for i, p in enumerate(doc["pairs"]):
-        if not (isinstance(p, list) and len(p) == 2):
+        if len(int_list(p, f"pairs[{i}]")) != 2:
             raise InvalidInput(f"pairs[{i}] must be a [a, b] pair")
-        pairs.append((p[0], p[1]))
-    return PairCover(_int_list(doc["X"], "X"), tuple(pairs))
+        pairs.append(tuple(p))
+    return PairCover(int_list(doc["X"], "X"), tuple(pairs))
 
 
 def separation_to_dict(s: Separation) -> dict:
@@ -293,9 +303,9 @@ def separation_from_dict(doc) -> Separation:
     if not isinstance(doc, dict) or set(doc) != {"V1", "V2", "X"}:
         raise InvalidInput("separation document needs exactly 'V1', 'V2', 'X'")
     return Separation(
-        _int_list(doc["V1"], "V1"),
-        _int_list(doc["V2"], "V2"),
-        _int_list(doc["X"], "X"),
+        int_list(doc["V1"], "V1"),
+        int_list(doc["V2"], "V2"),
+        int_list(doc["X"], "X"),
     )
 
 
@@ -325,11 +335,11 @@ def classification_from_dict(doc) -> CycleClassification:
             not isinstance(val, list)
             or len(val) != 2
             or not isinstance(val[0], str)
-            or not isinstance(val[1], int)
+            or not is_int(val[1])
         ):
             raise InvalidInput(f"assignments[{key}] must be [class, anchor]")
         assignments[v] = (val[0], val[1])
-    return CycleClassification(_int_list(doc["cycle"], "cycle"), assignments)
+    return CycleClassification(int_list(doc["cycle"], "cycle"), assignments)
 
 
 def partition_to_dict(p: ForestStablePartition) -> dict:
@@ -339,7 +349,7 @@ def partition_to_dict(p: ForestStablePartition) -> dict:
 def partition_from_dict(doc) -> ForestStablePartition:
     if not isinstance(doc, dict) or set(doc) != {"F", "S"}:
         raise InvalidInput("partition document needs exactly 'F' and 'S'")
-    return ForestStablePartition(_int_list(doc["F"], "F"), _int_list(doc["S"], "S"))
+    return ForestStablePartition(int_list(doc["F"], "F"), int_list(doc["S"], "S"))
 
 
 def coloring_to_dict(colors: dict[int, int]) -> dict:
@@ -357,7 +367,7 @@ def coloring_from_dict(doc) -> dict[int, int]:
             v = int(key)
         except ValueError:
             raise InvalidInput(f"color key {key!r} is not an integer") from None
-        if not isinstance(val, int):
+        if not is_int(val):
             raise InvalidInput(f"colors[{key}] must be an int")
         out[v] = val
     return out

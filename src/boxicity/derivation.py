@@ -8,7 +8,8 @@ matched-complement family, an explicit representation, or the exhaustive
 search oracle).  Assembly replays the tree bottom-up, validates every
 certificate against the subgraph it applies to, verifies the composed
 representation at every level, and reports the per-step dimension
-accounting.
+accounting.  Each rule is one record of RULES, which the dry run, the
+build, the report and the JSON codec all read.
 
 All vertex sets in a script, at any depth, use the root graph's vertex
 ids.  Internally each level works on a dense induced copy; certificates
@@ -22,7 +23,10 @@ into the report unverified, for exactly those caller-asserted claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import combinations
+from typing import Callable
 
 from .boxes import (
     BoxRepresentation,
@@ -48,6 +52,7 @@ from .certificates import (
     classification_to_dict,
     coloring_from_dict,
     coloring_to_dict,
+    int_list,
     pair_cover_from_dict,
     pair_cover_to_dict,
     partition_from_dict,
@@ -58,7 +63,7 @@ from .certificates import (
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
 from .exact import STATUS_BUDGET, SearchBudget, exact_boxicity
 from .figure1 import figure1_gadget
-from .graphs import Graph, induced_subgraph, make_graph
+from .graphs import Graph, induced_subgraph, is_int, make_graph
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,312 @@ class DerivationReport:
     verified: bool
 
 
+# --------------------------------------------------------------------------
+# the rule table
+
+
+@dataclass(frozen=True)
+class Field:
+    """One JSON key of a step, named like the step's attribute, with its
+    codec; an optional field may be absent or null."""
+
+    key: str
+    encode: Callable
+    decode: Callable
+    optional: bool = False
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Everything the walk and the JSON codec know about one rule.
+
+    check(step, level) validates the step's certificate against level.H
+    and returns the certificate in level ids plus, per child slot, the
+    child's graph and its vertex map into level ids (None when the child
+    keeps the level's ids).  build(level, certificate, *children) composes
+    the children, lifted to level ids, and returns the representation and
+    the report's formula text.  dimension(step, *sub_dims) is the claimed
+    dimension, None when only the build can tell; a leaf is passed the
+    vertex count.  self_verified marks rules whose build output is already
+    verified against level.H, so the walk does not verify it again.
+    """
+
+    name: str
+    step: type
+    fields: tuple[Field, ...]
+    slots: tuple[str, ...]
+    check: Callable
+    build: Callable
+    dimension: Callable
+    self_verified: bool = False
+
+
+@dataclass(frozen=True)
+class _Level:
+    """A step's dense subgraph, its vertices' root ids and its script path."""
+
+    H: Graph
+    to_root: tuple[int, ...]
+    path: str
+
+    @cached_property
+    def inverse(self) -> dict[int, int]:
+        return {r: i for i, r in enumerate(self.to_root)}
+
+    def error(self, message: str) -> CertificateError:
+        return CertificateError(f"{self.path}: {message}")
+
+    def local(self, ids, what: str) -> tuple[int, ...]:
+        """Root ids translated to this level's ids."""
+        out = []
+        for r in ids:
+            if r not in self.inverse:
+                raise self.error(
+                    f"{what} mentions vertex {r}, which is not in this step's subgraph"
+                )
+            out.append(self.inverse[r])
+        return tuple(out)
+
+    def child(self, name: str, H: Graph, vmap) -> "_Level":
+        to_root = self.to_root if vmap is None else tuple(self.to_root[v] for v in vmap)
+        return _Level(H, to_root, f"{self.path}/{name}")
+
+
+def _sur1_check(step, lv):
+    cover = PairCover(
+        X=lv.local(step.cover.X, "pair cover"),
+        pairs=tuple(lv.local(p, "pair cover") for p in step.cover.pairs),
+    )
+    cover.validate(lv.H)
+    xs = set(cover.X)
+    rest = [v for v in range(lv.H.n) if v not in xs]
+    if not rest:
+        raise lv.error("X must leave at least one vertex")
+    return cover, [induced_subgraph(lv.H, rest)]
+
+
+def _sur1_build(lv, cover, B_sub):
+    B = sur1_compose(lv.H, cover, B_sub)
+    return B, f"sub + |X| - k = {B_sub.d} + {len(cover.X)} - {len(cover.pairs)}"
+
+
+def _sur2_check(step, lv):
+    sep = Separation(*(lv.local(part, "separation")
+                       for part in (step.sep.V1, step.sep.V2, step.sep.X)))
+    sep.validate(lv.H)
+    if not sep.V1 or not sep.V2:
+        raise lv.error("V1 and V2 must both be nonempty")
+    sides = (sorted(set(side) | set(sep.X)) for side in (sep.V1, sep.V2))
+    return sep, [induced_subgraph(lv.H, side) for side in sides]
+
+
+def _sur2_build(lv, sep, B1, B2):
+    return sur2_compose(lv.H, sep, B1, B2), f"sub1 + sub2 + 1 = {B1.d} + {B2.d} + 1"
+
+
+def _sur2bis_check(step, lv):
+    K = lv.local(step.K, "clique")
+    kset = set(K)
+    if len(kset) != len(K):
+        raise lv.error("clique vertices must be distinct")
+    for u, w in combinations(sorted(kset), 2):
+        if not lv.H.has_edge(u, w):
+            raise lv.error(f"K is not a clique, ({u}, {w}) is a non-edge")
+    stripped = [(u, v) for u, v in lv.H.edges if not (u in kset and v in kset)]
+    return K, [(make_graph(lv.H.n, stripped), None)]
+
+
+def _sur2bis_build(lv, K, B_sub):
+    return sur2bis_double(B_sub, K), f"2 * sub = 2 * {B_sub.d}"
+
+
+def _figure1_check(step, lv):
+    assigned = step.cls.assignments
+    cls = CycleClassification(
+        cycle=lv.local(step.cls.cycle, "classification"),
+        assignments=dict(zip(lv.local(assigned, "classification"), assigned.values())),
+    )
+    cls.validate(lv.H)
+    on_cycle = set(cls.cycle)
+    rest = [v for v in range(lv.H.n) if v not in on_cycle]
+    if not rest:
+        raise lv.error("the graph must extend beyond the cycle")
+    return cls, [induced_subgraph(lv.H, rest)]
+
+
+def _figure1_build(lv, cls, B_rest):
+    attached = tuple(sorted(cls.assignments))
+    doubled = sur2bis_double(figure1_gadget(lv.H, cls), attached)
+    v2 = tuple(v for v in B_rest.domain() if v not in cls.assignments)
+    sep = Separation(V1=tuple(sorted(cls.cycle)), V2=v2, X=attached)
+    return sur2_compose(lv.H, sep, doubled, B_rest), f"sub + 5 = {B_rest.d} + 5"
+
+
+def _acyclic_check(step, lv):
+    colors = dict(zip(lv.local(step.coloring, "coloring"), step.coloring.values()))
+    found = acyclic_coloring_problems(lv.H, colors)
+    if found:
+        raise lv.error(found[0])
+    if len(set(colors.values())) < 2:
+        raise lv.error("the coloring pipeline needs at least 2 colors")
+    return colors, []
+
+
+def _acyclic_build(lv, colors):
+    k = len(set(colors.values()))
+    return acyclic_pipeline(lv.H, colors), f"k(k-1) = {k}*{k - 1}"
+
+
+def _acyclic_dimension(step, *_):
+    k = len(set(step.coloring.values()))
+    return k * (k - 1)
+
+
+def _girth4_check(step, lv):
+    part = ForestStablePartition(
+        F=lv.local(step.part.F, "partition"),
+        S=lv.local(step.part.S, "partition"),
+    )
+    part.validate(lv.H)
+    return part, []
+
+
+def _girth4_build(lv, part):
+    return girth4_pipeline(lv.H, part), "4"
+
+
+def _roberts_check(step, lv):
+    """The complement of H must be a perfect matching; return its pairs."""
+    H = lv.H
+    if H.n % 2:
+        raise lv.error("matched-complement rule needs an even vertex count")
+    pairs = []
+    seen = set()
+    for v in range(H.n):
+        missing = [u for u in range(H.n) if u != v and not H.has_edge(u, v)]
+        if len(missing) != 1:
+            raise lv.error(
+                f"vertex {v} misses {len(missing)} partners; "
+                "the complement must be a perfect matching"
+            )
+        if v not in seen:
+            pairs.append((v, missing[0]))
+            seen.update((v, missing[0]))
+    return pairs, []
+
+
+def _roberts_build(lv, pairs):
+    B = from_interval_reps([pair_gadget(lv.H, u, v) for u, v in pairs])
+    return B, f"n = {lv.H.n // 2}"
+
+
+def _explicit_check(step, lv):
+    """The given representation, in level ids, verified here so that the
+    dry run rejects a wrong one too."""
+    given = step.rep
+    if set(given.domain()) != set(lv.to_root):
+        raise lv.error(
+            f"explicit representation covers vertices {sorted(given.domain())}, "
+            f"expected {sorted(lv.to_root)}"
+        )
+    local = relabel_box_representation(given, lv.inverse)
+    report = verify_representation(local, lv.H)
+    if not report.equal:
+        u, v = (report.missing_edges + report.extra_edges)[0]
+        raise lv.error(
+            f"explicit representation disagrees on pair {(lv.to_root[u], lv.to_root[v])}"
+        )
+    return local, []
+
+
+def _explicit_build(lv, local):
+    return local, f"given ({local.d})"
+
+
+def _oracle_check(step, lv):
+    if step.d_max is not None and step.d_max < 1:
+        raise lv.error("d_max must be at least 1")
+    return step, []
+
+
+def _oracle_build(lv, step):
+    """The search's witness, which it verifies before returning it."""
+    result = exact_boxicity(lv.H, step.d_max, step.budget)
+    if result.status == STATUS_BUDGET:
+        raise BudgetExhausted(
+            f"{lv.path}: oracle search stopped early (lower bound {result.lower_bound})"
+        )
+    if result.value is None:
+        raise lv.error(
+            f"oracle found no representation "
+            f"(status {result.status}, lower bound {result.lower_bound})"
+        )
+    return result.witness, f"box(G) by search = {result.value}"
+
+
+def _d_max_from_dict(doc) -> int:
+    if not is_int(doc):
+        raise ParseError(f"d_max must be an int, got {doc!r}")
+    return doc
+
+
+def _budget_from_dict(doc) -> SearchBudget:
+    """Absent keys take the defaults; SearchBudget checks every value."""
+    if not isinstance(doc, dict) or set(doc) - set(asdict(SearchBudget())):
+        raise ParseError("budget must be an object with known keys")
+    return SearchBudget(**doc)
+
+
+# Library functions are called through this module's globals, never stored
+# here (hence the lambdas around the representation codec), so that a tracer
+# that replaces a module attribute sees every call.
+RULES: tuple[Rule, ...] = (
+    Rule("sur1", Sur1Step, (Field("cover", pair_cover_to_dict, pair_cover_from_dict),),
+         ("sub",), _sur1_check, _sur1_build,
+         lambda step, sub: sub + len(step.cover.X) - len(step.cover.pairs)),
+    Rule("sur2", Sur2Step, (Field("sep", separation_to_dict, separation_from_dict),),
+         ("sub1", "sub2"), _sur2_check, _sur2_build,
+         lambda step, sub1, sub2: sub1 + sub2 + 1),
+    Rule("sur2bis", Sur2bisStep, (Field("K", list, lambda doc: int_list(doc, "K")),),
+         ("sub",), _sur2bis_check, _sur2bis_build,
+         lambda step, sub: 2 * sub),
+    Rule("figure1", Figure1Step,
+         (Field("cls", classification_to_dict, classification_from_dict),),
+         ("sub",), _figure1_check, _figure1_build,
+         lambda step, sub: sub + 5),
+    Rule("acyclic", AcyclicStep, (Field("coloring", coloring_to_dict, coloring_from_dict),),
+         (), _acyclic_check, _acyclic_build,
+         _acyclic_dimension),
+    Rule("girth4", Girth4Step, (Field("part", partition_to_dict, partition_from_dict),),
+         (), _girth4_check, _girth4_build,
+         lambda step, *_: 4),
+    Rule("roberts", RobertsStep, (), (), _roberts_check, _roberts_build,
+         lambda step, n: n // 2),
+    Rule("base_explicit", BaseExplicitStep,
+         (Field("rep", lambda B: box_rep_to_dict(B), lambda doc: box_rep_from_dict(doc)),),
+         (), _explicit_check, _explicit_build,
+         lambda step, *_: step.rep.d, self_verified=True),
+    Rule("base_oracle", BaseOracleStep,
+         (Field("d_max", lambda d: d, _d_max_from_dict, optional=True),
+          Field("budget", asdict, _budget_from_dict, optional=True)),
+         (), _oracle_check, _oracle_build,
+         lambda step, *_: None, self_verified=True),
+)
+_BY_NAME = {rule.name: rule for rule in RULES}
+_BY_TYPE = {rule.step: rule for rule in RULES}
+
+
+def _rule_of(step) -> Rule:
+    rule = _BY_TYPE.get(type(step))
+    if rule is None:
+        raise InvalidInput(f"unknown derivation step {type(step).__name__}")
+    return rule
+
+
+# --------------------------------------------------------------------------
+# the walk
+
+
 def bound_formula(step: DerivationStep, *sub_dims: int) -> int | None:
     """Claimed dimension of one step given its children's dimensions.
 
@@ -161,311 +472,47 @@ def bound_formula(step: DerivationStep, *sub_dims: int) -> int | None:
     own certificate; callers pass the graph's vertex count as the sole
     sub-dimension for the matched-complement rule.
     """
-    if isinstance(step, Sur1Step):
-        return sub_dims[0] + len(step.cover.X) - len(step.cover.pairs)
-    if isinstance(step, Sur2Step):
-        return sub_dims[0] + sub_dims[1] + 1
-    if isinstance(step, Sur2bisStep):
-        return 2 * sub_dims[0]
-    if isinstance(step, Figure1Step):
-        return sub_dims[0] + 5
-    if isinstance(step, AcyclicStep):
-        k = len(set(step.coloring.values()))
-        return k * (k - 1)
-    if isinstance(step, Girth4Step):
-        return 4
-    if isinstance(step, RobertsStep):
-        return sub_dims[0] // 2
-    if isinstance(step, BaseExplicitStep):
-        return step.rep.d
-    return None
+    return _rule_of(step).dimension(step, *sub_dims)
 
 
-def _fmt(path: tuple[str, ...]) -> str:
-    return "/".join(path)
-
-
-def _inverse(to_root: tuple[int, ...]) -> dict[int, int]:
-    return {r: i for i, r in enumerate(to_root)}
-
-
-def _locals(ids, inverse, path, what) -> tuple[int, ...]:
-    out = []
-    for r in ids:
-        r = int(r)
-        if r not in inverse:
-            raise CertificateError(
-                f"{_fmt(path)}: {what} mentions vertex {r}, "
-                "which is not in this step's subgraph"
-            )
-        out.append(inverse[r])
-    return tuple(out)
-
-
-def _matched_complement_pairs(H: Graph, path) -> list[tuple[int, int]]:
-    """The complement of H must be a perfect matching; return its pairs."""
-    if H.n % 2:
-        raise CertificateError(
-            f"{_fmt(path)}: matched-complement rule needs an even vertex count"
+def _walk(lv: _Level, step: DerivationStep, out: list, build: bool):
+    """Check the step, recurse into its children, then (when building)
+    compose, verify, compare with the claim and fill the step's report
+    slot, which was reserved before the children's so that reports run in
+    pre-order."""
+    rule = _rule_of(step)
+    slot = len(out)
+    out.append(None)
+    cert, children = rule.check(step, lv)
+    subs = [
+        _walk(lv.child(name, H, vmap), getattr(step, name), out, build)
+        for name, (H, vmap) in zip(rule.slots, children)
+    ]
+    if not build:
+        return None
+    lifted = [
+        B if vmap is None else relabel_box_representation(B, dict(enumerate(vmap)))
+        for B, (_, vmap) in zip(subs, children)
+    ]
+    B, formula = rule.build(lv, cert, *lifted)
+    if not rule.self_verified:
+        report = verify_representation(B, lv.H)
+        if not report.equal:
+            bad = (report.missing_edges + report.extra_edges)[0]
+            raise lv.error(f"composed representation disagrees on pair {bad}")
+    claimed = bound_formula(step, *([S.d for S in subs] if rule.slots else [lv.H.n]))
+    if claimed is None:
+        claimed = B.d
+    elif claimed != B.d:
+        raise lv.error(
+            f"achieved dimension {B.d} differs from the claimed bound {claimed}"
         )
-    pairs = []
-    seen = set()
-    for v in range(H.n):
-        missing = [u for u in range(H.n) if u != v and not H.has_edge(u, v)]
-        if len(missing) != 1:
-            raise CertificateError(
-                f"{_fmt(path)}: vertex {v} misses {len(missing)} partners; "
-                "the complement must be a perfect matching"
-            )
-        if v not in seen:
-            pairs.append((v, missing[0]))
-            seen.update((v, missing[0]))
-    return pairs
-
-
-def _verified(B: BoxRepresentation, H: Graph, path) -> BoxRepresentation:
-    report = verify_representation(B, H)
-    if not report.equal:
-        bad = (report.missing_edges + report.extra_edges)[0]
-        raise CertificateError(
-            f"{_fmt(path)}: composed representation disagrees on pair {bad}"
-        )
+    out[slot] = StepReport(lv.path, rule.name, lv.H.n, formula, claimed, B.d, True, step.note)
     return B
 
 
-def _claimed(step, achieved: int, path, *sub_dims: int) -> int:
-    want = bound_formula(step, *sub_dims)
-    if want is None:
-        return achieved
-    if want != achieved:
-        raise CertificateError(
-            f"{_fmt(path)}: achieved dimension {achieved} differs from "
-            f"the claimed bound {want}"
-        )
-    return want
-
-
-def _walk(
-    H: Graph,
-    step: DerivationStep,
-    to_root: tuple[int, ...],
-    path: tuple[str, ...],
-    out: list | None,
-    build: bool,
-) -> BoxRepresentation | None:
-    inverse = _inverse(to_root)
-    slot = None
-    if out is not None:
-        slot = len(out)
-        out.append(None)
-
-    def record(rule, formula, claimed, achieved):
-        if out is not None:
-            out[slot] = StepReport(
-                path=_fmt(path),
-                rule=rule,
-                vertices=H.n,
-                formula=formula,
-                claimed=claimed,
-                achieved=achieved,
-                verified=build,
-                note=step.note,
-            )
-
-    if isinstance(step, Sur1Step):
-        cover = PairCover(
-            X=_locals(step.cover.X, inverse, path, "pair cover"),
-            pairs=tuple(
-                tuple(_locals(p, inverse, path, "pair cover")) for p in step.cover.pairs
-            ),
-        )
-        cover.validate(H)
-        rest = [v for v in range(H.n) if v not in set(cover.X)]
-        if not rest:
-            raise CertificateError(
-                f"{_fmt(path)}: X must leave at least one vertex"
-            )
-        H_sub, vmap = induced_subgraph(H, rest)
-        child_root = tuple(to_root[v] for v in vmap)
-        B_sub = _walk(H_sub, step.sub, child_root, path + ("sub",), out, build)
-        if not build:
-            return None
-        lifted = relabel_box_representation(B_sub, dict(enumerate(vmap)))
-        B = _verified(sur1_compose(H, cover, lifted), H, path)
-        x, k = len(cover.X), len(cover.pairs)
-        claimed = _claimed(step, B.d, path, B_sub.d)
-        record("sur1", f"sub + |X| - k = {B_sub.d} + {x} - {k}", claimed, B.d)
-        return B
-
-    if isinstance(step, Sur2Step):
-        sep = Separation(
-            V1=_locals(step.sep.V1, inverse, path, "separation"),
-            V2=_locals(step.sep.V2, inverse, path, "separation"),
-            X=_locals(step.sep.X, inverse, path, "separation"),
-        )
-        sep.validate(H)
-        if not sep.V1 or not sep.V2:
-            raise CertificateError(
-                f"{_fmt(path)}: V1 and V2 must both be nonempty"
-            )
-        side1 = sorted(set(sep.V1) | set(sep.X))
-        side2 = sorted(set(sep.V2) | set(sep.X))
-        H1, vmap1 = induced_subgraph(H, side1)
-        H2, vmap2 = induced_subgraph(H, side2)
-        B1 = _walk(
-            H1, step.sub1, tuple(to_root[v] for v in vmap1), path + ("sub1",), out, build
-        )
-        B2 = _walk(
-            H2, step.sub2, tuple(to_root[v] for v in vmap2), path + ("sub2",), out, build
-        )
-        if not build:
-            return None
-        lifted1 = relabel_box_representation(B1, dict(enumerate(vmap1)))
-        lifted2 = relabel_box_representation(B2, dict(enumerate(vmap2)))
-        B = _verified(sur2_compose(H, sep, lifted1, lifted2), H, path)
-        claimed = _claimed(step, B.d, path, B1.d, B2.d)
-        record("sur2", f"sub1 + sub2 + 1 = {B1.d} + {B2.d} + 1", claimed, B.d)
-        return B
-
-    if isinstance(step, Sur2bisStep):
-        K = _locals(step.K, inverse, path, "clique")
-        kset = set(K)
-        if len(kset) != len(K):
-            raise CertificateError(f"{_fmt(path)}: clique vertices must be distinct")
-        members = sorted(kset)
-        for i, u in enumerate(members):
-            for w in members[i + 1 :]:
-                if not H.has_edge(u, w):
-                    raise CertificateError(
-                        f"{_fmt(path)}: K is not a clique, ({u}, {w}) is a non-edge"
-                    )
-        stripped = [
-            (u, v) for u, v in H.edges if not (u in kset and v in kset)
-        ]
-        H_sub = make_graph(H.n, stripped)
-        B_sub = _walk(H_sub, step.sub, to_root, path + ("sub",), out, build)
-        if not build:
-            return None
-        B = _verified(sur2bis_double(B_sub, K), H, path)
-        claimed = _claimed(step, B.d, path, B_sub.d)
-        record("sur2bis", f"2 * sub = 2 * {B_sub.d}", claimed, B.d)
-        return B
-
-    if isinstance(step, Figure1Step):
-        cls = CycleClassification(
-            cycle=_locals(step.cls.cycle, inverse, path, "classification"),
-            assignments={
-                _locals((v,), inverse, path, "classification")[0]: (name, anchor)
-                for v, (name, anchor) in step.cls.assignments.items()
-            },
-        )
-        cls.validate(H)
-        on_cycle = set(cls.cycle)
-        rest = [v for v in range(H.n) if v not in on_cycle]
-        if not rest:
-            raise CertificateError(
-                f"{_fmt(path)}: the graph must extend beyond the cycle"
-            )
-        H_sub, vmap = induced_subgraph(H, rest)
-        child_root = tuple(to_root[v] for v in vmap)
-        B_rest = _walk(H_sub, step.sub, child_root, path + ("sub",), out, build)
-        if not build:
-            return None
-        attached = tuple(sorted(cls.assignments))
-        doubled = sur2bis_double(figure1_gadget(H, cls), attached)
-        v2 = tuple(v for v in rest if v not in cls.assignments)
-        sep = Separation(V1=tuple(sorted(on_cycle)), V2=v2, X=attached)
-        lifted = relabel_box_representation(B_rest, dict(enumerate(vmap)))
-        B = _verified(sur2_compose(H, sep, doubled, lifted), H, path)
-        claimed = _claimed(step, B.d, path, B_rest.d)
-        record("figure1", f"sub + 5 = {B_rest.d} + 5", claimed, B.d)
-        return B
-
-    if isinstance(step, AcyclicStep):
-        colors = {
-            _locals((v,), inverse, path, "coloring")[0]: int(c)
-            for v, c in step.coloring.items()
-        }
-        k = len(set(colors.values()))
-        found = acyclic_coloring_problems(H, colors)
-        if found:
-            raise CertificateError(f"{_fmt(path)}: {found[0]}")
-        if k < 2:
-            raise CertificateError(
-                f"{_fmt(path)}: the coloring pipeline needs at least 2 colors"
-            )
-        if not build:
-            return None
-        B = _verified(acyclic_pipeline(H, colors), H, path)
-        claimed = _claimed(step, B.d, path)
-        record("acyclic", f"k(k-1) = {k}*{k - 1}", claimed, B.d)
-        return B
-
-    if isinstance(step, Girth4Step):
-        part = ForestStablePartition(
-            F=_locals(step.part.F, inverse, path, "partition"),
-            S=_locals(step.part.S, inverse, path, "partition"),
-        )
-        part.validate(H)
-        if not build:
-            return None
-        B = _verified(girth4_pipeline(H, part), H, path)
-        claimed = _claimed(step, B.d, path)
-        record("girth4", "4", claimed, B.d)
-        return B
-
-    if isinstance(step, RobertsStep):
-        pairs = _matched_complement_pairs(H, path)
-        if not build:
-            return None
-        B = _verified(
-            from_interval_reps([pair_gadget(H, u, v) for u, v in pairs]), H, path
-        )
-        claimed = _claimed(step, B.d, path, H.n)
-        record("roberts", f"n = {H.n // 2}", claimed, B.d)
-        return B
-
-    if isinstance(step, BaseExplicitStep):
-        given = step.rep
-        want = set(to_root)
-        if set(given.domain()) != want:
-            raise CertificateError(
-                f"{_fmt(path)}: explicit representation covers vertices "
-                f"{sorted(given.domain())}, expected {sorted(want)}"
-            )
-        local = relabel_box_representation(given, inverse)
-        report = verify_representation(local, H)
-        if not report.equal:
-            bad = (report.missing_edges + report.extra_edges)[0]
-            root_pair = (to_root[bad[0]], to_root[bad[1]])
-            raise CertificateError(
-                f"{_fmt(path)}: explicit representation disagrees on pair "
-                f"{root_pair}"
-            )
-        record("base_explicit", f"given ({given.d})", given.d, given.d)
-        return local if build else None
-
-    if isinstance(step, BaseOracleStep):
-        if step.d_max is not None and step.d_max < 1:
-            raise CertificateError(f"{_fmt(path)}: d_max must be at least 1")
-        if not build:
-            return None
-        result = exact_boxicity(H, step.d_max, step.budget)
-        if result.status == STATUS_BUDGET:
-            raise BudgetExhausted(
-                f"{_fmt(path)}: oracle search stopped early "
-                f"(lower bound {result.lower_bound})"
-            )
-        if result.value is None:
-            raise CertificateError(
-                f"{_fmt(path)}: oracle found no representation "
-                f"(status {result.status}, lower bound {result.lower_bound})"
-            )
-        record("base_oracle", f"box(G) by search = {result.value}",
-               result.value, result.value)
-        return result.witness
-
-    raise InvalidInput(f"unknown derivation step {type(step).__name__}")
+def _root(G: Graph) -> _Level:
+    return _Level(G, tuple(range(G.n)), "root")
 
 
 def assemble(G: Graph, script: DerivationStep) -> tuple[BoxRepresentation, DerivationReport]:
@@ -476,9 +523,8 @@ def assemble(G: Graph, script: DerivationStep) -> tuple[BoxRepresentation, Deriv
     step's path and a witness, and nothing partial is returned.
     """
     steps: list[StepReport] = []
-    B = _walk(G, script, tuple(range(G.n)), ("root",), steps, build=True)
-    report = DerivationReport(tuple(steps), B.d, True)
-    return B, report
+    B = _walk(_root(G), script, steps, build=True)
+    return B, DerivationReport(tuple(steps), B.d, True)
 
 
 def validate_script(G: Graph, script: DerivationStep) -> None:
@@ -488,167 +534,58 @@ def validate_script(G: Graph, script: DerivationStep) -> None:
     checked for well-formed limits here; whether the search succeeds is
     knowable only by running it.
     """
-    _walk(G, script, tuple(range(G.n)), ("root",), None, build=False)
+    _walk(_root(G), script, [], build=False)
 
 
 # --------------------------------------------------------------------------
 # JSON
 
 
-def _budget_to_dict(b: SearchBudget) -> dict:
-    return {
-        "max_nodes": b.max_nodes,
-        "time_limit": b.time_limit,
-        "symmetry_pruning": b.symmetry_pruning,
-    }
-
-
-def _budget_from_dict(doc) -> SearchBudget:
-    if not isinstance(doc, dict) or set(doc) - {
-        "max_nodes",
-        "time_limit",
-        "symmetry_pruning",
-    }:
-        raise ParseError("budget must be an object with known keys")
-    base = SearchBudget()
-    return SearchBudget(
-        max_nodes=int(doc.get("max_nodes", base.max_nodes)),
-        time_limit=float(doc.get("time_limit", base.time_limit)),
-        symmetry_pruning=bool(doc.get("symmetry_pruning", base.symmetry_pruning)),
-    )
-
-
 def step_to_dict(step: DerivationStep) -> dict:
-    out: dict = {}
-    if isinstance(step, Sur1Step):
-        out = {
-            "rule": "sur1",
-            "cover": pair_cover_to_dict(step.cover),
-            "sub": step_to_dict(step.sub),
-        }
-    elif isinstance(step, Sur2Step):
-        out = {
-            "rule": "sur2",
-            "sep": separation_to_dict(step.sep),
-            "sub1": step_to_dict(step.sub1),
-            "sub2": step_to_dict(step.sub2),
-        }
-    elif isinstance(step, Sur2bisStep):
-        out = {"rule": "sur2bis", "K": list(step.K), "sub": step_to_dict(step.sub)}
-    elif isinstance(step, Figure1Step):
-        out = {
-            "rule": "figure1",
-            "cls": classification_to_dict(step.cls),
-            "sub": step_to_dict(step.sub),
-        }
-    elif isinstance(step, AcyclicStep):
-        out = {"rule": "acyclic", "coloring": coloring_to_dict(step.coloring)}
-    elif isinstance(step, Girth4Step):
-        out = {"rule": "girth4", "part": partition_to_dict(step.part)}
-    elif isinstance(step, RobertsStep):
-        out = {"rule": "roberts"}
-    elif isinstance(step, BaseExplicitStep):
-        out = {"rule": "base_explicit", "rep": box_rep_to_dict(step.rep)}
-    elif isinstance(step, BaseOracleStep):
-        out = {"rule": "base_oracle"}
-        if step.d_max is not None:
-            out["d_max"] = step.d_max
-        if step.budget is not None:
-            out["budget"] = _budget_to_dict(step.budget)
-    else:
-        raise InvalidInput(f"unknown derivation step {type(step).__name__}")
+    rule = _rule_of(step)
+    out: dict = {"rule": rule.name}
+    for field in rule.fields:
+        value = getattr(step, field.key)
+        if value is not None or not field.optional:
+            out[field.key] = field.encode(value)
+    for name in rule.slots:
+        out[name] = step_to_dict(getattr(step, name))
     if step.note is not None:
         out["note"] = step.note
     return out
 
 
-def _expect_keys(doc, required, optional, rule):
-    keys = set(doc)
-    missing = required - keys
-    extra = keys - required - optional - {"rule", "note"}
-    if missing:
-        raise ParseError(f"{rule} step is missing {sorted(missing)}")
-    if extra:
-        raise ParseError(f"{rule} step has unknown keys {sorted(extra)}")
-
-
 def step_from_dict(doc) -> DerivationStep:
     if not isinstance(doc, dict) or "rule" not in doc:
         raise ParseError("each step must be an object with a 'rule'")
-    rule = doc["rule"]
     note = doc.get("note")
     if note is not None and not isinstance(note, str):
         raise ParseError("a step note must be a string")
-    if rule == "sur1":
-        _expect_keys(doc, {"cover", "sub"}, set(), rule)
-        return Sur1Step(
-            cover=pair_cover_from_dict(doc["cover"]),
-            sub=step_from_dict(doc["sub"]),
-            note=note,
-        )
-    if rule == "sur2":
-        _expect_keys(doc, {"sep", "sub1", "sub2"}, set(), rule)
-        return Sur2Step(
-            sep=separation_from_dict(doc["sep"]),
-            sub1=step_from_dict(doc["sub1"]),
-            sub2=step_from_dict(doc["sub2"]),
-            note=note,
-        )
-    if rule == "sur2bis":
-        _expect_keys(doc, {"K", "sub"}, set(), rule)
-        if not isinstance(doc["K"], list):
-            raise ParseError("K must be a list of vertices")
-        return Sur2bisStep(
-            K=tuple(int(v) for v in doc["K"]),
-            sub=step_from_dict(doc["sub"]),
-            note=note,
-        )
-    if rule == "figure1":
-        _expect_keys(doc, {"cls", "sub"}, set(), rule)
-        return Figure1Step(
-            cls=classification_from_dict(doc["cls"]),
-            sub=step_from_dict(doc["sub"]),
-            note=note,
-        )
-    if rule == "acyclic":
-        _expect_keys(doc, {"coloring"}, set(), rule)
-        return AcyclicStep(coloring=coloring_from_dict(doc["coloring"]), note=note)
-    if rule == "girth4":
-        _expect_keys(doc, {"part"}, set(), rule)
-        return Girth4Step(part=partition_from_dict(doc["part"]), note=note)
-    if rule == "roberts":
-        _expect_keys(doc, set(), set(), rule)
-        return RobertsStep(note=note)
-    if rule == "base_explicit":
-        _expect_keys(doc, {"rep"}, set(), rule)
-        return BaseExplicitStep(rep=box_rep_from_dict(doc["rep"]), note=note)
-    if rule == "base_oracle":
-        _expect_keys(doc, set(), {"d_max", "budget"}, rule)
-        d_max = doc.get("d_max")
-        budget = doc.get("budget")
-        return BaseOracleStep(
-            d_max=int(d_max) if d_max is not None else None,
-            budget=_budget_from_dict(budget) if budget is not None else None,
-            note=note,
-        )
-    raise ParseError(f"unknown rule {rule!r}")
+    name = doc["rule"]
+    rule = _BY_NAME.get(name) if isinstance(name, str) else None
+    if rule is None:
+        raise ParseError(f"unknown rule {name!r}")
+    optional = {field.key for field in rule.fields if field.optional}
+    required = {field.key for field in rule.fields if not field.optional} | set(rule.slots)
+    missing = required - set(doc)
+    extra = set(doc) - required - optional - {"rule", "note"}
+    if missing:
+        raise ParseError(f"{name} step is missing {sorted(missing)}")
+    if extra:
+        raise ParseError(f"{name} step has unknown keys {sorted(extra)}")
+    kwargs = {
+        field.key: field.decode(doc[field.key])
+        for field in rule.fields
+        if doc.get(field.key) is not None or not field.optional
+    }
+    for slot in rule.slots:
+        kwargs[slot] = step_from_dict(doc[slot])
+    return rule.step(note=note, **kwargs)
 
 
 def report_to_dict(report: DerivationReport) -> dict:
     return {
         "total_dimension": report.total_dimension,
         "verified": report.verified,
-        "steps": [
-            {
-                "path": s.path,
-                "rule": s.rule,
-                "vertices": s.vertices,
-                "formula": s.formula,
-                "claimed": s.claimed,
-                "achieved": s.achieved,
-                "verified": s.verified,
-                "note": s.note,
-            }
-            for s in report.steps
-        ],
+        "steps": [asdict(s) for s in report.steps],
     }

@@ -23,6 +23,7 @@ away.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .boxes import (
 )
 from .certificates import ForestStablePartition, PairCover
 from .errors import BudgetExhausted, InvalidInput
-from .graphs import Graph, bfs_distances, check_vertex_set
+from .graphs import Graph, bfs_distances, check_vertex_set, is_int
 from .intervals import representation_from_ordering, umbrella_closure
 
 STATUS_EXACT = "exact"
@@ -51,8 +52,43 @@ class SearchBudget:
     symmetry_pruning: bool = True
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_limit <= 0:
-            raise InvalidInput("budget limits must be positive")
+        if not is_int(self.max_nodes) or self.max_nodes < 1:
+            raise InvalidInput(
+                f"budget max_nodes must be an int of at least 1, got {self.max_nodes!r}"
+            )
+        limit = self.time_limit
+        # the comparisons also reject NaN, infinity and ints too large for a float
+        if not (is_int(limit) or isinstance(limit, float)) or not (
+            0 < limit <= sys.float_info.max
+        ):
+            raise InvalidInput(
+                f"budget time_limit must be finite seconds above 0, got {limit!r}"
+            )
+        if not isinstance(self.symmetry_pruning, bool):
+            raise InvalidInput(
+                f"budget symmetry_pruning must be true or false, got {self.symmetry_pruning!r}"
+            )
+
+    def meter(self) -> BudgetMeter:
+        """A fresh node counter and deadline for one search."""
+        return BudgetMeter(self)
+
+
+class BudgetMeter:
+    """Counts a search's nodes; tick() raises BudgetExhausted once the node
+    cap is passed or, checked every 256 nodes, the deadline."""
+
+    def __init__(self, budget: SearchBudget):
+        self.budget = budget
+        self.nodes = 0
+        self.deadline = time.monotonic() + budget.time_limit
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes:
+            raise BudgetExhausted(f"node budget of {self.budget.max_nodes} exceeded")
+        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+            raise BudgetExhausted(f"time limit of {self.budget.time_limit}s exceeded")
 
 
 @dataclass(frozen=True)
@@ -77,8 +113,7 @@ class _ClosureSearch:
         self.G = G
         self.n = G.n
         self.budget = budget
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit
+        self.meter = budget.meter()
         self.non_edges = sorted(G.non_edges())
         # for each vertex, the non-edges it belongs to
         self.partners: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -90,13 +125,6 @@ class _ClosureSearch:
             self.nbr_mask[u] |= 1 << v
             self.nbr_mask[v] |= 1 << u
         self.failed: set[tuple[int, frozenset[int]]] = set()
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExhausted(f"node budget of {self.budget.max_nodes} exceeded")
-        if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExhausted(f"time limit of {self.budget.time_limit}s exceeded")
 
     def _pick_target(self, remaining: frozenset[int]) -> int:
         """Hardest pair first: excluding (u, v) forces all of one endpoint's
@@ -139,7 +167,7 @@ class _ClosureSearch:
             for x in range(n):
                 if placed_mask >> x & 1:
                     continue
-                self._tick()
+                self.meter.tick()
                 newly: list[int] = []
                 decided_now = 0
                 ok = True
@@ -221,10 +249,10 @@ def boxicity_at_most(
     try:
         found = engine.search(d)
     except BudgetExhausted:
-        return BoxicityResult(None, None, STATUS_BUDGET, nodes=engine.nodes)
+        return BoxicityResult(None, None, STATUS_BUDGET, nodes=engine.meter.nodes)
     if found is None:
         return BoxicityResult(
-            None, None, STATUS_EXACT, lower_bound=d + 1, nodes=engine.nodes
+            None, None, STATUS_EXACT, lower_bound=d + 1, nodes=engine.meter.nodes
         )
     identity = tuple(range(G.n))
     orderings = found + (identity,) * (d - len(found))
@@ -234,7 +262,7 @@ def boxicity_at_most(
         STATUS_EXACT,
         orderings=orderings,
         lower_bound=1,
-        nodes=engine.nodes,
+        nodes=engine.meter.nodes,
     )
 
 
@@ -268,8 +296,9 @@ def exact_boxicity(
     )
 
 
-def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
-    """A proper coloring with at most k colors, or None.
+def _backtrack_coloring(G: Graph, k: int, allowed) -> dict[int, int] | None:
+    """Color vertices 0, 1, ... in turn with at most k colors, each color c
+    of v passing allowed(colors so far, v, c).
 
     Colors are canonical: vertex 0 gets color 0 and each new color is the
     smallest unused one, which collapses the k! palette symmetries.
@@ -283,7 +312,7 @@ def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
             return True
         ceiling = min(k, max(colors.values(), default=-1) + 2)
         for c in range(ceiling):
-            if all(colors.get(w) != c for w in G.neighbors(v)):
+            if allowed(colors, v, c):
                 colors[v] = c
                 if place(v + 1):
                     return True
@@ -291,6 +320,13 @@ def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
         return False
 
     return dict(colors) if place(0) else None
+
+
+def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
+    """A proper coloring with at most k colors, or None."""
+    return _backtrack_coloring(
+        G, k, lambda colors, v, c: all(colors.get(w) != c for w in G.neighbors(v))
+    )
 
 
 def chromatic_number(G: Graph) -> int:
@@ -337,23 +373,9 @@ def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
 
 def acyclic_coloring(G: Graph, k: int) -> dict[int, int] | None:
     """A proper coloring with every two classes inducing a forest, or None."""
-    if k < 0:
-        raise InvalidInput("k must be nonnegative")
-    colors: dict[int, int] = {}
-
-    def place(v: int) -> bool:
-        if v == G.n:
-            return True
-        ceiling = min(k, max(colors.values(), default=-1) + 2)
-        for c in range(ceiling):
-            if _acyclic_ok(G, colors, v, c):
-                colors[v] = c
-                if place(v + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return dict(colors) if place(0) else None
+    return _backtrack_coloring(
+        G, k, lambda colors, v, c: _acyclic_ok(G, colors, v, c)
+    )
 
 
 def acyclic_chromatic_number(G: Graph) -> int:
@@ -406,9 +428,7 @@ def find_forest_stable_partition(
     budget raises instead, so "none exists" is never conflated with "gave
     up".
     """
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit
-    nodes = [0]
+    meter = (budget or SearchBudget()).meter()
     near: list[set[int]] = []
     for v in range(G.n):
         dist = bfs_distances(G, v)
@@ -439,11 +459,7 @@ def find_forest_stable_partition(
     def place(v: int) -> bool:
         if v == G.n:
             return True
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExhausted(f"node budget of {budget.max_nodes} exceeded")
-        if nodes[0] % 256 == 0 and time.monotonic() > deadline:
-            raise BudgetExhausted(f"time limit of {budget.time_limit}s exceeded")
+        meter.tick()
         if forest_stays_acyclic(v):
             forest.append(v)
             if place(v + 1):

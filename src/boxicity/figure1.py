@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .boxes import BoxRepresentation, box_adjacent
 from .certificates import CycleClassification
-from .errors import InvalidInput
 from .graphs import Graph
 from .intervals import Interval
 
@@ -150,9 +149,3 @@ def figure1_problems(
             if box_adjacent(B, u, w) != G.has_edge(u, w):
                 out.append(f"attachment pair ({u}, {w}) has the wrong adjacency")
     return out
-
-
-def verify_figure1(G: Graph, cls: CycleClassification, B: BoxRepresentation) -> None:
-    found = figure1_problems(G, cls, B)
-    if found:
-        raise InvalidInput(found[0])

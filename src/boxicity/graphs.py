@@ -6,14 +6,13 @@ sorted tuples; there is no wrapper class for them.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,23 @@ class Graph:
         ]
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: JSON true and false are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_graph(n: int, edges) -> Graph:
     """Build a Graph from an edge iterable, validating and normalizing.
 
     Rejects negative n, loops, endpoints outside 0..n-1, and duplicate
     edges (after orienting each pair as (min, max)).
     """
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidInput(f"vertex count must be a non-negative int, got {n!r}")
     seen: set[tuple[int, int]] = set()
     for e in edges:
         u, v = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not is_int(u) or not is_int(v):
             raise InvalidInput(f"edge endpoints must be ints, got {e!r}")
         if u == v:
             raise InvalidInput(f"loop at vertex {u} is not allowed")
@@ -107,33 +111,8 @@ def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(vmap), frozenset(edges)), vmap
 
 
-def remove_vertices(G: Graph, S) -> Graph:
-    """Induced subgraph on V(G) minus S, relabeled to dense ids."""
-    drop = set(check_vertex_set(G, S))
-    keep = [v for v in range(G.n) if v not in drop]
-    H, _ = induced_subgraph(G, keep)
-    return H
-
-
 def complement(G: Graph) -> Graph:
     return Graph(G.n, frozenset(G.non_edges()))
-
-
-def graph_intersection(graphs) -> Graph:
-    """Edge-wise intersection of graphs on a common vertex set."""
-    graphs = list(graphs)
-    if not graphs:
-        raise InvalidInput("graph_intersection needs at least one graph")
-    n = graphs[0].n
-    for H in graphs[1:]:
-        if H.n != n:
-            raise InvalidInput(
-                f"vertex count mismatch: {H.n} vs {n}"
-            )
-    edges = set(graphs[0].edges)
-    for H in graphs[1:]:
-        edges &= H.edges
-    return Graph(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +242,6 @@ def find_cycle(G: Graph) -> list[int] | None:
     return None
 
 
-def is_forest(G: Graph) -> bool:
-    return find_cycle(G) is None
-
-
 def bfs_distances(G: Graph, source: int) -> list[int | None]:
     """Hop distances from source; None for unreachable vertices."""
     dist: list[int | None] = [None] * G.n
@@ -307,19 +282,3 @@ def graph_from_dict(doc) -> Graph:
             raise InvalidInput(f"edges[{i}] must be a [u, v] pair, got {e!r}")
         pairs.append((e[0], e[1]))
     return make_graph(doc["n"], pairs)
-
-
-def serialize(G: Graph) -> str:
-    """Canonical JSON text: sorted keys, edges in lexicographic order."""
-    return json.dumps(graph_to_dict(G), indent=2, sort_keys=True) + "\n"
-
-
-def parse(text: str) -> Graph:
-    """Parse serialized graph text; malformed JSON reports the position."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return graph_from_dict(doc)

@@ -29,13 +29,12 @@ so all comparisons are exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvalidInput, ParseError
-from .graphs import Graph, check_vertex_set
+from .errors import InvalidInput
+from .graphs import Graph, check_vertex_set, is_int
 
 Rational = Fraction
 
@@ -94,37 +93,6 @@ class IntervalRepresentation:
 
 def interval_adjacent(R: IntervalRepresentation, u: int, v: int) -> bool:
     return R.intervals[u].intersects(R.intervals[v])
-
-
-def interval_edges(R: IntervalRepresentation) -> set[tuple[int, int]]:
-    """Intersecting pairs over the representation's own ids."""
-    return {
-        (u, v)
-        for u, v in combinations(R.domain(), 2)
-        if interval_adjacent(R, u, v)
-    }
-
-
-def interval_graph_of(R: IntervalRepresentation) -> Graph:
-    """The intersection graph, relabeled densely through the sorted domain."""
-    dom = R.domain()
-    index = {v: i for i, v in enumerate(dom)}
-    edges = frozenset((index[u], index[v]) for u, v in interval_edges(R))
-    return Graph(len(dom), edges)
-
-
-def relabel_interval_representation(
-    R: IntervalRepresentation, mapping: dict[int, int]
-) -> IntervalRepresentation:
-    """Rename vertex ids; mapping must be injective on the domain."""
-    out: dict[int, Interval] = {}
-    for v, iv in R.intervals.items():
-        if v not in mapping:
-            raise InvalidInput(f"relabeling misses vertex {v}")
-        out[mapping[v]] = iv
-    if len(out) != len(R.intervals):
-        raise InvalidInput("relabeling is not injective")
-    return IntervalRepresentation(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +262,7 @@ def _fraction_from_pair(doc, where: str) -> Fraction:
     if (
         not isinstance(doc, list)
         or len(doc) != 2
-        or not all(isinstance(x, int) for x in doc)
+        or not all(is_int(x) for x in doc)
     ):
         raise InvalidInput(f"{where}: rational must be [numerator, denominator]")
     if doc[1] <= 0:
@@ -316,14 +284,6 @@ def interval_from_pairs(doc, where: str) -> Interval:
     return Interval(lo, hi)
 
 
-def interval_rep_to_dict(R: IntervalRepresentation) -> dict:
-    return {
-        "vertices": {
-            str(v): interval_to_pairs(iv) for v, iv in sorted(R.intervals.items())
-        }
-    }
-
-
 def interval_rep_from_dict(doc) -> IntervalRepresentation:
     if not isinstance(doc, dict) or set(doc) != {"vertices"}:
         raise InvalidInput("interval representation document needs exactly 'vertices'")
@@ -339,17 +299,3 @@ def interval_rep_from_dict(doc) -> IntervalRepresentation:
             raise InvalidInput(f"vertex id {v} is negative")
         out[v] = interval_from_pairs(val, f"vertices[{key}]")
     return IntervalRepresentation(out)
-
-
-def serialize_interval_representation(R: IntervalRepresentation) -> str:
-    return json.dumps(interval_rep_to_dict(R), indent=2, sort_keys=True) + "\n"
-
-
-def parse_interval_representation(text: str) -> IntervalRepresentation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return interval_rep_from_dict(doc)

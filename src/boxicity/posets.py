@@ -15,13 +15,12 @@ evaluation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .certificates import check_coloring
-from .errors import BudgetExhausted, InvalidInput
+from .errors import InvalidInput
 from .exact import SearchBudget
 from .graphs import Graph
 
@@ -156,17 +155,7 @@ def poset_dimension_at_most(
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit
-    nodes = [0]
-
-    def tick():
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExhausted(f"node budget of {budget.max_nodes} exceeded")
-        if nodes[0] % 1024 == 0 and time.monotonic() > deadline:
-            raise BudgetExhausted(f"time limit of {budget.time_limit}s exceeded")
-
+    tick = (budget or SearchBudget()).meter().tick
     elems = sorted(P.elements)
     targets = frozenset(
         (a, b)

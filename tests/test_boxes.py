@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,16 +9,14 @@ from boxicity.boxes import (
     BoxRepresentation,
     acyclic_pipeline,
     box_adjacent,
-    box_graph_of,
     box_rep_from_dict,
+    box_rep_to_dict,
     forest_two_dim,
     from_interval_reps,
     girth4_pipeline,
     pair_gadget,
-    parse_box_representation,
     relabel_box_representation,
     roberts_representation,
-    serialize_box_representation,
     singleton_gadget,
     stack,
     sur1_compose,
@@ -26,7 +25,7 @@ from boxicity.boxes import (
     verify_representation,
 )
 from boxicity.certificates import CertificateError, ForestStablePartition, PairCover, Separation
-from boxicity.errors import InvalidInput, ParseError
+from boxicity.errors import InvalidInput
 from boxicity.graphs import (
     complete,
     cycle,
@@ -37,9 +36,15 @@ from boxicity.graphs import (
     random_graph,
     roberts_graph,
 )
-from boxicity.intervals import Interval, IntervalRepresentation, interval_graph_of, representation_from_ordering
+from boxicity.intervals import Interval, IntervalRepresentation, representation_from_ordering
 
-from util import assert_represents, greedy_acyclic_coloring, universal_representation
+from util import (
+    assert_represents,
+    box_graph_of,
+    greedy_acyclic_coloring,
+    interval_graph_of,
+    universal_representation,
+)
 
 
 def iv(lo, hi):
@@ -484,15 +489,15 @@ def test_roberts_representation_small():
 
 def test_box_representation_round_trip():
     B = roberts_representation(3)
-    text = serialize_box_representation(B)
-    assert parse_box_representation(text) == B
+    text = json.dumps(box_rep_to_dict(B))
+    assert box_rep_from_dict(json.loads(text)) == B
 
 
 def test_box_representation_schema_errors():
-    with pytest.raises(ParseError):
-        parse_box_representation("[")
     with pytest.raises(InvalidInput):
         box_rep_from_dict({"d": 0, "vertices": {}})
+    with pytest.raises(InvalidInput):
+        box_rep_from_dict({"d": True, "vertices": {"0": [[[0, 1], [1, 1]]]}})
     with pytest.raises(InvalidInput):
         box_rep_from_dict({"d": 1, "vertices": {"0": []}})
     with pytest.raises(InvalidInput):

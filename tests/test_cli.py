@@ -102,7 +102,8 @@ def test_exact_rejects_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 3,")
     assert main(["exact", str(bad)]) == 2
-    assert "bad JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad JSON at line 1 column" in err
 
 
 # ------------------------------------------------------------ construct
@@ -222,6 +223,50 @@ def test_derive_bad_script_exit(tmp_path, capsys):
     assert main(["derive", str(c4), str(s), "-o", str(rep)]) == 2
     assert "joins V1 and V2" in capsys.readouterr().err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("script, field", [
+    ('{"rule": "sur2bis", "K": ["x"], "sub": {"rule": "roberts"}}', "K"),
+    ('{"rule": "sur1", "cover": {"X": [0, 1], "pairs": 5}, "sub": {"rule": "roberts"}}',
+     "pairs"),
+    ('{"rule": "sur1", "cover": {"X": [0, 1], "pairs": [[0, true]]}, '
+     '"sub": {"rule": "roberts"}}', "pairs[0]"),
+    ('{"rule": "base_oracle", "budget": {"max_nodes": 1e400}}', "max_nodes"),
+    ('{"rule": "base_oracle", "budget": {"max_nodes": "7"}}', "max_nodes"),
+    ('{"rule": "base_oracle", "budget": {"symmetry_pruning": "no"}}', "symmetry_pruning"),
+    ('{"rule": "base_oracle", "budget": {"time_limit": NaN}}', "time_limit"),
+    ('{"rule": "base_oracle", "d_max": 2.9}', "d_max"),
+    ('{"rule": "base_oracle", "d_max": true}', "d_max must be an int"),
+    ('{"rule": "acyclic", "coloring": {"colors": {"0": true, "1": true, "2": false, '
+     '"3": false}}}', "colors[0]"),
+])
+def test_derive_rejects_malformed_script_fields(tmp_path, capsys, script, field):
+    g, s, rep = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "rep.json"
+    assert main(["gen", "roberts", "2", "-o", str(g)]) == 0
+    s.write_text(script)
+    capsys.readouterr()
+    assert main(["derive", str(g), str(s), "-o", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not rep.exists()
+
+
+def test_malformed_numbers_in_other_inputs_exit_2(tmp_path, capsys):
+    g, bad_g = tmp_path / "g.json", tmp_path / "bad_g.json"
+    rep, colors = tmp_path / "rep.json", tmp_path / "colors.json"
+    assert main(["gen", "path", "2", "-o", str(g)]) == 0
+    write_json(bad_g, {"n": True, "edges": []})
+    write_json(rep, {"d": True, "vertices": {"0": [[[0, 1], [1, 1]]],
+                                             "1": [[[0, 1], [1, 1]]]}})
+    write_json(colors, {"colors": {"0": True, "1": False}})
+    for argv in (["verify", str(g), str(rep)],
+                 ["construct", "acyclic", str(g), "--coloring", str(colors),
+                  "-o", str(tmp_path / "out.json")],
+                 ["exact", str(bad_g)],
+                 ["exact", str(g), "--time-limit", "nan"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_derive_budget_exit(tmp_path):

@@ -1,6 +1,9 @@
 """Script assembly: composition, accounting, dry-run parity, JSON."""
 
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,10 @@ from boxicity.derivation import (
     AcyclicStep,
     BaseExplicitStep,
     BaseOracleStep,
+    DerivationStep,
     Figure1Step,
     Girth4Step,
+    RULES,
     RobertsStep,
     Sur1Step,
     Sur2Step,
@@ -30,7 +35,7 @@ from boxicity.derivation import (
     step_to_dict,
     validate_script,
 )
-from boxicity.errors import BudgetExhausted, CertificateError, ParseError
+from boxicity.errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
 from boxicity.exact import SearchBudget, acyclic_coloring, exact_boxicity
 from boxicity.graphs import complete, cycle, make_graph, path, roberts_graph
 from boxicity.intervals import Interval
@@ -462,3 +467,50 @@ scripts = st.recursive(_leaves, lambda sub: st.one_of(
 def test_step_json_round_trip_property(script):
     text = json.dumps(step_to_dict(script), sort_keys=True)
     assert step_from_dict(json.loads(text)) == script
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _places(doc):
+    """Every (container, key) in a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in list(items):
+        yield doc, key
+        yield from _places(value)
+
+
+@settings(deadline=None)
+@given(_json)
+def test_step_from_dict_on_arbitrary_json_raises_only_invalid_input(doc):
+    try:
+        step_from_dict(doc)
+    except InvalidInput:
+        pass
+
+
+@settings(deadline=None)
+@given(scripts, st.data())
+def test_step_from_dict_on_corrupted_scripts_raises_only_invalid_input(script, data):
+    doc = step_to_dict(script)
+    places = list(_places(doc))
+    container, key = places[data.draw(st.integers(0, len(places) - 1))]
+    container[key] = data.draw(_json)
+    try:
+        step_from_dict(json.loads(json.dumps(doc)))
+    except InvalidInput:
+        pass
+
+
+def test_rules_cover_every_step_type_and_every_documented_rule():
+    assert {rule.step for rule in RULES} == set(typing.get_args(DerivationStep))
+    assert len({rule.name for rule in RULES}) == len(RULES)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Rules:", 1)[1].split(".", 1)[0]
+    listed = re.sub(r"\([^)]*\)", "", listed)  # drop each rule's keys
+    assert {rule.name for rule in RULES} == set(re.findall(r"`(\w+)`", listed))

@@ -66,6 +66,12 @@ def test_invalid_arguments():
         boxicity_at_most(cycle(4), 0)
     with pytest.raises(InvalidInput):
         exact_boxicity(make_graph(0, []))
+    for limits in ({"max_nodes": 0}, {"max_nodes": True}, {"max_nodes": 7.0},
+                   {"max_nodes": "7"}, {"time_limit": float("nan")},
+                   {"time_limit": float("inf")}, {"time_limit": 0}, {"time_limit": 10**400},
+                   {"time_limit": True}, {"symmetry_pruning": "no"}):
+        with pytest.raises(InvalidInput):
+            SearchBudget(**limits)
 
 
 def test_exact_known_values():

@@ -1,27 +1,26 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from boxicity.errors import InvalidInput, ParseError
+from boxicity.errors import InvalidInput
 from boxicity.graphs import Graph, complete, cycle, make_graph, path, random_graph, roberts_graph
 from boxicity.intervals import (
     Interval,
     IntervalRepresentation,
     canonical_extension,
     interval_adjacent,
-    interval_edges,
-    interval_graph_of,
     interval_rep_from_dict,
+    interval_to_pairs,
     is_umbrella_free,
-    parse_interval_representation,
     recognize_interval,
-    relabel_interval_representation,
     representation_from_ordering,
-    serialize_interval_representation,
     umbrella_closure,
 )
+
+from util import interval_graph_of
 
 
 def iv(lo, hi):
@@ -61,24 +60,12 @@ def test_interval_graph_of_dense_relabeling():
     G = interval_graph_of(R)
     assert G.n == 3
     assert G.edges == frozenset({(0, 2), (1, 2)})
-    assert interval_edges(R) == {(1, 5), (2, 5)}
     assert interval_adjacent(R, 1, 5)
     assert not interval_adjacent(R, 1, 2)
 
 
 def test_interval_graph_of_empty():
     assert interval_graph_of(IntervalRepresentation({})) == Graph(0, frozenset())
-
-
-def test_relabel_representation():
-    R = rep({0: (0, 1), 1: (1, 2)})
-    S = relabel_interval_representation(R, {0: 4, 1: 7})
-    assert S.domain() == (4, 7)
-    assert S.interval(4) == iv(0, 1)
-    with pytest.raises(InvalidInput):
-        relabel_interval_representation(R, {0: 4})
-    with pytest.raises(InvalidInput):
-        relabel_interval_representation(R, {0: 4, 1: 4})
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +240,9 @@ def test_canonical_extension_properties():
         sigma = list(range(len(X)))
         rng.shuffle(sigma)
         closed = umbrella_closure(H, sigma)
-        R = relabel_interval_representation(
-            representation_from_ordering(closed, sigma),
-            {i: v for v, i in spread.items()},
-        )
+        R = IntervalRepresentation({
+            X[i]: x for i, x in representation_from_ordering(closed, sigma).intervals.items()
+        })
         ext = canonical_extension(R, G)
         assert set(ext.domain()) == set(range(n))
         for u, v in combinations(range(n), 2):
@@ -289,13 +275,13 @@ def test_canonical_extension_rejects_missing_edge():
 
 def test_interval_representation_round_trip():
     R = rep({0: (0, 1), 3: (Fraction(1, 2), Fraction(5, 2))})
-    text = serialize_interval_representation(R)
-    assert parse_interval_representation(text) == R
+    doc = {"vertices": {str(v): interval_to_pairs(x) for v, x in R.intervals.items()}}
+    assert interval_rep_from_dict(json.loads(json.dumps(doc))) == R
 
 
 def test_interval_representation_schema_errors():
-    with pytest.raises(ParseError):
-        parse_interval_representation("{nope")
+    with pytest.raises(InvalidInput):
+        interval_rep_from_dict({"vertices": {"0": [[0, True], [1, 1]]}})
     with pytest.raises(InvalidInput):
         interval_rep_from_dict({"vertices": {"x": [[0, 1], [1, 1]]}})
     with pytest.raises(InvalidInput):

@@ -2,9 +2,16 @@
 
 from itertools import combinations
 
-from boxicity.boxes import BoxRepresentation, from_interval_reps, singleton_gadget, verify_representation
+from boxicity.boxes import (
+    BoxRepresentation,
+    box_adjacent,
+    from_interval_reps,
+    singleton_gadget,
+    verify_representation,
+)
 from boxicity.certificates import CycleClassification, acyclic_coloring_problems
 from boxicity.graphs import Graph, make_graph
+from boxicity.intervals import IntervalRepresentation, interval_adjacent
 
 
 def all_graphs(n):
@@ -12,6 +19,23 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _dense_graph(dom, adjacent) -> Graph:
+    index = {v: i for i, v in enumerate(dom)}
+    return Graph(len(dom), frozenset(
+        (index[u], index[v]) for u, v in combinations(dom, 2) if adjacent(u, v)
+    ))
+
+
+def box_graph_of(B: BoxRepresentation) -> Graph:
+    """The represented graph, relabeled densely through the sorted domain."""
+    return _dense_graph(B.domain(), lambda u, v: box_adjacent(B, u, v))
+
+
+def interval_graph_of(R: IntervalRepresentation) -> Graph:
+    """The intersection graph, relabeled densely through the sorted domain."""
+    return _dense_graph(R.domain(), lambda u, v: interval_adjacent(R, u, v))
 
 
 def star(leaves):
