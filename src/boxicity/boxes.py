@@ -23,6 +23,7 @@ a representation whose dimension is an exact function of the inputs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .certificates import (
@@ -32,17 +33,19 @@ from .certificates import (
     validate_acyclic_coloring,
 )
 from .errors import InvalidInput
-from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, is_int
+from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, int_key, is_int
 from .intervals import (
     Interval,
     IntervalRepresentation,
     canonical_extension,
+    _disagreeing_pairs,
     interval_from_pairs,
     interval_to_pairs,
+    meet_masks,
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoxRepresentation:
     """Map from vertex ids to d-tuples of intervals.
 
@@ -73,31 +76,11 @@ class BoxRepresentation:
     def dimension_rep(self, i: int) -> IntervalRepresentation:
         return IntervalRepresentation({v: box[i] for v, box in self.boxes.items()})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoxRepresentation)
-            and self.d == other.d
-            and self.boxes == other.boxes
-        )
-
-
-def box_adjacent(B: BoxRepresentation, u: int, v: int) -> bool:
-    return all(a.intersects(b) for a, b in zip(B.boxes[u], B.boxes[v]))
-
-
-def stack(reps) -> BoxRepresentation:
-    """Concatenate representations on the same domain along dimensions."""
-    reps = list(reps)
-    if not reps:
-        raise InvalidInput("stack needs at least one representation")
-    dom = reps[0].domain()
-    for B in reps[1:]:
-        if B.domain() != dom:
-            raise InvalidInput("stack: domains differ")
-    boxes = {
-        v: tuple(iv for B in reps for iv in B.boxes[v]) for v in dom
-    }
-    return BoxRepresentation(sum(B.d for B in reps), boxes)
+    def meet_masks(self) -> dict[int, int]:
+        """Per vertex, the bitmask of the vertices whose boxes meet its box:
+        the AND of every dimension's meet_masks, taken one at a time."""
+        dims = (meet_masks(self.dimension_rep(i)) for i in range(self.d))
+        return reduce(lambda acc, dim: {v: m & dim[v] for v, m in acc.items()}, dims)
 
 
 def from_interval_reps(reps) -> BoxRepresentation:
@@ -138,16 +121,10 @@ class VerificationReport:
     missing_edges: list[tuple[int, int]]  # in the graph, not in the boxes
     extra_edges: list[tuple[int, int]]  # in the boxes, not in the graph
 
-    def to_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "missing_edges": [list(e) for e in self.missing_edges],
-            "extra_edges": [list(e) for e in self.extra_edges],
-        }
-
 
 def verify_representation(B: BoxRepresentation, G: Graph) -> VerificationReport:
-    """Compare the represented graph against G pair by pair.
+    """Compare the represented graph against G, listing the disagreeing
+    pairs in lexicographic order.
 
     The domain must be exactly V(G); a wrong domain is an input error, not a
     verification failure.
@@ -158,22 +135,16 @@ def verify_representation(B: BoxRepresentation, G: Graph) -> VerificationReport:
         )
     missing = []
     extra = []
-    for u, v in combinations(range(G.n), 2):
-        adj = box_adjacent(B, u, v)
-        if G.has_edge(u, v) and not adj:
-            missing.append((u, v))
-        elif adj and not G.has_edge(u, v):
-            extra.append((u, v))
+    for u, v in _disagreeing_pairs(B.meet_masks(), G.nbr_masks):
+        (missing if G.has_edge(u, v) else extra).append((u, v))
     return VerificationReport(not missing and not extra, missing, extra)
 
 
 def _check_agrees(B: BoxRepresentation, G: Graph, what: str) -> None:
     """Require the represented graph to equal G induced on B's domain."""
-    for u, v in combinations(B.domain(), 2):
-        if box_adjacent(B, u, v) != G.has_edge(u, v):
-            raise InvalidInput(
-                f"{what} disagrees with the graph at pair ({u}, {v})"
-            )
+    bad = next(_disagreeing_pairs(B.meet_masks(), G.nbr_masks), None)
+    if bad is not None:
+        raise InvalidInput(f"{what} disagrees with the graph at pair {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +253,17 @@ def sur2_compose(
         raise InvalidInput(
             f"B2 domain {list(B2.domain())} is not V2 + X = {list(side2)}"
         )
+    # B1 may add non-edges inside X: those pairs are not compared
     in_x = set(sep.X)
-    for u, v in combinations(side1, 2):
-        adj = box_adjacent(B1, u, v)
-        if G.has_edge(u, v) and not adj:
-            raise InvalidInput(f"B1 misses the edge ({u}, {v})")
-        if not G.has_edge(u, v) and adj and not (u in in_x and v in in_x):
-            raise InvalidInput(
-                f"B1 adds the non-edge ({u}, {v}) outside X"
-            )
+    x_mask = sum(1 << v for v in in_x)
+    nbr = G.nbr_masks
+    bad = next(_disagreeing_pairs(
+        B1.meet_masks(), nbr, lambda u: ~x_mask | nbr[u] if u in in_x else -1
+    ), None)
+    if bad is not None:
+        if G.has_edge(*bad):
+            raise InvalidInput(f"B1 misses the edge {bad}")
+        raise InvalidInput(f"B1 adds the non-edge {bad} outside X")
     _check_agrees(B2, G, "B2")
     dims = [canonical_extension(B1.dimension_rep(i), G) for i in range(B1.d)]
     dims += [canonical_extension(B2.dimension_rep(i), G) for i in range(B2.d)]
@@ -322,13 +295,12 @@ def sur2bis_double(B: BoxRepresentation, K) -> BoxRepresentation:
     dims = []
     for i in range(B.d):
         R = B.dimension_rep(i)
-        lo = min(iv.lo for iv in R.intervals.values())
-        hi = max(iv.hi for iv in R.intervals.values())
+        span = R.span()
         left = dict(R.intervals)
         right = dict(R.intervals)
         for v in K:
-            left[v] = Interval(lo, R.intervals[v].hi)
-            right[v] = Interval(R.intervals[v].lo, hi)
+            left[v] = Interval(span.lo, R.intervals[v].hi)
+            right[v] = Interval(R.intervals[v].lo, span.hi)
         dims.append(IntervalRepresentation(left))
         dims.append(IntervalRepresentation(right))
     return from_interval_reps(dims)
@@ -522,10 +494,7 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
         raise InvalidInput("'vertices' must map vertex ids to interval lists")
     boxes = {}
     for key, val in doc["vertices"].items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise InvalidInput(f"vertex key {key!r} is not an integer") from None
+        v = int_key(key, "vertex")
         if not isinstance(val, list) or len(val) != d:
             raise InvalidInput(
                 f"vertices[{key}] must list exactly {d} intervals"

@@ -18,6 +18,7 @@ from .graphs import (
     check_vertex_set,
     find_cycle,
     induced_subgraph,
+    int_key,
     is_int,
 )
 
@@ -327,10 +328,7 @@ def classification_from_dict(doc) -> CycleClassification:
         raise InvalidInput("'assignments' must be an object")
     assignments = {}
     for key, val in doc["assignments"].items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise InvalidInput(f"assignment key {key!r} is not an integer") from None
+        v = int_key(key, "assignment")
         if (
             not isinstance(val, list)
             or len(val) != 2
@@ -363,10 +361,7 @@ def coloring_from_dict(doc) -> dict[int, int]:
         raise InvalidInput("'colors' must map vertex ids to ints")
     out = {}
     for key, val in doc["colors"].items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise InvalidInput(f"color key {key!r} is not an integer") from None
+        v = int_key(key, "color")
         if not is_int(val):
             raise InvalidInput(f"colors[{key}] must be an int")
         out[v] = val

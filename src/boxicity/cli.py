@@ -116,6 +116,8 @@ def _read_json(path: str):
         raise InvalidInput(
             f"{path}: bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InvalidInput(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_graph(path: str):

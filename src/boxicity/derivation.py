@@ -555,7 +555,14 @@ def step_to_dict(step: DerivationStep) -> dict:
     return out
 
 
-def step_from_dict(doc) -> DerivationStep:
+# Scripts are decoded and walked one recursive call per step; real
+# derivations are a few steps deep, and this keeps far from Python's limit.
+MAX_SCRIPT_DEPTH = 100
+
+
+def step_from_dict(doc, *, _depth: int = 1) -> DerivationStep:
+    if _depth > MAX_SCRIPT_DEPTH:
+        raise ParseError(f"script is nested more than {MAX_SCRIPT_DEPTH} steps deep")
     if not isinstance(doc, dict) or "rule" not in doc:
         raise ParseError("each step must be an object with a 'rule'")
     note = doc.get("note")
@@ -579,7 +586,7 @@ def step_from_dict(doc) -> DerivationStep:
         if doc.get(field.key) is not None or not field.optional
     }
     for slot in rule.slots:
-        kwargs[slot] = step_from_dict(doc[slot])
+        kwargs[slot] = step_from_dict(doc[slot], _depth=_depth + 1)
     return rule.step(note=note, **kwargs)
 
 

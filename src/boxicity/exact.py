@@ -120,10 +120,6 @@ class _ClosureSearch:
         for i, (u, v) in enumerate(self.non_edges):
             self.partners[u].append((v, i))
             self.partners[v].append((u, i))
-        self.nbr_mask = [0] * self.n
-        for u, v in self.G.edges:
-            self.nbr_mask[u] |= 1 << v
-            self.nbr_mask[v] |= 1 << u
         self.failed: set[tuple[int, frozenset[int]]] = set()
 
     def _pick_target(self, remaining: frozenset[int]) -> int:
@@ -152,6 +148,7 @@ class _ClosureSearch:
         placed_mask = 0
         surviving: set[int] = set()
         undecided = [len(remaining)]
+        nbr_masks = self.G.nbr_masks
 
         def extend():
             nonlocal placed_mask
@@ -174,7 +171,7 @@ class _ClosureSearch:
                 for u, i in self.partners[x]:
                     if i in remaining and placed_mask >> u & 1:
                         decided_now += 1
-                        if self.nbr_mask[u] & ~placed_mask == 0:
+                        if nbr_masks[u] & ~placed_mask == 0:
                             # u's neighbors all sit before x, so the
                             # closure stops short of x: pair excluded
                             continue

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .boxes import BoxRepresentation, box_adjacent
+from .boxes import BoxRepresentation, relabel_box_representation
 from .certificates import CycleClassification
 from .graphs import Graph
-from .intervals import Interval
+from .intervals import Interval, _disagreeing_pairs
 
 HALF = Fraction(1, 2)
 
@@ -133,19 +133,22 @@ def figure1_problems(
     The represented graph must agree with G on every pair involving a cycle
     vertex; pairs between assigned vertices are unconstrained.
     """
-    out = []
     if set(B.domain()) != set(cls.cycle) | set(cls.assignments):
         return ["gadget domain does not match the classification"]
     if B.d != 2:
         return [f"gadget must be 2-dimensional, got {B.d}"]
-    on_cycle = list(cls.cycle)
-    others = sorted(cls.assignments)
-    for idx, u in enumerate(on_cycle):
-        for w in on_cycle[idx + 1 :]:
-            if box_adjacent(B, u, w) != G.has_edge(u, w):
-                out.append(f"cycle pair ({u}, {w}) has the wrong adjacency")
-    for u in on_cycle:
-        for w in others:
-            if box_adjacent(B, u, w) != G.has_edge(u, w):
-                out.append(f"attachment pair ({u}, {w}) has the wrong adjacency")
-    return out
+    # positions: the cycle in its order, then the assigned vertices sorted,
+    # so that the pairs come out cycle pairs first, each in cycle order
+    order = list(cls.cycle) + sorted(cls.assignments)
+    pos = {v: i for i, v in enumerate(order)}
+    meet = relabel_box_representation(B, pos).meet_masks()
+    nbr = [sum(1 << pos[w] for w in G.neighbors(v) if w in pos) for v in order]
+    k = len(cls.cycle)
+    cycle_mask = (1 << k) - 1
+
+    def wrong(kind: str, partners: int) -> list[str]:
+        pairs = _disagreeing_pairs(meet, nbr, lambda i: partners if i < k else 0)
+        return [f"{kind} pair ({order[i]}, {order[j]}) has the wrong adjacency"
+                for i, j in pairs]
+
+    return wrong("cycle", cycle_mask) + wrong("attachment", ~cycle_mask)

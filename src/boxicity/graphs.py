@@ -30,6 +30,11 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """Per vertex v, the bitmask of its neighbours (bit w for vertex w)."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self._adjacency)
+
     def vertices(self) -> range:
         return range(self.n)
 
@@ -60,6 +65,17 @@ class Graph:
 def is_int(x) -> bool:
     """An int that is not a bool: JSON true and false are not numbers here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_key(key: str, what: str) -> int:
+    """A JSON object key naming a vertex, accepted only as the canonical
+    decimal text of an int, so that no two keys name one vertex."""
+    try:
+        if key == str(int(key)):
+            return int(key)
+    except ValueError:
+        pass
+    raise InvalidInput(f"{what} key {key!r} is not a canonical integer")
 
 
 def make_graph(n: int, edges) -> Graph:

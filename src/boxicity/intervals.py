@@ -29,14 +29,14 @@ so all comparisons are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
+from operator import or_
 
 from .errors import InvalidInput
 from .graphs import Graph, check_vertex_set, is_int
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,8 @@ class Interval:
         if self.lo > self.hi:
             raise InvalidInput(f"interval has lo > hi: [{self.lo}, {self.hi}]")
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntervalRepresentation:
     """Map from vertex ids to intervals.
 
@@ -84,15 +78,48 @@ class IntervalRepresentation:
             max(iv.hi for iv in self.intervals.values()),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntervalRepresentation)
-            and self.intervals == other.intervals
-        )
+
+# ---------------------------------------------------------------------------
+# exact adjacency
+# ---------------------------------------------------------------------------
 
 
-def interval_adjacent(R: IntervalRepresentation, u: int, v: int) -> bool:
-    return R.intervals[u].intersects(R.intervals[v])
+def meet_masks(R: IntervalRepresentation) -> dict[int, int]:
+    """Per vertex id v, the bitmask of the ids whose closed intervals meet
+    v's interval (bit w for vertex w; v's own bit is set).
+
+    The endpoints are sorted once and then bisected, and those are the only
+    comparisons of endpoints.  OR-ing over the left endpoints in increasing
+    order gives, at each cut, the w with lo_w <= hi_v; OR-ing over the right
+    endpoints from the top gives the w with hi_w >= lo_v.  Their AND is the
+    set meeting v, touching intervals included.
+    """
+    ivs = R.intervals
+    by_lo = sorted(ivs, key=lambda v: ivs[v].lo)
+    by_hi = sorted(ivs, key=lambda v: ivs[v].hi)
+    los = [ivs[v].lo for v in by_lo]
+    his = [ivs[v].hi for v in by_hi]
+    lo_prefix = list(accumulate((1 << v for v in by_lo), or_, initial=0))
+    hi_suffix = list(accumulate((1 << v for v in reversed(by_hi)), or_, initial=0))[::-1]
+    return {
+        v: lo_prefix[bisect_right(los, iv.hi)] & hi_suffix[bisect_left(his, iv.lo)]
+        for v, iv in ivs.items()
+    }
+
+
+def _disagreeing_pairs(meet: dict[int, int], nbr, keep=lambda u: -1):
+    """Pairs (u, w), u < w, both in meet's domain, where bit w of meet[u]
+    differs from bit w of nbr[u] and is set in keep(u); in lexicographic
+    order, each u's partners lowest bit first.  nbr is indexed by vertex id
+    (Graph.nbr_masks); its bits outside meet's domain are ignored.
+    """
+    domain = sum(1 << v for v in meet)
+    for u in sorted(meet):
+        diff = ((meet[u] ^ nbr[u]) & domain & keep(u)) >> (u + 1)
+        while diff:
+            low = diff & -diff
+            yield u, u + low.bit_length()
+            diff ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +263,10 @@ def canonical_extension(
     X = check_vertex_set(G, R.domain())
     if not X:
         raise InvalidInput("canonical extension needs a nonempty domain")
-    for u, v in combinations(X, 2):
-        if G.has_edge(u, v) and not interval_adjacent(R, u, v):
-            raise InvalidInput(
-                f"representation misses edge ({u}, {v}) of the induced subgraph"
-            )
+    nbr = G.nbr_masks
+    missing = next(_disagreeing_pairs(meet_masks(R), nbr, nbr.__getitem__), None)
+    if missing is not None:
+        raise InvalidInput(f"representation misses edge {missing} of the induced subgraph")
     span = R.span()
     out = dict(R.intervals)
     for v in G.vertices():
@@ -282,20 +308,3 @@ def interval_from_pairs(doc, where: str) -> Interval:
     if lo > hi:
         raise InvalidInput(f"{where}: interval has lo > hi")
     return Interval(lo, hi)
-
-
-def interval_rep_from_dict(doc) -> IntervalRepresentation:
-    if not isinstance(doc, dict) or set(doc) != {"vertices"}:
-        raise InvalidInput("interval representation document needs exactly 'vertices'")
-    if not isinstance(doc["vertices"], dict):
-        raise InvalidInput("'vertices' must map vertex ids to intervals")
-    out: dict[int, Interval] = {}
-    for key, val in doc["vertices"].items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise InvalidInput(f"vertex key {key!r} is not an integer") from None
-        if v < 0:
-            raise InvalidInput(f"vertex id {v} is negative")
-        out[v] = interval_from_pairs(val, f"vertices[{key}]")
-    return IntervalRepresentation(out)

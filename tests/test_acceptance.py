@@ -18,7 +18,6 @@ import conftest
 
 from boxicity.boxes import (
     acyclic_pipeline,
-    box_adjacent,
     forest_two_dim,
     girth4_pipeline,
     relabel_box_representation,
@@ -58,7 +57,7 @@ from boxicity.posets import (
     starred_poset,
 )
 from reference import reference_boxicity
-from util import all_graphs, gadget_instance, universal_representation
+from util import all_graphs, box_adjacent, gadget_instance, universal_representation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -8,7 +8,6 @@ import pytest
 from boxicity.boxes import (
     BoxRepresentation,
     acyclic_pipeline,
-    box_adjacent,
     box_rep_from_dict,
     box_rep_to_dict,
     forest_two_dim,
@@ -18,7 +17,6 @@ from boxicity.boxes import (
     relabel_box_representation,
     roberts_representation,
     singleton_gadget,
-    stack,
     sur1_compose,
     sur2_compose,
     sur2bis_double,
@@ -40,8 +38,10 @@ from boxicity.intervals import Interval, IntervalRepresentation, representation_
 
 from util import (
     assert_represents,
+    box_adjacent,
     box_graph_of,
     greedy_acyclic_coloring,
+    interval_adjacent,
     interval_graph_of,
     universal_representation,
 )
@@ -99,7 +99,6 @@ def test_verify_representation_reports_witnesses():
     assert not report.equal
     assert report.missing_edges == [(0, 2), (0, 3)]
     assert report.extra_edges == []
-    assert report.to_dict()["missing_edges"] == [[0, 2], [0, 3]]
 
 
 def test_verify_representation_rejects_domain_mismatch():
@@ -110,13 +109,14 @@ def test_verify_representation_rejects_domain_mismatch():
 def test_stack_and_relabel():
     A = boxes_of({0: [(0, 1)], 1: [(2, 3)]})
     B = boxes_of({0: [(0, 0)], 1: [(0, 1)]})
-    S = stack([A, B])
+    S = from_interval_reps([A.dimension_rep(0), B.dimension_rep(0)])
     assert S.d == 2
     assert S.boxes[1] == (iv(2, 3), iv(0, 1))
     with pytest.raises(InvalidInput):
-        stack([])
+        from_interval_reps([])
+    elsewhere = boxes_of({0: [(0, 1)], 2: [(0, 1)]})
     with pytest.raises(InvalidInput):
-        stack([A, boxes_of({0: [(0, 1)], 2: [(0, 1)]})])
+        from_interval_reps([A.dimension_rep(0), elsewhere.dimension_rep(0)])
     R = relabel_box_representation(A, {0: 5, 1: 7})
     assert R.domain() == (5, 7)
     with pytest.raises(InvalidInput):
@@ -162,14 +162,14 @@ def test_gadgets_preserve_non_adjacencies_at_their_vertices():
             for a, b in combinations(range(n), 2):
                 if G.has_edge(a, b):
                     # supergraph: every edge survives
-                    assert R.interval(a).intersects(R.interval(b))
+                    assert interval_adjacent(R, a, b)
                 elif u in (a, b) or v in (a, b):
-                    assert not R.interval(a).intersects(R.interval(b))
+                    assert not interval_adjacent(R, a, b)
         w = rng.randrange(n)
         R = singleton_gadget(G, w)
         for a, b in combinations(range(n), 2):
             expect = G.has_edge(a, b) if w in (a, b) else True
-            assert R.interval(a).intersects(R.interval(b)) == expect
+            assert interval_adjacent(R, a, b) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_forest_two_dim_components_stay_apart():
     assert_represents(B, F)
     # roots of different components share the depth band but not the window
     assert B.boxes[0][1] == B.boxes[3][1]
-    assert not B.boxes[0][0].intersects(B.boxes[3][0])
+    assert not interval_adjacent(B.dimension_rep(0), 0, 3)
 
 
 def test_forest_two_dim_rejects_cycles():
@@ -504,3 +504,18 @@ def test_box_representation_schema_errors():
         box_rep_from_dict({"d": 1, "vertices": {"a": [[[0, 1], [1, 1]]]}})
     with pytest.raises(InvalidInput):
         box_rep_from_dict({"vertices": {}})
+    for bad in ([[True, 1], [1, 1]],  # bool numerator
+                [[0, True], [1, 1]],  # bool denominator
+                [[0, 0], [1, 1]],  # zero denominator
+                [[1, -2], [1, 1]],  # negative denominator
+                [[2, 1], [1, 1]]):  # lo > hi
+        with pytest.raises(InvalidInput):
+            box_rep_from_dict({"d": 1, "vertices": {"0": [bad]}})
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "2 ", "+2", "2_0", "-0", "", "٢"])
+def test_box_representation_vertex_keys_must_be_canonical(key):
+    box = [[[0, 1], [1, 1]]]
+    assert box_rep_from_dict({"d": 1, "vertices": {"2": box}}).domain() == (2,)
+    with pytest.raises(InvalidInput, match="vertex key"):
+        box_rep_from_dict({"d": 1, "vertices": {key: box}})

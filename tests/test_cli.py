@@ -269,6 +269,42 @@ def test_malformed_numbers_in_other_inputs_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def nested_sur2bis(depth: int) -> str:
+    """A script of `depth` sur2bis steps over a roberts leaf."""
+    return '{"rule": "sur2bis", "K": [0, 2], "sub": ' * depth + '{"rule": "roberts"}' + "}" * depth
+
+
+@pytest.mark.parametrize("depth, message", [
+    (150, "nested more than 100 steps deep"),  # parsed, then refused by depth
+    (1200, "JSON nested too deeply"),  # too deep for the JSON reader
+])
+def test_derive_rejects_deeply_nested_scripts(tmp_path, capsys, depth, message):
+    g, s, rep = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "rep.json"
+    assert main(["gen", "roberts", "2", "-o", str(g)]) == 0
+    s.write_text(nested_sur2bis(depth))
+    capsys.readouterr()
+    assert main(["derive", str(g), str(s), "-o", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not rep.exists()
+
+
+def test_vertex_keys_must_be_canonical(tmp_path, capsys):
+    g, colors, rep = tmp_path / "p3.json", tmp_path / "colors.json", tmp_path / "rep.json"
+    assert main(["gen", "path", "3", "-o", str(g)]) == 0
+    # "02" would name vertex 2 again and override its colour, hiding that
+    # the edge (1, 2) is monochromatic
+    write_json(colors, {"colors": {"0": 0, "1": 1, "2": 1, "02": 0}})
+    capsys.readouterr()
+    assert main(["construct", "acyclic", str(g), "--coloring", str(colors),
+                 "-o", str(rep)]) == 2
+    assert "color key '02' is not a canonical integer" in capsys.readouterr().err
+    assert not rep.exists()
+    write_json(colors, {"colors": {"0": 0, "1": 1, "2": 0}})
+    assert main(["construct", "acyclic", str(g), "--coloring", str(colors),
+                 "-o", str(rep)]) == 0
+
+
 def test_derive_budget_exit(tmp_path):
     g, s = tmp_path / "k8.json", tmp_path / "s.json"
     write_json(g, graph_to_dict(roberts_graph(4)))

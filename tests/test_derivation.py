@@ -15,8 +15,11 @@ from boxicity.certificates import (
     ForestStablePartition,
     PairCover,
     Separation,
+    classification_from_dict,
+    coloring_from_dict,
 )
 from boxicity.derivation import (
+    MAX_SCRIPT_DEPTH,
     AcyclicStep,
     BaseExplicitStep,
     BaseOracleStep,
@@ -351,6 +354,29 @@ def test_script_parsing_rejects_malformed_steps():
         step_from_dict({"rule": "roberts", "K": [1]})
     with pytest.raises(ParseError, match="note"):
         step_from_dict({"rule": "roberts", "note": 7})
+
+
+def test_script_parsing_caps_the_nesting_depth():
+    def nested(depth):
+        doc = {"rule": "roberts"}
+        for _ in range(depth - 1):
+            doc = {"rule": "sur2bis", "K": [0, 1], "sub": doc}
+        return doc
+
+    assert step_from_dict(nested(MAX_SCRIPT_DEPTH)).sub.sub.K == (0, 1)
+    with pytest.raises(ParseError, match=f"more than {MAX_SCRIPT_DEPTH} steps"):
+        step_from_dict(nested(MAX_SCRIPT_DEPTH + 1))
+
+
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "2_0", "-0"])
+def test_certificate_vertex_keys_must_be_canonical(key):
+    assert coloring_from_dict({"colors": {"2": 0}}) == {2: 0}
+    with pytest.raises(InvalidInput, match="color key"):
+        coloring_from_dict({"colors": {key: 0}})
+    cls = {"cycle": [0, 1, 2, 3, 4, 5], "assignments": {"7": ["S1", 0]}}
+    assert classification_from_dict(cls).assignments == {7: ("S1", 0)}
+    with pytest.raises(InvalidInput, match="assignment key"):
+        classification_from_dict({**cls, "assignments": {key: ["S1", 0]}})
 
 
 def test_report_serializes():

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from boxicity.boxes import BoxRepresentation, box_adjacent
+from boxicity.boxes import BoxRepresentation
 from boxicity.certificates import CycleClassification
 from boxicity.errors import CertificateError
 from boxicity.figure1 import figure1_gadget, figure1_problems
 from boxicity.graphs import cycle, make_graph
 from boxicity.intervals import Interval
 
-from util import box_graph_of, gadget_instance
+from util import box_adjacent, box_graph_of, gadget_instance
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -50,6 +50,7 @@ def test_neighbors_and_degrees():
     assert G.neighbors(1) == {0, 2}
     assert G.degree(3) == 1
     assert G.non_edges() == [(0, 2), (0, 3), (1, 3)]
+    assert G.nbr_masks == (0b0010, 0b0101, 0b1010, 0b0100)
 
 
 def test_induced_subgraph_relabels_in_order():

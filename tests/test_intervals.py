@@ -11,16 +11,16 @@ from boxicity.intervals import (
     Interval,
     IntervalRepresentation,
     canonical_extension,
-    interval_adjacent,
-    interval_rep_from_dict,
+    interval_from_pairs,
     interval_to_pairs,
     is_umbrella_free,
+    meet_masks,
     recognize_interval,
     representation_from_ordering,
     umbrella_closure,
 )
 
-from util import interval_graph_of
+from util import interval_adjacent, interval_graph_of
 
 
 def iv(lo, hi):
@@ -37,16 +37,29 @@ def rep(d):
 
 
 def test_interval_basics():
-    a = iv(0, 2)
-    b = iv(2, 3)
-    c = iv(Fraction(5, 2), 4)
-    assert a.intersects(b) and b.intersects(a)  # closed: touching counts
-    assert not a.intersects(c)
-    assert b.intersects(c)
-    assert iv(1, 1).intersects(iv(0, 2))
-    assert a.contains(Fraction(1, 3))
+    R = rep({0: (0, 2), 1: (2, 3), 2: (Fraction(5, 2), 4), 3: (1, 1)})
+    # closed intervals: touching counts, points meet what covers them, and
+    # every interval meets itself
+    assert meet_masks(R) == {0: 0b1011, 1: 0b0111, 2: 0b0110, 3: 0b1001}
     with pytest.raises(InvalidInput):
         iv(1, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_meet_masks_match_the_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        # sparse ids and few distinct endpoints, so ties are frequent
+        ids = rng.sample(range(3 * 12), rng.randrange(1, 12))
+        R = IntervalRepresentation({
+            v: iv(min(a, b), max(a, b))
+            for v in ids
+            for a, b in [(Fraction(rng.randrange(9), 2), Fraction(rng.randrange(9), 2))]
+        })
+        masks = meet_masks(R)
+        assert set(masks) == set(ids)
+        for u in ids:
+            assert masks[u] == sum(1 << w for w in ids if interval_adjacent(R, u, w))
 
 
 def test_interval_coerces_ints_to_fractions():
@@ -273,22 +286,7 @@ def test_canonical_extension_rejects_missing_edge():
 # ---------------------------------------------------------------------------
 
 
-def test_interval_representation_round_trip():
-    R = rep({0: (0, 1), 3: (Fraction(1, 2), Fraction(5, 2))})
-    doc = {"vertices": {str(v): interval_to_pairs(x) for v, x in R.intervals.items()}}
-    assert interval_rep_from_dict(json.loads(json.dumps(doc))) == R
-
-
-def test_interval_representation_schema_errors():
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"vertices": {"0": [[0, True], [1, 1]]}})
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"vertices": {"x": [[0, 1], [1, 1]]}})
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"vertices": {"0": [[0, 0], [1, 1]]}})  # den 0
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"vertices": {"0": [[2, 1], [1, 1]]}})  # lo > hi
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"vertices": {"0": [[1, -2], [1, 1]]}})
-    with pytest.raises(InvalidInput):
-        interval_rep_from_dict({"wrong": {}})
+def test_interval_pairs_round_trip():
+    for x in (iv(0, 1), iv(Fraction(1, 2), Fraction(5, 2)), iv(-3, Fraction(-1, 3))):
+        doc = json.loads(json.dumps(interval_to_pairs(x)))
+        assert interval_from_pairs(doc, "x") == x

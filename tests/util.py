@@ -4,14 +4,13 @@ from itertools import combinations
 
 from boxicity.boxes import (
     BoxRepresentation,
-    box_adjacent,
     from_interval_reps,
     singleton_gadget,
     verify_representation,
 )
 from boxicity.certificates import CycleClassification, acyclic_coloring_problems
 from boxicity.graphs import Graph, make_graph
-from boxicity.intervals import IntervalRepresentation, interval_adjacent
+from boxicity.intervals import Interval, IntervalRepresentation
 
 
 def all_graphs(n):
@@ -19,6 +18,21 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def meets(a: Interval, b: Interval) -> bool:
+    """Closed intervals meet: touching endpoints count."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def interval_adjacent(R: IntervalRepresentation, u: int, v: int) -> bool:
+    """Pairwise oracle for one interval representation."""
+    return meets(R.intervals[u], R.intervals[v])
+
+
+def box_adjacent(B: BoxRepresentation, u: int, v: int) -> bool:
+    """Pairwise oracle: boxes meet when they meet in every dimension."""
+    return all(meets(a, b) for a, b in zip(B.boxes[u], B.boxes[v]))
 
 
 def _dense_graph(dom, adjacent) -> Graph:
