@@ -8,7 +8,8 @@ inputs produce byte-identical files and diffs stay readable.
 
 Exit codes: 0 success, 1 a finished representation failed verification,
 2 invalid input (bad file, flag, certificate, or script), 3 a search
-budget ran out before an answer.
+budget ran out before an answer, 4 an internal error (a bug, reported on
+one stderr line).
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def _construct_rep(args):
     if kind == "forest":
         B = forest_two_dim(G)
         if not verify_representation(B, G).equal:
-            raise RuntimeError("internal error: forest layout failed to verify")
+            raise RuntimeError("forest layout failed to verify")
         return G, B
     if kind == "figure1":
         if not args.classification:
@@ -220,7 +222,7 @@ def _construct_rep(args):
         B = figure1_gadget(G, cls)
         problems = figure1_problems(G, cls, B)
         if problems:
-            raise RuntimeError(f"internal error: gadget check: {problems[0]}")
+            raise RuntimeError(f"gadget check: {problems[0]}")
         return G, B
     raise InvalidInput(f"unknown construct kind {kind!r}")
 
@@ -278,7 +280,7 @@ def _cmd_poset(args) -> int:
     recovered = intersect_orders(orders) & star.relation if orders else None
     if orders and (recovered != P.relation
                    or not all(is_linear_extension(P, L) for L in orders)):
-        raise RuntimeError("internal error: realizer lost the adjacency poset")
+        raise RuntimeError("realizer lost the adjacency poset")
     doc = {
         "colors": coloring_to_dict(colors),
         "orders": [list(L) for L in orders],
@@ -393,6 +395,9 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a bug: keep it apart from the codes above
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -462,6 +462,11 @@ def _rule_of(step) -> Rule:
 # --------------------------------------------------------------------------
 # the walk
 
+# Scripts are decoded, encoded and walked one recursive call per step; real
+# derivations are a few steps deep, and this keeps far from Python's limit.
+MAX_SCRIPT_DEPTH = 100
+_TOO_DEEP = f"script is nested more than {MAX_SCRIPT_DEPTH} steps deep"
+
 
 def bound_formula(step: DerivationStep, *sub_dims: int) -> int | None:
     """Claimed dimension of one step given its children's dimensions.
@@ -480,6 +485,8 @@ def _walk(lv: _Level, step: DerivationStep, out: list, build: bool):
     compose, verify, compare with the claim and fill the step's report
     slot, which was reserved before the children's so that reports run in
     pre-order."""
+    if lv.path.count("/") >= MAX_SCRIPT_DEPTH:
+        raise lv.error(_TOO_DEEP)
     rule = _rule_of(step)
     slot = len(out)
     out.append(None)
@@ -541,7 +548,9 @@ def validate_script(G: Graph, script: DerivationStep) -> None:
 # JSON
 
 
-def step_to_dict(step: DerivationStep) -> dict:
+def step_to_dict(step: DerivationStep, *, _depth: int = 1) -> dict:
+    if _depth > MAX_SCRIPT_DEPTH:
+        raise ParseError(_TOO_DEEP)
     rule = _rule_of(step)
     out: dict = {"rule": rule.name}
     for field in rule.fields:
@@ -549,20 +558,15 @@ def step_to_dict(step: DerivationStep) -> dict:
         if value is not None or not field.optional:
             out[field.key] = field.encode(value)
     for name in rule.slots:
-        out[name] = step_to_dict(getattr(step, name))
+        out[name] = step_to_dict(getattr(step, name), _depth=_depth + 1)
     if step.note is not None:
         out["note"] = step.note
     return out
 
 
-# Scripts are decoded and walked one recursive call per step; real
-# derivations are a few steps deep, and this keeps far from Python's limit.
-MAX_SCRIPT_DEPTH = 100
-
-
 def step_from_dict(doc, *, _depth: int = 1) -> DerivationStep:
     if _depth > MAX_SCRIPT_DEPTH:
-        raise ParseError(f"script is nested more than {MAX_SCRIPT_DEPTH} steps deep")
+        raise ParseError(_TOO_DEEP)
     if not isinstance(doc, dict) or "rule" not in doc:
         raise ParseError("each step must be an object with a 'rule'")
     note = doc.get("note")

@@ -223,7 +223,7 @@ def _stacked_witness(G: Graph, orderings) -> BoxRepresentation:
     B = from_interval_reps(reps)
     report = verify_representation(B, G)
     if not report.equal:
-        raise RuntimeError("internal error: search produced an unsound witness")
+        raise RuntimeError("search produced an unsound witness")
     return B
 
 

@@ -23,33 +23,55 @@ repeatedly adding the forced edge uv whenever p(u) < p(v) < p(w) and uw is
 present.  The test suite re-derives the fixpoint naively with randomized
 rule application and compares.
 
-Orderings are plain tuples of vertex ids; intervals use Fraction endpoints,
-so all comparisons are exact.
+Orderings are plain tuples of vertex ids; intervals use Fraction endpoints
+(ints are converted, bools and floats refused), so all comparisons are
+exact.  Endpoints are ordered by _order_key, which compares integers and
+floors as plain ints.  The adjacency kernel meet_masks ranks each
+dimension's distinct endpoint values once and then works on integer ranks
+and bitmasks: it never scales to a common denominator, which grows with
+the product of distinct denominators, and an all-integer dimension makes
+no Fraction comparison at all.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import or_
 
 from .errors import InvalidInput
 from .graphs import Graph, check_vertex_set, is_int
 
 
+def _endpoint(x, name: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x):
+        return Fraction(x)
+    raise InvalidInput(f"interval {name} must be a Fraction or an int, got {x!r}")
+
+
+def _order_key(q: Fraction):
+    """Exact sort key of a rational: (n,) for an integer n, and
+    (floor, q) otherwise.  Integers and floors compare as plain ints, so a
+    Fraction is compared only with another non-integer of the same floor.
+    """
+    n, d = q.as_integer_ratio()
+    return (n,) if d == 1 else (n // d, q)
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; endpoints are coerced to Fraction."""
+    """Closed interval [lo, hi] with Fraction endpoints; ints are converted,
+    anything else (bool, float) is refused."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        object.__setattr__(self, "lo", _endpoint(self.lo, "lo"))
+        object.__setattr__(self, "hi", _endpoint(self.hi, "hi"))
+        if _order_key(self.lo) > _order_key(self.hi):
             raise InvalidInput(f"interval has lo > hi: [{self.lo}, {self.hi}]")
 
 
@@ -74,8 +96,8 @@ class IntervalRepresentation:
         if not self.intervals:
             raise InvalidInput("span of an empty representation")
         return Interval(
-            min(iv.lo for iv in self.intervals.values()),
-            max(iv.hi for iv in self.intervals.values()),
+            min((iv.lo for iv in self.intervals.values()), key=_order_key),
+            max((iv.hi for iv in self.intervals.values()), key=_order_key),
         )
 
 
@@ -88,23 +110,38 @@ def meet_masks(R: IntervalRepresentation) -> dict[int, int]:
     """Per vertex id v, the bitmask of the ids whose closed intervals meet
     v's interval (bit w for vertex w; v's own bit is set).
 
-    The endpoints are sorted once and then bisected, and those are the only
-    comparisons of endpoints.  OR-ing over the left endpoints in increasing
-    order gives, at each cut, the w with lo_w <= hi_v; OR-ing over the right
-    endpoints from the top gives the w with hi_w >= lo_v.  Their AND is the
+    The endpoints are ranked: the distinct values (told apart by
+    as_integer_ratio) are sorted once by _order_key, which is the only
+    comparison of endpoints.  OR-ing the vertex bits by the rank of their
+    left endpoints, from the bottom, gives at rank r the w with
+    lo_w <= value r; OR-ing by right endpoints from the top gives the w
+    with hi_w >= value r.  Their AND at the ranks of hi_v and lo_v is the
     set meeting v, touching intervals included.
     """
-    ivs = R.intervals
-    by_lo = sorted(ivs, key=lambda v: ivs[v].lo)
-    by_hi = sorted(ivs, key=lambda v: ivs[v].hi)
-    los = [ivs[v].lo for v in by_lo]
-    his = [ivs[v].hi for v in by_hi]
-    lo_prefix = list(accumulate((1 << v for v in by_lo), or_, initial=0))
-    hi_suffix = list(accumulate((1 << v for v in reversed(by_hi)), or_, initial=0))[::-1]
-    return {
-        v: lo_prefix[bisect_right(los, iv.hi)] & hi_suffix[bisect_left(his, iv.lo)]
-        for v, iv in ivs.items()
-    }
+    values: dict[tuple[int, int], Fraction] = {}
+    ends = []
+    for v, iv in R.intervals.items():
+        lo, hi = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+        values[lo] = iv.lo
+        values[hi] = iv.hi
+        ends.append((v, lo, hi))
+    ranked = sorted(values.values(), key=_order_key)
+    rank = {q.as_integer_ratio(): r for r, q in enumerate(ranked)}
+    lo_prefix = [0] * len(ranked)
+    hi_suffix = [0] * len(ranked)
+    for v, lo, hi in ends:
+        lo_prefix[rank[lo]] |= 1 << v
+        hi_suffix[rank[hi]] |= 1 << v
+    lo_prefix[:] = accumulate(lo_prefix, _or_unless_empty)
+    hi_suffix[::-1] = accumulate(reversed(hi_suffix), _or_unless_empty)
+    return {v: lo_prefix[rank[hi]] & hi_suffix[rank[lo]] for v, lo, hi in ends}
+
+
+def _or_unless_empty(acc: int, bits: int) -> int:
+    """acc | bits, or acc itself for an empty bucket: a rank that holds no
+    endpoint of the kind shares its neighbour's mask instead of a copy,
+    which halves the kernel's peak memory when endpoints are distinct."""
+    return acc | bits if bits else acc
 
 
 def _disagreeing_pairs(meet: dict[int, int], nbr, keep=lambda u: -1):
@@ -305,6 +342,6 @@ def interval_from_pairs(doc, where: str) -> Interval:
         raise InvalidInput(f"{where}: interval must be [[n, d], [n, d]]")
     lo = _fraction_from_pair(doc[0], where)
     hi = _fraction_from_pair(doc[1], where)
-    if lo > hi:
+    if _order_key(lo) > _order_key(hi):
         raise InvalidInput(f"{where}: interval has lo > hi")
     return Interval(lo, hi)

@@ -1,10 +1,11 @@
 """End-to-end runs of the command-line interface through main()."""
 
+import hashlib
 import json
 
 import pytest
 
-from boxicity.boxes import box_rep_from_dict, verify_representation
+from boxicity.boxes import BoxRepresentation, box_rep_from_dict, verify_representation
 from boxicity.certificates import (
     ForestStablePartition,
     PairCover,
@@ -13,9 +14,19 @@ from boxicity.certificates import (
     partition_to_dict,
 )
 from boxicity.cli import main
-from boxicity.derivation import BaseOracleStep, Sur1Step, Sur2Step, step_to_dict
+from boxicity.derivation import (
+    AcyclicStep,
+    BaseOracleStep,
+    Figure1Step,
+    RobertsStep,
+    Sur1Step,
+    Sur2Step,
+    Sur2bisStep,
+    step_to_dict,
+)
 from boxicity.exact import SearchBudget
-from boxicity.graphs import graph_from_dict, graph_to_dict, roberts_graph
+from boxicity.graphs import graph_from_dict, graph_to_dict, make_graph, roberts_graph
+from boxicity.intervals import Interval
 from boxicity.posets import adjacency_poset, intersect_orders, is_linear_extension, starred_poset
 
 from util import gadget_instance
@@ -175,6 +186,31 @@ def test_construct_figure1(tmp_path):
     assert box_rep_from_dict(read_json(rep)).d == 2
 
 
+def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
+    f, rep = tmp_path / "f.json", tmp_path / "rep.json"
+    assert main(["gen", "path", "3", "-o", str(f)]) == 0
+    # a layout that misses the edges, so the construction's own check fails
+    wrong = BoxRepresentation(1, {v: (Interval(v, v),) for v in range(3)})
+    monkeypatch.setattr("boxicity.cli.forest_two_dim", lambda G: wrong)
+    capsys.readouterr()
+    assert main(["construct", "forest", str(f), "-o", str(rep)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: forest layout failed to verify\n"
+    assert not rep.exists()
+
+    def broken(G, cls):
+        raise KeyError(7)
+
+    G, cls = gadget_instance(7)
+    g, c = tmp_path / "g.json", tmp_path / "cls.json"
+    write_json(g, graph_to_dict(G))
+    write_json(c, classification_to_dict(cls))
+    monkeypatch.setattr("boxicity.cli.figure1_gadget", broken)
+    assert main(["construct", "figure1", str(g), "--classification", str(c),
+                 "-o", str(rep)]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 7\n"
+
+
 def test_construct_figure1_needs_classification(tmp_path, capsys):
     g = tmp_path / "g.json"
     assert main(["gen", "cycle", "7", "-o", str(g)]) == 0
@@ -310,6 +346,50 @@ def test_derive_budget_exit(tmp_path):
     write_json(g, graph_to_dict(roberts_graph(4)))
     write_json(s, step_to_dict(BaseOracleStep(budget=SearchBudget(max_nodes=5))))
     assert main(["derive", str(g), str(s), "-o", str(tmp_path / "rep.json")]) == 3
+
+
+def nested_files(tmp_path):
+    """A figure-1 block over sur2bis over an acyclic leaf, beside a sur1
+    over a roberts leaf, joined by sur2: 26 vertices, 13 dimensions."""
+    base, cls = gadget_instance(6, classes=("S2", "S3"))
+    edges = sorted(base.edges) + [(6, 18), (18, 19), (6, 19)]
+    edges += [(u + 20, v + 20) for u, v in roberts_graph(3).edges]
+    script = Sur2Step(
+        sep=Separation(V1=tuple(range(20)), V2=tuple(range(20, 26)), X=()),
+        sub1=Figure1Step(cls=cls, sub=Sur2bisStep(
+            K=(6, 18, 19), sub=AcyclicStep(coloring={v: v % 2 for v in range(6, 20)}))),
+        sub2=Sur1Step(cover=PairCover(X=(20, 21), pairs=((20, 21),)), sub=RobertsStep()),
+    )
+    g, s = tmp_path / "nested.json", tmp_path / "script.json"
+    write_json(g, graph_to_dict(make_graph(26, edges)))
+    write_json(s, step_to_dict(script))
+    return g, s
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("files, rep_sha, report_sha", [
+    (k8_files,
+     "d88e85b8c9abb40135809df187814673f80d9309d23884bebd5d28ef933c58cd",
+     "dec8466d2602d1dcd2aaf7a74dbc3342919c10fac532b8a58c1786ae425decc2"),
+    (nested_files,
+     "2eb0d361f76a4d191b1183b68326f22aaa2fa8088fe0c5b62b2d0dfdd157d43e",
+     "b40732f9605ac132f1db63c49a46b3d04d495be2c1517a026063da44f1d55f90"),
+])
+def test_derive_output_bytes_are_pinned(tmp_path, files, rep_sha, report_sha):
+    g, s = files(tmp_path)
+    rep, report = tmp_path / "rep.json", tmp_path / "report.json"
+    assert main(["derive", str(g), str(s), "-o", str(rep), "--report", str(report)]) == 0
+    assert (sha256(rep), sha256(report)) == (rep_sha, report_sha)
+
+
+def test_construct_forest_output_bytes_are_pinned(tmp_path):
+    f, rep = tmp_path / "f.json", tmp_path / "rep.json"
+    assert main(["gen", "forest", "500", "--seed", "1", "-o", str(f)]) == 0
+    assert main(["construct", "forest", str(f), "-o", str(rep)]) == 0
+    assert sha256(rep) == "834ec82564d03cf3dc5c4eb6833d227fdeaa659106d59890805873e474e683bf"
 
 
 # --------------------------------------------------------------- verify

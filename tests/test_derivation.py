@@ -368,6 +368,26 @@ def test_script_parsing_caps_the_nesting_depth():
         step_from_dict(nested(MAX_SCRIPT_DEPTH + 1))
 
 
+def test_scripts_built_in_python_are_capped_in_depth():
+    def chain(depth):
+        script = RobertsStep()
+        for _ in range(depth - 1):
+            script = Sur2bisStep(K=(), sub=script)
+        return script
+
+    G = make_graph(2, [])
+    validate_script(G, chain(MAX_SCRIPT_DEPTH))
+    assert step_to_dict(chain(MAX_SCRIPT_DEPTH))["sub"]["sub"]["K"] == []
+    message = f"more than {MAX_SCRIPT_DEPTH} steps"
+    for depth in (MAX_SCRIPT_DEPTH + 1, 2000):
+        with pytest.raises(CertificateError, match=message):
+            validate_script(G, chain(depth))
+        with pytest.raises(CertificateError, match=message):
+            assemble(G, chain(depth))
+        with pytest.raises(ParseError, match=message):
+            step_to_dict(chain(depth))
+
+
 @pytest.mark.parametrize("key", ["02", " 2", "+2", "2_0", "-0"])
 def test_certificate_vertex_keys_must_be_canonical(key):
     assert coloring_from_dict({"colors": {"2": 0}}) == {2: 0}

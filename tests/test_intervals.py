@@ -5,8 +5,18 @@ from itertools import combinations, permutations
 
 import pytest
 
+from boxicity.boxes import forest_two_dim, verify_representation
 from boxicity.errors import InvalidInput
-from boxicity.graphs import Graph, complete, cycle, make_graph, path, random_graph, roberts_graph
+from boxicity.graphs import (
+    Graph,
+    complete,
+    cycle,
+    make_graph,
+    path,
+    random_forest,
+    random_graph,
+    roberts_graph,
+)
 from boxicity.intervals import (
     Interval,
     IntervalRepresentation,
@@ -45,26 +55,49 @@ def test_interval_basics():
         iv(1, 0)
 
 
-@pytest.mark.parametrize("seed", range(4))
+DENOMINATORS = (1, 2, 3, 7, 10007)
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_meet_masks_match_the_pairwise_oracle(seed):
     rng = random.Random(seed)
+
+    def endpoint(drawn):
+        # half the time an earlier value again, as a distinct Fraction
+        # object, so that equal endpoints are frequent
+        if drawn and rng.random() < 0.5:
+            q = rng.choice(drawn)
+            return Fraction(q.numerator, q.denominator)
+        d = rng.choice(DENOMINATORS)
+        drawn.append(Fraction(rng.randrange(-3 * d, 3 * d + 1), d))
+        return drawn[-1]
+
     for _ in range(40):
-        # sparse ids and few distinct endpoints, so ties are frequent
+        # sparse ids
         ids = rng.sample(range(3 * 12), rng.randrange(1, 12))
+        drawn = []
         R = IntervalRepresentation({
             v: iv(min(a, b), max(a, b))
             for v in ids
-            for a, b in [(Fraction(rng.randrange(9), 2), Fraction(rng.randrange(9), 2))]
+            for a, b in [(endpoint(drawn), endpoint(drawn))]
         })
         masks = meet_masks(R)
         assert set(masks) == set(ids)
         for u in ids:
             assert masks[u] == sum(1 << w for w in ids if interval_adjacent(R, u, w))
+        ivs = R.intervals.values()
+        assert R.span() == iv(min(x.lo for x in ivs), max(x.hi for x in ivs))
 
 
 def test_interval_coerces_ints_to_fractions():
     a = Interval(0, 1)
     assert a.lo == Fraction(0) and isinstance(a.lo, Fraction)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, 1), (0, 1.0), (True, 2), (0, True), ("0", 1), (None, 1)])
+def test_interval_refuses_other_endpoint_types(lo, hi):
+    with pytest.raises(InvalidInput, match="must be a Fraction or an int"):
+        Interval(lo, hi)
 
 
 def test_interval_graph_of_dense_relabeling():
@@ -268,6 +301,36 @@ def test_canonical_extension_properties():
         # in particular the result's graph is a supergraph of G
         for u, v in G.edges:
             assert interval_adjacent(ext, u, v)
+
+
+@pytest.fixture
+def fraction_order_comparisons(monkeypatch):
+    """Counts the order comparisons of Fractions made after it is set up."""
+    count = [0]
+
+    def counting(compare):
+        def wrapper(a, b):
+            count[0] += 1
+            return compare(a, b)
+        return wrapper
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    return count
+
+
+def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_comparisons):
+    F = random_forest(2000, 5)
+    B = forest_two_dim(F)
+    G = path(400)
+    R = IntervalRepresentation({v: Interval(v, v + 1) for v in range(0, 400, 2)})
+    fraction_order_comparisons[0] = 0
+    assert verify_representation(B, F).equal
+    assert canonical_extension(R, G).interval(1) == Interval(0, 399)
+    assert fraction_order_comparisons[0] == 0
+    # the counter does see comparisons of non-integer endpoints
+    meet_masks(rep({0: (Fraction(1, 3), Fraction(1, 2)), 1: (Fraction(1, 4), 1)}))
+    assert fraction_order_comparisons[0] > 0
 
 
 def test_canonical_extension_rejects_missing_edge():
