@@ -104,6 +104,34 @@ def test_exact_roberts_four():
     assert_represents(res.witness, roberts_graph(4))
 
 
+# The first witness in DFS order, for graphs every version of the search
+# decides: pruning that only cuts subtrees without a success cannot move it.
+PINNED_ORDERINGS = [
+    (cycle(5), ((0, 1, 3, 4, 2), (0, 1, 2, 4, 3))),
+    (cycle(6), ((0, 1, 3, 4, 5, 2), (0, 1, 2, 5, 4, 3))),
+    (cycle(7), ((0, 1, 3, 4, 5, 6, 2), (0, 1, 2, 6, 4, 5, 3))),
+    (cycle(8), ((0, 1, 3, 4, 5, 6, 7, 2), (0, 1, 2, 7, 4, 5, 6, 3))),
+    (cycle(9), ((0, 1, 3, 4, 5, 6, 7, 8, 2), (0, 1, 2, 8, 4, 5, 6, 7, 3))),
+    (roberts_graph(3), ((0, 2, 3, 4, 5, 1), (0, 1, 2, 4, 5, 3), (0, 1, 2, 3, 4, 5))),
+    (roberts_graph(4), ((0, 2, 3, 4, 5, 6, 7, 1), (0, 1, 2, 4, 5, 6, 7, 3),
+                        (0, 1, 2, 3, 4, 6, 7, 5), (0, 1, 2, 3, 4, 5, 6, 7))),
+    (random_graph(7, 0.5, 1), ((0, 1, 2, 3, 4, 6, 5), (0, 1, 4, 5, 6, 2, 3))),
+    (random_graph(8, 0.5, 1), ((0, 1, 2, 4, 5, 6, 7, 3), (0, 3, 5, 6, 7, 4, 1, 2))),
+    (random_graph(8, 0.5, 3), ((0, 1, 2, 3, 4, 6, 7, 5), (1, 4, 5, 7, 0, 6, 3, 2))),
+    (random_graph(9, 0.5, 1), ((0, 1, 2, 3, 5, 7, 8, 4, 6), (0, 1, 4, 5, 6, 7, 8, 2, 3))),
+    (random_graph(10, 0.5, 3), ((0, 1, 2, 4, 5, 6, 8, 3, 7, 9),
+                                (1, 2, 7, 0, 6, 9, 3, 4, 8, 5))),
+]
+
+
+@pytest.mark.parametrize("G, orderings", PINNED_ORDERINGS)
+def test_exact_value_and_orderings_are_pinned(G, orderings):
+    res = exact_boxicity(G)
+    assert res.status == "exact"
+    assert res.value == len(orderings) and res.orderings == orderings
+    assert_represents(res.witness, G)
+
+
 def test_budget_exhaustion_is_reported():
     tiny = SearchBudget(max_nodes=20)
     res = boxicity_at_most(roberts_graph(3), 3, tiny)
