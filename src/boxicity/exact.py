@@ -7,13 +7,20 @@ interval graphs exactly when d orderings exist whose closures jointly
 exclude every non-edge.  The search walks one ordering at a time and
 tracks the set of non-edges no closure has excluded yet.
 
-Two facts keep the search small.  Placing a vertex decides every non-edge
-whose other endpoint is already placed (the pair stays excluded unless the
-earlier endpoint has run out of unplaced neighbors), so constraint
-violations surface at placement time.  And dimensions are interchangeable,
-so with symmetry pruning on, each dimension is required to exclude one
-designated hardest non-edge; turning the flag off keeps only the weaker
-rule that a dimension must exclude something new.  Failed (remaining set,
+Three facts keep the search small.  Placing a vertex decides every
+non-edge whose other endpoint is already placed (the pair stays excluded
+unless the earlier endpoint has run out of unplaced neighbors), so
+constraint violations surface at placement time.  Dimensions are
+interchangeable, so with symmetry pruning on, each dimension is required
+to exclude one designated hardest non-edge; turning the flag off keeps only
+the weaker rule that a dimension must exclude something new.  And interval
+graphs are chordal: if a-b-c-d-a is an induced C4, no single dimension
+excludes both chords ac and bd.  Joining such chords makes a conflict graph
+on the non-edges whose clique number bounds boxicity from below (Roberts'
+bound for K_2k minus a matching is the case of k pairwise conflicts), so
+exact_boxicity starts there; and with two dimensions left, the non-edges
+the current ordering lets survive must be pairwise free of conflicts,
+since the last dimension has to exclude them all.  Failed (remaining set,
 dimensions left) pairs are memoized.
 
 Everything here is exponential in the worst case and intended for small
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boxes import (
     BoxRepresentation,
@@ -108,96 +115,171 @@ class BoxicityResult:
     nodes: int = 0
 
 
+def _bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def chord_conflicts(G: Graph, non_edges) -> list[int]:
+    """For each non-edge (a, c), the bitmask over non_edges of the (b, d)
+    for which all four pairs between {a, c} and {b, d} are edges.
+
+    a-b-c-d-a is then an induced C4 with chords ac and bd, and an interval
+    graph is chordal, so no one dimension excludes both.
+    """
+    nbr = G.nbr_masks
+    out = []
+    for a, c in non_edges:
+        common = nbr[a] & nbr[c]
+        mask = 0
+        for j, (b, d) in enumerate(non_edges):
+            if common >> b & 1 and common >> d & 1:
+                mask |= 1 << j
+        out.append(mask)
+    return out
+
+
+def clique_number(adj: list[int], meter: BudgetMeter) -> int:
+    """Size of a largest clique of the graph in which vertex i has neighbor
+    mask adj[i]; branch on the lowest candidate, cut when even taking every
+    candidate left would not beat the best, one tick per branch."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while cand and size + cand.bit_count() > best:
+            meter.tick()
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & adj[low.bit_length() - 1])
+
+    grow(0, (1 << len(adj)) - 1)
+    return best
+
+
 class _ClosureSearch:
+    """Sets of non-edges are int masks over the indices of self.non_edges,
+    sets of vertices int masks over the vertices."""
+
     def __init__(self, G: Graph, budget: SearchBudget):
         self.G = G
         self.n = G.n
         self.budget = budget
         self.meter = budget.meter()
         self.non_edges = sorted(G.non_edges())
-        # for each vertex, the non-edges it belongs to
-        self.partners: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        self.conflicts = chord_conflicts(G, self.non_edges)
+        # index[u][v]: the index of non-edge (u, v), in either order
+        self.index = [[-1] * self.n for _ in range(self.n)]
         for i, (u, v) in enumerate(self.non_edges):
-            self.partners[u].append((v, i))
-            self.partners[v].append((u, i))
-        self.failed: set[tuple[int, frozenset[int]]] = set()
+            self.index[u][v] = self.index[v][u] = i
+        # survivors[x][partners]: _survivors(x, partners), filled as met
+        self.survivors: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
+        self.failed: set[tuple[int, int]] = set()
 
-    def _pick_target(self, remaining: frozenset[int]) -> int:
+    def _survivors(self, x: int, partners: int) -> tuple[int, int]:
+        """The non-edges from x to the vertex mask partners, and the union of
+        their chord conflicts."""
+        add = clash = 0
+        for u in _bits(partners):
+            i = self.index[x][u]
+            add |= 1 << i
+            clash |= self.conflicts[i]
+        return add, clash
+
+    def _pick_target(self, remaining: int) -> int:
         """Hardest pair first: excluding (u, v) forces all of one endpoint's
         neighbors before the other endpoint, so high degrees prune most."""
         best = -1
         best_score = -1
-        for i in sorted(remaining):
+        for i in _bits(remaining):
             u, v = self.non_edges[i]
             score = self.G.degree(u) + self.G.degree(v)
             if score > best_score:
                 best, best_score = i, score
         return best
 
-    def _orderings(self, remaining, must_break_all, target):
-        """Yield (ordering, still-surviving subset) for admissible orderings.
+    def _orderings(self, remaining: int, dims_left: int, target: int | None, complete):
+        """Walk the admissible orderings in DFS order and return the first
+        non-None complete(ordering, mask of still-surviving non-edges).
 
         A tracked non-edge is decided the moment its later endpoint is
         placed.  The closure adds the pair (the non-edge survives,
-        unexcluded) iff the earlier endpoint still has an unplaced
-        neighbor at that moment; otherwise this dimension excludes it for
-        good.
+        unexcluded) iff the earlier endpoint is open, that is, still has an
+        unplaced neighbor at that moment; otherwise this dimension excludes
+        it for good.  With one dimension left nothing may survive; with two,
+        the survivors must be pairwise free of chord conflicts.
         """
         n = self.n
-        placed: list[int] = []
-        placed_mask = 0
-        surviving: set[int] = set()
-        undecided = [len(remaining)]
-        nbr_masks = self.G.nbr_masks
+        nbr = self.G.nbr_masks
+        memo = self.survivors
+        tick = self.meter.tick
+        must_break_all = dims_left == 1
+        pairwise = dims_left == 2
+        # rem_nbr[x]: the vertices that share a tracked non-edge with x
+        rem_nbr = [0] * n
+        for i in _bits(remaining):
+            u, v = self.non_edges[i]
+            rem_nbr[u] |= 1 << v
+            rem_nbr[v] |= 1 << u
+        # guard[x]: placing x lets the target survive if this vertex is open
+        guard = [0] * n
+        if target is not None:
+            u, v = self.non_edges[target]
+            guard[u], guard[v] = 1 << v, 1 << u
+        order: list[int] = []
 
-        def extend():
-            nonlocal placed_mask
-            if len(placed) == n:
-                yield tuple(placed), frozenset(surviving)
-                return
-            if undecided[0] == 0:
+        def extend(placed: int, open_: int, surviving: int, undecided: int):
+            if undecided == 0:
                 # every tracked pair is decided; one completion suffices,
-                # any other yields the same surviving set
-                rest = tuple(x for x in range(n) if not placed_mask >> x & 1)
-                yield tuple(placed) + rest, frozenset(surviving)
-                return
+                # any other gives the same surviving set
+                rest = tuple(x for x in range(n) if not placed >> x & 1)
+                return complete(tuple(order) + rest, surviving)
             for x in range(n):
-                if placed_mask >> x & 1:
+                if placed >> x & 1:
                     continue
-                self.meter.tick()
-                newly: list[int] = []
-                decided_now = 0
-                ok = True
-                for u, i in self.partners[x]:
-                    if i in remaining and placed_mask >> u & 1:
-                        decided_now += 1
-                        if nbr_masks[u] & ~placed_mask == 0:
-                            # u's neighbors all sit before x, so the
-                            # closure stops short of x: pair excluded
-                            continue
-                        # the closure reaches past x and adds the pair
-                        if must_break_all or i == target:
-                            ok = False
-                            break
-                        newly.append(i)
-                if not ok:
-                    continue
-                placed.append(x)
-                placed_mask |= 1 << x
-                surviving.update(newly)
-                undecided[0] -= decided_now
-                yield from extend()
-                placed.pop()
-                placed_mask &= ~(1 << x)
-                surviving.difference_update(newly)
-                undecided[0] += decided_now
+                tick()
+                # the closure reaches past x from every open partner (open
+                # vertices are placed)
+                newly = rem_nbr[x] & open_
+                after = surviving
+                if newly:
+                    if must_break_all or newly & guard[x]:
+                        continue
+                    hit = memo[x].get(newly)
+                    if hit is None:
+                        hit = memo[x][newly] = self._survivors(x, newly)
+                    add, clash = hit
+                    after |= add
+                    if pairwise and clash & after:
+                        continue  # two survivors are the chords of one C4
+                now = placed | 1 << x
+                # only x and its neighbors can have lost their last
+                # unplaced neighbor
+                still_open = open_ | 1 << x
+                check = still_open & (nbr[x] | 1 << x)
+                while check:
+                    low = check & -check
+                    if not nbr[low.bit_length() - 1] & ~now:
+                        still_open ^= low
+                    check ^= low
+                order.append(x)
+                found = extend(now, still_open, after,
+                               undecided - (rem_nbr[x] & placed).bit_count())
+                order.pop()
+                if found is not None:
+                    return found
+            return None
 
-        yield from extend()
+        return extend(0, 0, 0, remaining.bit_count())
 
     def search(self, dims: int):
-        return self._dims(dims, frozenset(range(len(self.non_edges))))
+        return self._dims(dims, (1 << len(self.non_edges)) - 1)
 
-    def _dims(self, dims_left, remaining):
+    def _dims(self, dims_left: int, remaining: int):
         if not remaining:
             return ()
         if dims_left == 0:
@@ -208,14 +290,17 @@ class _ClosureSearch:
         symmetry = self.budget.symmetry_pruning
         must_all = dims_left == 1
         target = self._pick_target(remaining) if symmetry and not must_all else None
-        for sigma, surviving in self._orderings(remaining, must_all, target):
-            if not must_all and not symmetry and len(surviving) == len(remaining):
-                continue  # this dimension excluded nothing new
+
+        def complete(sigma, surviving):
+            if not must_all and not symmetry and surviving == remaining:
+                return None  # this dimension excluded nothing new
             rest = self._dims(dims_left - 1, surviving)
-            if rest is not None:
-                return (sigma,) + rest
-        self.failed.add(key)
-        return None
+            return None if rest is None else (sigma,) + rest
+
+        found = self._orderings(remaining, dims_left, target, complete)
+        if found is None:
+            self.failed.add(key)
+        return found
 
 
 def _stacked_witness(G: Graph, orderings) -> BoxRepresentation:
@@ -268,8 +353,11 @@ def exact_boxicity(
 ) -> BoxicityResult:
     """Smallest d with a witness, refuting every smaller d exhaustively.
 
-    d_max defaults to floor(n/2) (n >= 2), which always suffices, so the
-    default search cannot end undetermined except by budget.
+    The search starts at the clique number of the chord-conflict graph,
+    which bounds box(G) from below.  d_max defaults to floor(n/2) (n >= 2),
+    which always suffices, so the default search cannot end undetermined
+    except by budget.  The budget caps the whole call: the clique search
+    and every d share one node count and one deadline.
     """
     if G.n == 0:
         raise InvalidInput("boxicity needs at least one vertex")
@@ -277,9 +365,23 @@ def exact_boxicity(
         d_max = max(1, G.n // 2)
     if d_max < 1:
         raise InvalidInput("d_max must be at least 1")
-    total = 0
-    for d in range(1, d_max + 1):
-        step = boxicity_at_most(G, d, budget)
+    budget = budget or SearchBudget()
+    meter = budget.meter()
+    try:
+        bound = clique_number(chord_conflicts(G, sorted(G.non_edges())), meter)
+    except BudgetExhausted:
+        return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
+    total = meter.nodes
+    if bound > d_max:
+        return BoxicityResult(None, None, STATUS_LOWER_BOUND, lower_bound=bound, nodes=total)
+    for d in range(max(1, bound), d_max + 1):
+        left = budget.max_nodes - total
+        time_left = meter.deadline - time.monotonic()
+        if left < 1 or time_left <= 0:
+            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=total)
+        step = boxicity_at_most(
+            G, d, replace(budget, max_nodes=left, time_limit=time_left)
+        )
         total += step.nodes
         if step.status == STATUS_BUDGET:
             return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=total)

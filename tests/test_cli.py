@@ -97,7 +97,7 @@ def test_exact_writes_result_with_witness(tmp_path):
 def test_exact_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.json"
     assert main(["gen", "roberts", "3", "-o", str(g)]) == 0
-    assert main(["exact", str(g), "--max-nodes", "40"]) == 3
+    assert main(["exact", str(g), "--max-nodes", "10"]) == 3
     assert "budget-exhausted" in capsys.readouterr().err
     capsys.readouterr()
     assert main(["exact", str(g), "--max-d", "2"]) == 3

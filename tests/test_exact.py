@@ -12,7 +12,9 @@ from boxicity.exact import (
     acyclic_chromatic_number,
     acyclic_coloring,
     boxicity_at_most,
+    chord_conflicts,
     chromatic_number,
+    clique_number,
     exact_boxicity,
     find_forest_stable_partition,
     find_pair_cover,
@@ -31,7 +33,7 @@ from boxicity.graphs import (
 from boxicity.intervals import recognize_interval
 
 from reference import reference_boxicity
-from util import all_graphs, assert_represents, star
+from util import all_graphs, assert_represents, interval_adjacent, star
 
 
 # ---------------------------------------------------------------- boxicity
@@ -197,6 +199,83 @@ def test_monotone_under_induced_subgraphs():
         S = rng.sample(range(6), size)
         H, _ = induced_subgraph(G, S)
         assert exact_boxicity(H).value <= whole
+
+
+# ----------------------------------------------------------- chord conflicts
+
+
+def conflicts_of(G):
+    return chord_conflicts(G, sorted(G.non_edges()))
+
+
+def conflict_clique(G):
+    return clique_number(conflicts_of(G), SearchBudget().meter())
+
+
+def test_roberts_conflict_clique_is_m():
+    for m in range(2, 7):
+        assert conflict_clique(roberts_graph(m)) == m
+
+
+def test_chordless_shapes_have_no_conflicts():
+    for G in (path(6), star(5), complete(5), cycle(5), make_graph(4, [])):
+        assert not any(conflicts_of(G))
+
+
+def test_c4_has_one_conflicting_pair_and_c5_is_refuted_by_search():
+    assert conflicts_of(cycle(4)) == [0b10, 0b01]  # chords (0, 2) and (1, 3)
+    assert conflict_clique(cycle(4)) == 2
+    assert conflict_clique(cycle(5)) == 1
+    meter = SearchBudget().meter()
+    clique_number(conflicts_of(cycle(5)), meter)
+    whole = exact_boxicity(cycle(5))
+    one, two = boxicity_at_most(cycle(5), 1), boxicity_at_most(cycle(5), 2)
+    assert one.value is None and one.nodes > 0 and two.value == 2
+    assert whole.value == 2
+    assert whole.nodes == meter.nodes + one.nodes + two.nodes
+
+
+def test_conflict_bound_and_witness_dimensions_on_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        G = random_graph(n, rng.random(), seed=rng.randrange(10**6))
+        non_edges = sorted(G.non_edges())
+        conflicts = chord_conflicts(G, non_edges)
+        res = exact_boxicity(G)
+        assert res.status == "exact"
+        assert clique_number(conflicts, SearchBudget().meter()) <= res.value
+        for i in range(res.witness.d):
+            R = res.witness.dimension_rep(i)
+            excluded = 0
+            for j, (u, v) in enumerate(non_edges):
+                if not interval_adjacent(R, u, v):
+                    excluded |= 1 << j
+            for j, (u, v) in enumerate(non_edges):
+                if excluded >> j & 1:
+                    assert not conflicts[j] & excluded, (G.edges, i, (u, v))
+
+
+def test_budget_caps_the_whole_call():
+    rng = random.Random(31)
+    for cap in (1, 2, 3, 5, 20, 100, 1000):
+        for G in (roberts_graph(4), roberts_graph(5), random_graph(10, 0.5, 7)):
+            res = exact_boxicity(G, budget=SearchBudget(max_nodes=cap))
+            assert res.nodes <= cap + 1
+            if res.status == "budget-exhausted":
+                assert res.nodes >= cap  # a search stops on the tick past the cap
+    # the decided total stays under the cap it was given
+    for _ in range(10):
+        G = random_graph(9, 0.5, seed=rng.randrange(10**6))
+        res = exact_boxicity(G, budget=SearchBudget(max_nodes=20_000))
+        assert res.nodes <= 20_001
+
+
+def test_conflict_bound_above_d_max_is_reported_without_search():
+    res = exact_boxicity(roberts_graph(5), d_max=3)
+    assert res.status == "lower-bound-only" and res.value is None
+    assert res.lower_bound == 5
+    assert res.nodes == 5  # one tick per clique branch, no ordering search
 
 
 # ---------------------------------------------------------------- colorings
