@@ -5,10 +5,11 @@ certificate (pair cover, separation, clique, cycle classification) plus
 scripts for the strictly smaller graphs they reduce to; leaf steps build a
 representation outright (a coloring pipeline, the girth-four pipeline, the
 matched-complement family, an explicit representation, or the exhaustive
-search oracle).  Assembly replays the tree bottom-up, validates every
-certificate against the subgraph it applies to, verifies the composed
-representation at every level, and reports the per-step dimension
-accounting.  Each rule is one record of RULES, which the dry run, the
+search oracle).  Assembly first validates every certificate against the
+subgraph it applies to and refuses a script predicted to build more than
+MAX_PREDICTED_INTERVALS intervals at any step; then it replays the tree
+bottom-up, verifies the composed representation at every level, and
+reports the per-step dimension accounting.  Each rule is one record of RULES, which the dry run, the
 build, the report and the JSON codec all read.
 
 All vertex sets in a script, at any depth, use the root graph's vertex
@@ -466,6 +467,10 @@ def _rule_of(step) -> Rule:
 # derivations are a few steps deep, and this keeps far from Python's limit.
 MAX_SCRIPT_DEPTH = 100
 _TOO_DEEP = f"script is nested more than {MAX_SCRIPT_DEPTH} steps deep"
+# The most intervals (dimensions times vertices) any step may be predicted
+# to build; a few nested doublings would otherwise ask for astronomically
+# many dimensions before anything checks them.
+MAX_PREDICTED_INTERVALS = 10**6
 
 
 def bound_formula(step: DerivationStep, *sub_dims: int) -> int | None:
@@ -480,42 +485,59 @@ def bound_formula(step: DerivationStep, *sub_dims: int) -> int | None:
     return _rule_of(step).dimension(step, *sub_dims)
 
 
-def _walk(lv: _Level, step: DerivationStep, out: list, build: bool):
-    """Check the step, recurse into its children, then (when building)
-    compose, verify, compare with the claim and fill the step's report
-    slot, which was reserved before the children's so that reports run in
-    pre-order."""
+def _plan(lv: _Level, step: DerivationStep):
+    """Check the step and, recursively, its children, without building.
+
+    Returns the most dimensions building the step can take, refused above
+    MAX_PREDICTED_INTERVALS, and a function build(out) that builds the
+    children, composes, verifies, compares with the claim and fills the
+    step's report slot in out, reserved before the children's so that
+    reports run in pre-order.
+    """
     if lv.path.count("/") >= MAX_SCRIPT_DEPTH:
         raise lv.error(_TOO_DEEP)
     rule = _rule_of(step)
-    slot = len(out)
-    out.append(None)
     cert, children = rule.check(step, lv)
     subs = [
-        _walk(lv.child(name, H, vmap), getattr(step, name), out, build)
+        _plan(lv.child(name, H, vmap), getattr(step, name))
         for name, (H, vmap) in zip(rule.slots, children)
     ]
-    if not build:
-        return None
-    lifted = [
-        B if vmap is None else relabel_box_representation(B, dict(enumerate(vmap)))
-        for B, (_, vmap) in zip(subs, children)
-    ]
-    B, formula = rule.build(lv, cert, *lifted)
-    if not rule.self_verified:
-        report = verify_representation(B, lv.H)
-        if not report.equal:
-            bad = (report.missing_edges + report.extra_edges)[0]
-            raise lv.error(f"composed representation disagrees on pair {bad}")
-    claimed = bound_formula(step, *([S.d for S in subs] if rule.slots else [lv.H.n]))
-    if claimed is None:
-        claimed = B.d
-    elif claimed != B.d:
+    predicted = bound_formula(step, *([p for p, _ in subs] if rule.slots else [lv.H.n]))
+    if predicted is None:
+        # the oracle stops at d_max, which defaults to floor(n/2)
+        predicted = step.d_max if step.d_max is not None else max(1, lv.H.n // 2)
+    if predicted * lv.H.n > MAX_PREDICTED_INTERVALS:
         raise lv.error(
-            f"achieved dimension {B.d} differs from the claimed bound {claimed}"
+            f"predicted {predicted} dimensions on {lv.H.n} vertices exceed "
+            f"the cap of {MAX_PREDICTED_INTERVALS} intervals"
         )
-    out[slot] = StepReport(lv.path, rule.name, lv.H.n, formula, claimed, B.d, True, step.note)
-    return B
+
+    def build(out: list) -> BoxRepresentation:
+        slot = len(out)
+        out.append(None)
+        built = [build_sub(out) for _, build_sub in subs]
+        lifted = [
+            B if vmap is None else relabel_box_representation(B, dict(enumerate(vmap)))
+            for B, (_, vmap) in zip(built, children)
+        ]
+        B, formula = rule.build(lv, cert, *lifted)
+        if not rule.self_verified:
+            report = verify_representation(B, lv.H)
+            if not report.equal:
+                bad = (report.missing_edges + report.extra_edges)[0]
+                raise lv.error(f"composed representation disagrees on pair {bad}")
+        claimed = bound_formula(step, *([S.d for S in built] if rule.slots else [lv.H.n]))
+        if claimed is None:
+            claimed = B.d
+        elif claimed != B.d:
+            raise lv.error(
+                f"achieved dimension {B.d} differs from the claimed bound {claimed}"
+            )
+        out[slot] = StepReport(lv.path, rule.name, lv.H.n, formula, claimed, B.d, True,
+                               step.note)
+        return B
+
+    return predicted, build
 
 
 def _root(G: Graph) -> _Level:
@@ -525,23 +547,26 @@ def _root(G: Graph) -> _Level:
 def assemble(G: Graph, script: DerivationStep) -> tuple[BoxRepresentation, DerivationReport]:
     """Build and verify the representation a script describes.
 
-    Every certificate is validated against the subgraph it applies to and
-    every composition is re-verified; the first failure aborts with the
-    step's path and a witness, and nothing partial is returned.
+    Every certificate is validated against the subgraph it applies to, and
+    the predicted size is capped, before anything is built; then every
+    composition is re-verified.  The first failure aborts with the step's
+    path and a witness, and nothing partial is returned.
     """
     steps: list[StepReport] = []
-    B = _walk(_root(G), script, steps, build=True)
+    _, build = _plan(_root(G), script)
+    B = build(steps)
     return B, DerivationReport(tuple(steps), B.d, True)
 
 
 def validate_script(G: Graph, script: DerivationStep) -> None:
-    """Dry-run check of certificates and structure, without building.
+    """Dry-run check of certificates, structure and predicted size, without
+    building.
 
     Accepts exactly when assemble would, except that oracle steps are only
     checked for well-formed limits here; whether the search succeeds is
     knowable only by running it.
     """
-    _walk(_root(G), script, [], build=False)
+    _plan(_root(G), script)
 
 
 # --------------------------------------------------------------------------

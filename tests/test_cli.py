@@ -348,6 +348,23 @@ def test_derive_budget_exit(tmp_path):
     assert main(["derive", str(g), str(s), "-o", str(tmp_path / "rep.json")]) == 3
 
 
+def test_derive_refuses_an_oversized_script_before_building(tmp_path, capsys):
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
+    assert main(["gen", "roberts", "1", "-o", str(g)]) == 0
+    doc = {"rule": "roberts"}
+    for _ in range(25):
+        doc = {"rule": "sur2bis", "K": [], "sub": doc}
+    write_json(s, doc)
+    capsys.readouterr()
+    rep = tmp_path / "rep.json"
+    assert main(["derive", str(g), str(s), "-o", str(rep)]) == 2
+    path = "root" + "/sub" * 6
+    assert capsys.readouterr().err == (
+        f"error: {path}: predicted 524288 dimensions on 2 vertices exceed "
+        "the cap of 1000000 intervals\n")
+    assert not rep.exists()
+
+
 def nested_files(tmp_path):
     """A figure-1 block over sur2bis over an acyclic leaf, beside a sur1
     over a roberts leaf, joined by sur2: 26 vertices, 13 dimensions."""

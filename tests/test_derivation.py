@@ -19,6 +19,7 @@ from boxicity.certificates import (
     coloring_from_dict,
 )
 from boxicity.derivation import (
+    MAX_PREDICTED_INTERVALS,
     MAX_SCRIPT_DEPTH,
     AcyclicStep,
     BaseExplicitStep,
@@ -376,7 +377,11 @@ def test_scripts_built_in_python_are_capped_in_depth():
         return script
 
     G = make_graph(2, [])
-    validate_script(G, chain(MAX_SCRIPT_DEPTH))
+    # deep enough passes the depth check, but its doublings are refused
+    # by the size cap before anything is built
+    too_big = "exceed the cap of 1000000 intervals"
+    with pytest.raises(CertificateError, match=too_big):
+        validate_script(G, chain(MAX_SCRIPT_DEPTH))
     assert step_to_dict(chain(MAX_SCRIPT_DEPTH))["sub"]["sub"]["K"] == []
     message = f"more than {MAX_SCRIPT_DEPTH} steps"
     for depth in (MAX_SCRIPT_DEPTH + 1, 2000):
@@ -386,6 +391,31 @@ def test_scripts_built_in_python_are_capped_in_depth():
             assemble(G, chain(depth))
         with pytest.raises(ParseError, match=message):
             step_to_dict(chain(depth))
+
+
+def test_predicted_size_is_capped_before_building():
+    def chain(doublings, leaf=RobertsStep()):
+        script = leaf
+        for _ in range(doublings):
+            script = Sur2bisStep(K=(), sub=script)
+        return script
+
+    G = make_graph(2, [])  # roberts(1): one dimension, doubled per step
+    assert MAX_PREDICTED_INTERVALS == 10**6
+    B, report = assemble(G, chain(3))
+    assert B.d == 8 and report.total_dimension == 8
+    validate_script(G, chain(18))  # 2**18 dimensions on 2 vertices fit
+    message = ("root/sub: predicted 524288 dimensions on 2 vertices exceed "
+               "the cap of 1000000 intervals")
+    for run in (validate_script, assemble):
+        with pytest.raises(CertificateError) as caught:
+            run(G, chain(20))
+        assert str(caught.value) == message
+    # an oracle leaf counts as its d_max, which defaults to floor(n/2)
+    K8 = roberts_graph(4)
+    validate_script(K8, chain(15, BaseOracleStep(d_max=1)))
+    with pytest.raises(CertificateError, match="^root: predicted 131072 dimensions on 8 "):
+        validate_script(K8, chain(15, BaseOracleStep()))
 
 
 @pytest.mark.parametrize("key", ["02", " 2", "+2", "2_0", "-0"])
