@@ -368,7 +368,7 @@ def exact_boxicity(
     budget = budget or SearchBudget()
     meter = budget.meter()
     try:
-        bound = clique_number(chord_conflicts(G, sorted(G.non_edges())), meter)
+        bound = clique_number(chord_conflicts(G, G.non_edges()), meter)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
     total = meter.nodes
