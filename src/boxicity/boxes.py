@@ -70,9 +70,6 @@ class BoxRepresentation:
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(self.boxes))
 
-    def box(self, v: int) -> tuple[Interval, ...]:
-        return self.boxes[v]
-
     def dimension_rep(self, i: int) -> IntervalRepresentation:
         return IntervalRepresentation({v: box[i] for v, box in self.boxes.items()})
 

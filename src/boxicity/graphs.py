@@ -47,12 +47,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def non_edges(self) -> list[tuple[int, int]]:
         """All unordered non-adjacent pairs, lexicographically sorted."""
         return [
@@ -125,10 +119,6 @@ def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
         (index[u], index[v]) for u, v in G.edges if u in index and v in index
     ]
     return Graph(len(vmap), frozenset(edges)), vmap
-
-
-def complement(G: Graph) -> Graph:
-    return Graph(G.n, frozenset(G.non_edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +195,6 @@ def random_forest(n: int, seed: int, attach_probability: float = 0.8) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def connected_components(G: Graph) -> list[list[int]]:
-    seen = [False] * G.n
-    comps = []
-    for root in range(G.n):
-        if seen[root]:
-            continue
-        comp = []
-        queue = deque([root])
-        seen[root] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in sorted(G.neighbors(v)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
 def find_cycle(G: Graph) -> list[int] | None:
     """Some cycle of G as a vertex list, or None if G is a forest."""
     parent: dict[int, int | None] = {}
@@ -278,7 +248,7 @@ def bfs_distances(G: Graph, source: int) -> list[int | None]:
 
 
 def graph_to_dict(G: Graph) -> dict:
-    return {"n": G.n, "edges": [list(e) for e in G.sorted_edges()]}
+    return {"n": G.n, "edges": [list(e) for e in sorted(G.edges)]}
 
 
 def graph_from_dict(doc) -> Graph:

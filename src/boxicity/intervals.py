@@ -88,9 +88,6 @@ class IntervalRepresentation:
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(self.intervals))
 
-    def interval(self, v: int) -> Interval:
-        return self.intervals[v]
-
     def span(self) -> Interval:
         """Smallest interval containing every vertex interval."""
         if not self.intervals:
@@ -173,28 +170,17 @@ def check_ordering(G: Graph, sigma) -> tuple[int, ...]:
     return sigma
 
 
-def is_umbrella_free(G: Graph, sigma) -> bool:
-    """Definition-level check over all position triples."""
-    sigma = check_ordering(G, sigma)
-    for a in range(G.n):
-        u = sigma[a]
-        for c in range(a + 2, G.n):
-            if not G.has_edge(u, sigma[c]):
-                continue
-            for b in range(a + 1, c):
-                if not G.has_edge(u, sigma[b]):
-                    return False
-    return True
-
-
-def _reach(G: Graph, sigma: tuple[int, ...]) -> list[int]:
-    """reach[i] = largest position of a neighbor of sigma[i] after i."""
+def _reach(G: Graph, sigma: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per position i: reach[i], the largest position of a neighbor of
+    sigma[i] after i (i itself if none), and later[i], how many neighbors
+    of sigma[i] come after i."""
     pos = {v: i for i, v in enumerate(sigma)}
-    out = []
+    reach, later = [], []
     for i, v in enumerate(sigma):
-        later = [pos[w] for w in G.neighbors(v) if pos[w] > i]
-        out.append(max(later, default=i))
-    return out
+        after = [pos[w] for w in G.neighbors(v) if pos[w] > i]
+        reach.append(max(after, default=i))
+        later.append(len(after))
+    return reach, later
 
 
 def umbrella_closure(G: Graph, sigma) -> Graph:
@@ -204,7 +190,7 @@ def umbrella_closure(G: Graph, sigma) -> Graph:
     one pass from neighbor reaches.
     """
     sigma = check_ordering(G, sigma)
-    reach = _reach(G, sigma)
+    reach, _ = _reach(G, sigma)
     edges = set(G.edges)
     for i in range(G.n):
         u = sigma[i]
@@ -220,66 +206,21 @@ def representation_from_ordering(G: Graph, sigma) -> IntervalRepresentation:
     Vertex at position i (1-based) gets [i, max(i, positions of its later
     neighbors)].  Its intersection graph is G exactly when the precondition
     holds.
+
+    The precondition is checked from the reaches in O(n + m).  The later
+    neighbors of the vertex at position i all lie in (i, reach[i]], and
+    sigma is umbrella-free exactly when they fill that range, that is, when
+    there are reach[i] - i of them: an umbrella p(u) < p(v) < p(w) with uw
+    an edge and uv not is a position p(v) in (p(u), reach(u)) holding no
+    neighbor of u.
     """
     sigma = check_ordering(G, sigma)
-    if not is_umbrella_free(G, sigma):
+    reach, later = _reach(G, sigma)
+    if any(later[i] != reach[i] - i for i in range(G.n)):
         raise InvalidInput("ordering is not umbrella-free for this graph")
-    reach = _reach(G, sigma)
     return IntervalRepresentation(
         {v: Interval(i + 1, reach[i] + 1) for i, v in enumerate(sigma)}
     )
-
-
-def recognize_interval(G: Graph) -> IntervalRepresentation | None:
-    """Search for an umbrella-free ordering of G itself.
-
-    Backtracks over left-to-right placements, pruning a partial ordering at
-    the first violated triple: once a placed vertex u has a placed
-    non-neighbor after it, no neighbor of u may be placed later.  Returns
-    the canonical representation for the first ordering found (placements
-    are tried in ascending vertex order), or None when G is not an interval
-    graph.
-    """
-    n = G.n
-    if n == 0:
-        return IntervalRepresentation({})
-    order: list[int] = []
-    dirty: list[bool] = []  # parallel to order
-    used = [False] * n
-
-    def place() -> bool:
-        if len(order) == n:
-            return True
-        for x in range(n):
-            if used[x]:
-                continue
-            ok = True
-            for u, d in zip(order, dirty):
-                if d and G.has_edge(u, x):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            touched = []
-            for i, u in enumerate(order):
-                if not dirty[i] and not G.has_edge(u, x):
-                    dirty[i] = True
-                    touched.append(i)
-            order.append(x)
-            dirty.append(False)
-            used[x] = True
-            if place():
-                return True
-            used[x] = False
-            order.pop()
-            dirty.pop()
-            for i in touched:
-                dirty[i] = False
-        return False
-
-    if not place():
-        return None
-    return representation_from_ordering(G, tuple(order))
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ class Poset:
     relation: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        elems = tuple(int(x) for x in self.elements)
+        elems = tuple(self.elements)
         if len(set(elems)) != len(elems):
             raise InvalidInput("poset elements must be distinct")
-        rel = frozenset((int(a), int(b)) for a, b in self.relation)
+        rel = frozenset((a, b) for a, b in self.relation)
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "relation", rel)
         members = set(elems)
@@ -65,9 +65,6 @@ class Poset:
                     raise InvalidInput(
                         f"transitivity violated: {a} <= {b} <= {c} without {a} <= {c}"
                     )
-
-    def leq(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
 
 
 def adjacency_poset(G: Graph) -> Poset:
@@ -115,7 +112,7 @@ def chi_realizer_extensions(G: Graph, colors: dict[int, int]) -> list[LinearOrde
 
 
 def _check_arrangement(elements, L) -> tuple[int, ...]:
-    order = tuple(int(x) for x in L)
+    order = tuple(L)
     if sorted(order) != sorted(elements):
         raise InvalidInput("order must arrange exactly the poset elements")
     return order

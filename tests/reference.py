@@ -9,7 +9,9 @@ path with the package's ordering search.
 
 from itertools import combinations
 
-from boxicity.graphs import Graph, connected_components, induced_subgraph, make_graph
+from boxicity.graphs import Graph, induced_subgraph, make_graph
+
+from util import connected_components
 
 
 def is_interval_small(G: Graph) -> bool:

@@ -40,7 +40,6 @@ from boxicity.exact import (
 )
 from boxicity.figure1 import figure1_gadget, figure1_problems
 from boxicity.graphs import (
-    connected_components,
     cycle,
     induced_subgraph,
     make_graph,
@@ -57,7 +56,13 @@ from boxicity.posets import (
     starred_poset,
 )
 from reference import reference_boxicity
-from util import all_graphs, box_adjacent, gadget_instance, universal_representation
+from util import (
+    all_graphs,
+    box_adjacent,
+    connected_components,
+    gadget_instance,
+    universal_representation,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -125,7 +130,7 @@ def test_criterion_3_cycle_gadget_contract_and_goldens():
             boxes = {}
             for v in B.domain():
                 entry = []
-                for side in B.box(v):
+                for side in B.boxes[v]:
                     lo, hi = side.lo * 2, side.hi * 2
                     assert lo.denominator == 1 and hi.denominator == 1
                     entry.append([int(lo), int(hi)])
@@ -179,9 +184,9 @@ def test_criterion_4_composition_property_suites():
             G = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(2 ** 30))
             K = sorted(rng.sample(range(n), rng.randint(0, min(n, 4))))
             inside = {(u, v) for i, u in enumerate(K) for v in K[i + 1:]}
-            kept = [e for e in G.sorted_edges() if tuple(e) not in inside]
+            kept = [e for e in sorted(G.edges) if tuple(e) not in inside]
             H = make_graph(n, kept)
-            target = make_graph(n, set(H.sorted_edges()) | inside)
+            target = make_graph(n, H.edges | inside)
             B = sur2bis_double(universal_representation(H), K)
             assert B.d == 2 * n
             assert verify_representation(B, target).equal

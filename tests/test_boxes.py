@@ -131,10 +131,10 @@ def test_stack_and_relabel():
 def test_pair_gadget_on_a_four_cycle():
     G = cycle(4)
     R = pair_gadget(G, 0, 2)
-    assert R.interval(0) == iv(0, 0)
-    assert R.interval(2) == iv(2, 2)
-    assert R.interval(1) == iv(0, 2)
-    assert R.interval(3) == iv(0, 2)
+    assert R.intervals[0] == iv(0, 0)
+    assert R.intervals[2] == iv(2, 2)
+    assert R.intervals[1] == iv(0, 2)
+    assert R.intervals[3] == iv(0, 2)
     # the gadget graph is K4 minus the separated pair
     H = interval_graph_of(R)
     assert H.edges == frozenset({(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)})

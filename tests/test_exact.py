@@ -30,9 +30,8 @@ from boxicity.graphs import (
     random_graph,
     roberts_graph,
 )
-from boxicity.intervals import recognize_interval
 
-from reference import reference_boxicity
+from reference import is_interval_small, reference_boxicity
 from util import all_graphs, assert_represents, interval_adjacent, star
 
 
@@ -176,12 +175,12 @@ def test_agreement_with_interval_recognition():
     for n in range(1, 5):
         for G in all_graphs(n):
             one = boxicity_at_most(G, 1)
-            assert (one.value == 1) == (recognize_interval(G) is not None)
+            assert (one.value == 1) == is_interval_small(G)
     rng = random.Random(99)
     for _ in range(60):
         G = random_graph(5, rng.random(), seed=rng.randrange(10**6))
         one = boxicity_at_most(G, 1)
-        assert (one.value == 1) == (recognize_interval(G) is not None)
+        assert (one.value == 1) == is_interval_small(G)
 
 
 def test_agreement_with_definition_level_oracle():

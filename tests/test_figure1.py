@@ -37,7 +37,7 @@ def test_cycle_boxes_k6_frozen():
         4: (Interval(3, 4), Interval(0, 3)),
         5: (Interval(0, 3), Interval(3, 4)),
     }
-    assert {v: B.box(v) for v in B.domain()} == want
+    assert {v: B.boxes[v] for v in B.domain()} == want
 
 
 @pytest.mark.parametrize("k", range(6, 13))
@@ -59,7 +59,7 @@ def test_single_neighbor_point_is_interior():
     G, cls = gadget_instance(7, classes=("S1",))
     B = figure1_gadget(G, cls)
     v = 7  # anchored at cycle position 0
-    assert B.box(v) == (Interval(-HALF, -HALF), Interval(Fraction(3, 2), Fraction(3, 2)))
+    assert B.boxes[v] == (Interval(-HALF, -HALF), Interval(Fraction(3, 2), Fraction(3, 2)))
     hits = [u for u in range(7) if box_adjacent(B, v, u)]
     assert hits == [0]
 
@@ -70,7 +70,7 @@ def test_special_anchor_coordinates_k6():
     by_assignment = {cls.assignments[v]: v for v in cls.assignments}
 
     def box_of(name, anchor):
-        return B.box(by_assignment[(name, anchor)])
+        return B.boxes[by_assignment[(name, anchor)]]
 
     # two-neighbor points at the wall corners
     assert box_of("S2", 4) == (Interval(3, 3), Interval(3, 3))
@@ -106,9 +106,9 @@ def test_problems_detect_a_moved_box():
 def test_problems_reject_domain_and_dimension_mismatch():
     G, cls = bare_cycle(6)
     B = figure1_gadget(G, cls)
-    shrunk = BoxRepresentation(2, {v: B.box(v) for v in range(5)})
+    shrunk = BoxRepresentation(2, {v: B.boxes[v] for v in range(5)})
     assert figure1_problems(G, cls, shrunk)
-    fat = BoxRepresentation(3, {v: B.box(v) + (Interval(0, 1),) for v in B.domain()})
+    fat = BoxRepresentation(3, {v: B.boxes[v] + (Interval(0, 1),) for v in B.domain()})
     assert figure1_problems(G, cls, fat) == ["gadget must be 2-dimensional, got 3"]
 
 
@@ -116,7 +116,7 @@ def _scaled(B: BoxRepresentation) -> dict:
     boxes = {}
     for v in B.domain():
         entry = []
-        for side in B.box(v):
+        for side in B.boxes[v]:
             lo, hi = side.lo * 2, side.hi * 2
             assert lo.denominator == 1 and hi.denominator == 1
             entry.append([int(lo), int(hi)])

@@ -7,6 +7,7 @@ import pytest
 
 from boxicity.boxes import forest_two_dim, verify_representation
 from boxicity.errors import InvalidInput
+from boxicity.exact import boxicity_at_most
 from boxicity.graphs import (
     Graph,
     complete,
@@ -23,14 +24,12 @@ from boxicity.intervals import (
     canonical_extension,
     interval_from_pairs,
     interval_to_pairs,
-    is_umbrella_free,
     meet_masks,
-    recognize_interval,
     representation_from_ordering,
     umbrella_closure,
 )
 
-from util import interval_adjacent, interval_graph_of
+from util import assert_represents, interval_adjacent, interval_graph_of, is_umbrella_free
 
 
 def iv(lo, hi):
@@ -195,9 +194,9 @@ def test_umbrella_closure_properties():
 
 def test_representation_from_ordering_frozen_example():
     R = representation_from_ordering(path(3), (0, 1, 2))
-    assert R.interval(0) == iv(1, 2)
-    assert R.interval(1) == iv(2, 3)
-    assert R.interval(2) == iv(3, 3)
+    assert R.intervals[0] == iv(1, 2)
+    assert R.intervals[1] == iv(2, 3)
+    assert R.intervals[2] == iv(3, 3)
 
 
 def test_representation_from_ordering_requires_umbrella_free():
@@ -212,31 +211,36 @@ def test_representation_from_ordering_recovers_the_graph():
         G = random_graph(n, rng.random(), rng.randrange(10**6))
         sigma = list(range(n))
         rng.shuffle(sigma)
+        # the reach test rejects exactly the orderings the triple loop does
+        if is_umbrella_free(G, sigma):
+            assert interval_graph_of(representation_from_ordering(G, sigma)) == G
+        else:
+            with pytest.raises(InvalidInput, match="not umbrella-free"):
+                representation_from_ordering(G, sigma)
         closed = umbrella_closure(G, sigma)
         R = representation_from_ordering(closed, sigma)
         assert interval_graph_of(R) == closed
 
 
 # ---------------------------------------------------------------------------
-# recognition
+# recognition: G is an interval graph exactly when box(G) <= 1
 # ---------------------------------------------------------------------------
 
 
-def test_recognize_interval_positives():
+def test_interval_recognition_positives():
     for G in (path(5), complete(6), make_graph(4, [(0, 1), (0, 2), (0, 3)])):
-        R = recognize_interval(G)
-        assert R is not None
-        assert interval_graph_of(R) == G
-    assert recognize_interval(Graph(0, frozenset())) is not None
+        res = boxicity_at_most(G, 1)
+        assert res.value == 1
+        assert_represents(res.witness, G)
 
 
-def test_recognize_interval_negatives():
-    assert recognize_interval(cycle(4)) is None
-    assert recognize_interval(cycle(5)) is None
-    assert recognize_interval(roberts_graph(3)) is None
+def test_interval_recognition_negatives():
+    for G in (cycle(4), cycle(5), roberts_graph(3)):
+        res = boxicity_at_most(G, 1)
+        assert res.status == "exact" and res.value is None
 
 
-def test_recognize_interval_round_trip_from_random_representations():
+def test_interval_recognition_round_trip_from_random_representations():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randrange(1, 9)
@@ -248,9 +252,9 @@ def test_recognize_interval_round_trip_from_random_representations():
             }
         )
         G = interval_graph_of(R)
-        found = recognize_interval(G)
-        assert found is not None
-        assert interval_graph_of(found) == G
+        res = boxicity_at_most(G, 1)
+        assert res.value == 1
+        assert_represents(res.witness, G)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,8 @@ def test_canonical_extension_example():
     R = rep({0: (0, 1), 1: (1, 2)})
     ext = canonical_extension(R, G)
     assert ext.domain() == (0, 1, 2)
-    assert ext.interval(2) == iv(0, 2)
-    assert ext.interval(0) == iv(0, 1)
+    assert ext.intervals[2] == iv(0, 2)
+    assert ext.intervals[0] == iv(0, 1)
 
 
 def test_canonical_extension_properties():
@@ -326,7 +330,7 @@ def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_compariso
     R = IntervalRepresentation({v: Interval(v, v + 1) for v in range(0, 400, 2)})
     fraction_order_comparisons[0] = 0
     assert verify_representation(B, F).equal
-    assert canonical_extension(R, G).interval(1) == Interval(0, 399)
+    assert canonical_extension(R, G).intervals[1] == Interval(0, 399)
     assert fraction_order_comparisons[0] == 0
     # the counter does see comparisons of non-integer endpoints
     meet_masks(rep({0: (Fraction(1, 3), Fraction(1, 2)), 1: (Fraction(1, 4), 1)}))

@@ -45,7 +45,7 @@ def antichain(length):
 
 def test_poset_accepts_a_chain():
     P = chain(3)
-    assert P.leq(0, 2) and not P.leq(2, 0)
+    assert (0, 2) in P.relation and (2, 0) not in P.relation
 
 
 def test_poset_rejects_bad_relations():
@@ -59,6 +59,17 @@ def test_poset_rejects_bad_relations():
         Poset((0, 1), frozenset(reflexive((0, 1)) | {(0, 7)}))
     with pytest.raises(InvalidInput, match="distinct"):
         Poset((0, 0), frozenset({(0, 0)}))
+
+
+def test_poset_keeps_its_elements_as_given():
+    # no coercion to int: 1.5 is neither truncated to 1 nor merged with it
+    P = Poset((0, 1.5), frozenset({(0, 0), (1.5, 1.5), (0, 1.5)}))
+    assert P.elements == (0, 1.5)
+    assert P.relation == frozenset({(0, 0), (1.5, 1.5), (0, 1.5)})
+    assert is_linear_extension(P, (0, 1.5))
+    with pytest.raises(InvalidInput, match="arrange exactly"):
+        is_linear_extension(P, (0, 1))
+    assert Poset((1, 1.5), frozenset({(1, 1), (1.5, 1.5)})).elements == (1, 1.5)
 
 
 def test_adjacency_poset_of_k2():

@@ -1,5 +1,6 @@
 """Helpers shared across test modules."""
 
+from collections import deque
 from itertools import combinations
 
 from boxicity.boxes import (
@@ -10,7 +11,7 @@ from boxicity.boxes import (
 )
 from boxicity.certificates import CycleClassification, acyclic_coloring_problems
 from boxicity.graphs import Graph, make_graph
-from boxicity.intervals import Interval, IntervalRepresentation
+from boxicity.intervals import Interval, IntervalRepresentation, check_ordering
 
 
 def all_graphs(n):
@@ -18,6 +19,43 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def connected_components(G: Graph) -> list[list[int]]:
+    """Vertex lists of the components, in order of their least vertex,
+    each in breadth-first order from it."""
+    seen = [False] * G.n
+    comps = []
+    for root in range(G.n):
+        if seen[root]:
+            continue
+        comp = []
+        queue = deque([root])
+        seen[root] = True
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in sorted(G.neighbors(v)):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
+def is_umbrella_free(G: Graph, sigma) -> bool:
+    """Definition-level check over all position triples: p(u) < p(v) < p(w)
+    with uw an edge forces uv to be an edge."""
+    sigma = check_ordering(G, sigma)
+    for a in range(G.n):
+        u = sigma[a]
+        for c in range(a + 2, G.n):
+            if not G.has_edge(u, sigma[c]):
+                continue
+            for b in range(a + 1, c):
+                if not G.has_edge(u, sigma[b]):
+                    return False
+    return True
 
 
 def meets(a: Interval, b: Interval) -> bool:
