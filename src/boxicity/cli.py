@@ -132,8 +132,6 @@ def _budget_from_args(args) -> SearchBudget:
         fields["max_nodes"] = args.max_nodes
     if args.time_limit is not None:
         fields["time_limit"] = args.time_limit
-    if args.no_symmetry:
-        fields["symmetry_pruning"] = False
     return SearchBudget(**fields)
 
 
@@ -142,8 +140,6 @@ def _add_budget_flags(sub) -> None:
                      help="cap on explored search nodes")
     sub.add_argument("--time-limit", type=float, default=None,
                      help="cap in seconds on a single search")
-    sub.add_argument("--no-symmetry", action="store_true",
-                     help="disable the dimension-interchange pruning")
 
 
 # ---------------------------------------------------------------------------

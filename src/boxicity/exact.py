@@ -11,17 +11,17 @@ Three facts keep the search small.  Placing a vertex decides every
 non-edge whose other endpoint is already placed (the pair stays excluded
 unless the earlier endpoint has run out of unplaced neighbors), so
 constraint violations surface at placement time.  Dimensions are
-interchangeable, so with symmetry pruning on, each dimension is required
-to exclude one designated hardest non-edge; turning the flag off keeps only
-the weaker rule that a dimension must exclude something new.  And interval
-graphs are chordal: if a-b-c-d-a is an induced C4, no single dimension
-excludes both chords ac and bd.  Joining such chords makes a conflict graph
+interchangeable, so each dimension but the last is required to exclude
+one designated hardest non-edge (the last must exclude them all).  And
+interval graphs are chordal: if a-b-c-d-a is an induced C4, no single
+dimension excludes both chords ac and bd.  Joining such chords makes a conflict graph
 on the non-edges whose clique number bounds boxicity from below (Roberts'
 bound for K_2k minus a matching is the case of k pairwise conflicts), so
 exact_boxicity starts there; and with two dimensions left, the non-edges
 the current ordering lets survive must be pairwise free of conflicts,
 since the last dimension has to exclude them all.  Failed (remaining set,
-dimensions left) pairs are memoized.
+dimensions left) pairs are memoized.  Colorings (proper, acyclic, and the
+critical-pair colorings behind poset dimension) share one backtracker.
 
 Everything here is exponential in the worst case and intended for small
 inputs; budgets cap nodes and wall time rather than letting a search run
@@ -56,7 +56,6 @@ class SearchBudget:
 
     max_nodes: int = 2_000_000
     time_limit: float = 60.0
-    symmetry_pruning: bool = True
 
     def __post_init__(self):
         if not is_int(self.max_nodes) or self.max_nodes < 1:
@@ -70,10 +69,6 @@ class SearchBudget:
         ):
             raise InvalidInput(
                 f"budget time_limit must be finite seconds above 0, got {limit!r}"
-            )
-        if not isinstance(self.symmetry_pruning, bool):
-            raise InvalidInput(
-                f"budget symmetry_pruning must be true or false, got {self.symmetry_pruning!r}"
             )
 
     def meter(self) -> BudgetMeter:
@@ -168,7 +163,6 @@ class _ClosureSearch:
     def __init__(self, G: Graph, budget: SearchBudget):
         self.G = G
         self.n = G.n
-        self.budget = budget
         self.meter = budget.meter()
         self.non_edges = sorted(G.non_edges())
         self.conflicts = chord_conflicts(G, self.non_edges)
@@ -287,13 +281,9 @@ class _ClosureSearch:
         key = (dims_left, remaining)
         if key in self.failed:
             return None
-        symmetry = self.budget.symmetry_pruning
-        must_all = dims_left == 1
-        target = self._pick_target(remaining) if symmetry and not must_all else None
+        target = self._pick_target(remaining) if dims_left > 1 else None
 
         def complete(sigma, surviving):
-            if not must_all and not symmetry and surviving == remaining:
-                return None  # this dimension excluded nothing new
             rest = self._dims(dims_left - 1, surviving)
             return None if rest is None else (sigma,) + rest
 
@@ -395,46 +385,47 @@ def exact_boxicity(
     )
 
 
-def _backtrack_coloring(G: Graph, k: int, allowed) -> dict[int, int] | None:
-    """Color vertices 0, 1, ... in turn with at most k colors, each color c
-    of v passing allowed(colors so far, v, c).
+def _backtrack_coloring(n: int, k: int, allowed) -> dict[int, int] | None:
+    """Color items 0, 1, ..., n - 1 in turn with at most k colors, each color
+    c of item i passing allowed(colors so far, i, c).
 
-    Colors are canonical: vertex 0 gets color 0 and each new color is the
-    smallest unused one, which collapses the k! palette symmetries.
+    Colors are canonical: item 0 gets color 0 and each new color is the
+    smallest unused one, which collapses the k! palette symmetries.  The
+    depth-first walk keeps its own stack, so n is not bounded by recursion.
     """
     if k < 0:
         raise InvalidInput("k must be nonnegative")
     colors: dict[int, int] = {}
-
-    def place(v: int) -> bool:
-        if v == G.n:
-            return True
-        ceiling = min(k, max(colors.values(), default=-1) + 2)
-        for c in range(ceiling):
-            if allowed(colors, v, c):
-                colors[v] = c
-                if place(v + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return dict(colors) if place(0) else None
+    # per colored prefix 0..i-1: the next color to try at i, and the number
+    # of colors the prefix uses
+    start, used = [0], [0]
+    while start:
+        i = len(start) - 1
+        if i == n:
+            return colors
+        for c in range(start[i], min(k, used[i] + 1)):
+            if allowed(colors, i, c):
+                colors[i] = c
+                start[i] = c + 1
+                start.append(0)
+                used.append(max(used[i], c + 1))
+                break
+        else:
+            start.pop()
+            used.pop()
+            colors.pop(i - 1, None)
+    return None
 
 
 def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
     """A proper coloring with at most k colors, or None."""
     return _backtrack_coloring(
-        G, k, lambda colors, v, c: all(colors.get(w) != c for w in G.neighbors(v))
+        G.n, k, lambda colors, v, c: all(colors.get(w) != c for w in G.neighbors(v))
     )
 
 
 def chromatic_number(G: Graph) -> int:
-    if G.n == 0:
-        return 0
-    for k in range(1, G.n + 1):
-        if proper_coloring(G, k) is not None:
-            return k
-    raise AssertionError("n colors always suffice")
+    return next(k for k in range(G.n + 1) if proper_coloring(G, k) is not None)
 
 
 def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
@@ -473,17 +464,12 @@ def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
 def acyclic_coloring(G: Graph, k: int) -> dict[int, int] | None:
     """A proper coloring with every two classes inducing a forest, or None."""
     return _backtrack_coloring(
-        G, k, lambda colors, v, c: _acyclic_ok(G, colors, v, c)
+        G.n, k, lambda colors, v, c: _acyclic_ok(G, colors, v, c)
     )
 
 
 def acyclic_chromatic_number(G: Graph) -> int:
-    if G.n == 0:
-        return 0
-    for k in range(1, G.n + 1):
-        if acyclic_coloring(G, k) is not None:
-            return k
-    raise AssertionError("n colors always suffice")
+    return next(k for k in range(G.n + 1) if acyclic_coloring(G, k) is not None)
 
 
 def find_pair_cover(G: Graph, X) -> PairCover:

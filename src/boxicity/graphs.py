@@ -100,7 +100,7 @@ def check_vertex_set(G: Graph, S) -> tuple[int, ...]:
     """Normalize S to a sorted tuple; reject out-of-range ids and repeats."""
     out = tuple(sorted(S))
     for v in out:
-        if not isinstance(v, int) or not (0 <= v < G.n):
+        if not is_int(v) or not (0 <= v < G.n):
             raise InvalidInput(f"vertex {v!r} is not in 0..{G.n - 1}")
     if len(set(out)) != len(out):
         raise InvalidInput(f"vertex set {list(out)} has repeated entries")

@@ -6,10 +6,12 @@ starred variant also puts each vertex below its own copy.  A proper
 coloring with k classes yields k linear extensions, one per class i,
 stacked as: vertices of other classes, then primed copies of class i, then
 class i itself, then the remaining primed copies.  Their intersection cuts
-the starred relation back down to the plain adjacency poset, which is the
-step this module can build and check outright; everything else about poset
-dimension here is brute force for tiny inputs, plus closed-form bound
-evaluation.
+the starred relation back down to the plain adjacency poset.
+
+P has dimension at most d exactly when its critical pairs can be colored
+with d colors so that one linear extension reverses each class (Trotter,
+Dimension Theory, 1992); the search for that coloring is exponential in
+the worst case.  The rest is closed-form bound evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import isqrt
 
 from .certificates import check_coloring
 from .errors import InvalidInput
-from .exact import SearchBudget
+from .exact import SearchBudget, _backtrack_coloring
 from .graphs import Graph
 
 LinearOrder = tuple[int, ...]
@@ -42,6 +44,10 @@ class Poset:
         elems = tuple(self.elements)
         if len(set(elems)) != len(elems):
             raise InvalidInput("poset elements must be distinct")
+        try:
+            sorted(elems)
+        except TypeError as exc:
+            raise InvalidInput(f"poset elements must be mutually ordered: {exc}") from None
         rel = frozenset((a, b) for a, b in self.relation)
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "relation", rel)
@@ -144,71 +150,62 @@ def poset_dimension_at_most(
     """d linear extensions intersecting to P, or None after an exhaustive
     refusal.
 
-    Enumerates all linear extensions, keeps one witness per inclusion-
-    maximal set of reversed incomparable pairs, and covers the incomparable
-    pairs with d such sets.  Strictly a tiny-poset tool: the envelope is
-    about ten elements, and the budget interrupts anything larger by
-    raising rather than answering.
+    Colors the critical pairs with d colors, no class holding an alternating
+    cycle (pairs (a_i, b_i) with a_i <= b_(i+1) all around), one budget tick
+    per color tried; an exhausted budget raises.  Class c's extension is the
+    smallest-first topological sort of P plus b before a for its pairs (a, b).
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
     tick = (budget or SearchBudget()).meter().tick
     elems = sorted(P.elements)
-    targets = frozenset(
-        (a, b)
-        for a in elems
-        for b in elems
-        if a != b and (a, b) not in P.relation
-    )
-    preds = {x: {a for a, b in P.relation if b == x and a != x} for x in elems}
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    below, above = [0] * n, [0] * n  # masks: below[y] has every x <= y
+    for x, y in P.relation:
+        below[index[y]] |= 1 << index[x]
+        above[index[x]] |= 1 << index[y]
+    # a, b incomparable, everything below a below b, everything above b above a
+    critical = [(a, b) for a in range(n) for b in range(n)
+                if not (below[a] | above[a]) >> b & 1
+                and below[a] & ~below[b] == 1 << a and above[b] & ~above[a] == 1 << b]
 
-    kills: dict[frozenset, LinearOrder] = {}
-    placed: list[int] = []
-    placed_set: set[int] = set()
+    def allowed(colors, i, c):
+        """Class c has no alternating cycle, so a new one runs through
+        (a, b) = critical[i]: from a, step to the a2 of every class pair
+        (a2, b2) above a reached element, and fail on reaching below b."""
+        tick()
+        a, b = critical[i]
+        pairs = [critical[j] for j, cj in colors.items() if cj == c]
+        reached, grown = 1 << a, True
+        while grown:
+            if reached & below[b]:
+                return False
+            grown = False
+            for a2, b2 in pairs:
+                if below[b2] & reached and not reached >> a2 & 1:
+                    reached |= 1 << a2
+                    grown = True
+        return True
 
-    def generate():
-        if len(placed) == len(elems):
-            order = tuple(placed)
-            pos = {x: i for i, x in enumerate(order)}
-            killed = frozenset((a, b) for a, b in targets if pos[b] < pos[a])
-            kills.setdefault(killed, order)
-            return
-        for x in elems:
-            if x in placed_set or not preds[x] <= placed_set:
-                continue
-            tick()
-            placed.append(x)
-            placed_set.add(x)
-            generate()
-            placed.pop()
-            placed_set.remove(x)
-
-    generate()
-    maximal: list[frozenset] = []
-    for s in sorted(kills, key=lambda s: (-len(s), sorted(s))):
-        if not any(s <= m for m in maximal):
-            maximal.append(s)
-
-    def cover(remaining: frozenset, depth: int):
-        if not remaining:
-            return ()
-        if depth == 0:
-            return None
-        pivot = min(remaining)
-        for s in maximal:
-            if pivot in s:
-                tick()
-                rest = cover(remaining - s, depth - 1)
-                if rest is not None:
-                    return (s,) + rest
+    colors = _backtrack_coloring(len(critical), d, allowed)
+    if colors is None:
         return None
-
-    chosen = cover(targets, d)
-    if chosen is None:
-        return None
-    some_order = next(iter(kills.values()))
-    realizer = tuple(kills[s] for s in chosen)
-    return realizer + (some_order,) * (d - len(realizer))
+    realizer = []
+    for c in range(d):
+        preds = [below[x] ^ 1 << x for x in range(n)]
+        for j, cj in colors.items():
+            if cj == c:
+                preds[critical[j][0]] |= 1 << critical[j][1]
+        done, order = 0, []
+        while len(order) < n:
+            x = min(x for x in range(n) if not (done >> x & 1 or preds[x] & ~done))
+            done |= 1 << x
+            order.append(elems[x])
+        realizer.append(tuple(order))
+    if intersect_orders(realizer) != P.relation:
+        raise RuntimeError("critical-pair coloring gave no realizer")
+    return tuple(realizer)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,8 @@ def test_pair_gadget_rejects_bad_pairs():
         pair_gadget(G, 2, 2)
     with pytest.raises(InvalidInput):
         pair_gadget(G, 0, 7)
+    with pytest.raises(InvalidInput, match="True"):
+        pair_gadget(G, True, 3)  # 1 and 3 are non-adjacent, but True is no vertex
 
 
 def test_gadgets_preserve_non_adjacencies_at_their_vertices():

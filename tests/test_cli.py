@@ -269,7 +269,7 @@ def test_derive_bad_script_exit(tmp_path, capsys):
      '"sub": {"rule": "roberts"}}', "pairs[0]"),
     ('{"rule": "base_oracle", "budget": {"max_nodes": 1e400}}', "max_nodes"),
     ('{"rule": "base_oracle", "budget": {"max_nodes": "7"}}', "max_nodes"),
-    ('{"rule": "base_oracle", "budget": {"symmetry_pruning": "no"}}', "symmetry_pruning"),
+    ('{"rule": "base_oracle", "budget": {"symmetry_pruning": false}}', "known keys"),
     ('{"rule": "base_oracle", "budget": {"time_limit": NaN}}', "time_limit"),
     ('{"rule": "base_oracle", "d_max": 2.9}', "d_max"),
     ('{"rule": "base_oracle", "d_max": true}', "d_max must be an int"),
@@ -485,4 +485,7 @@ def test_bounds_rejects_bad_flags(capsys):
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["exact", "g.json", "--no-symmetry"])
     assert info.value.code == 2

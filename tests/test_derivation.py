@@ -513,7 +513,6 @@ _budgets = st.builds(
     SearchBudget,
     max_nodes=st.integers(1, 10**15),
     time_limit=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
-    symmetry_pruning=st.booleans(),
 )
 _leaves = st.one_of(
     st.builds(AcyclicStep, coloring=st.dictionaries(_ids, st.integers(-2, 9), max_size=5),

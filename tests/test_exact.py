@@ -70,7 +70,7 @@ def test_invalid_arguments():
     for limits in ({"max_nodes": 0}, {"max_nodes": True}, {"max_nodes": 7.0},
                    {"max_nodes": "7"}, {"time_limit": float("nan")},
                    {"time_limit": float("inf")}, {"time_limit": 0}, {"time_limit": 10**400},
-                   {"time_limit": True}, {"symmetry_pruning": "no"}):
+                   {"time_limit": True}):
         with pytest.raises(InvalidInput):
             SearchBudget(**limits)
 
@@ -148,16 +148,6 @@ def test_lower_bound_only_when_capped():
     assert res.status == "lower-bound-only"
     assert res.value is None
     assert res.lower_bound == 3
-
-
-def test_symmetry_flag_does_not_change_answers():
-    rng = random.Random(4040)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        G = random_graph(n, rng.random(), seed=rng.randrange(10**6))
-        fast = exact_boxicity(G)
-        plain = exact_boxicity(G, budget=SearchBudget(symmetry_pruning=False))
-        assert fast.value == plain.value
 
 
 def test_witnesses_verify_on_random_graphs():
@@ -289,6 +279,13 @@ def test_proper_coloring_is_proper_and_tight():
     assert len(set(check_coloring(G, colors))) == 3
     for u, v in G.edges:
         assert colors[u] != colors[v]
+
+
+def test_coloring_is_not_bounded_by_recursion_depth():
+    G = path(1500)
+    colors = proper_coloring(G, 2)
+    assert [colors[v] for v in range(4)] == [0, 1, 0, 1]
+    assert all(colors[u] != colors[v] for u, v in G.edges)
 
 
 def test_acyclic_known_values():

@@ -7,6 +7,7 @@ from boxicity.errors import InvalidInput
 from boxicity.graphs import (
     Graph,
     bfs_distances,
+    check_vertex_set,
     complete,
     cycle,
     find_cycle,
@@ -68,6 +69,14 @@ def test_induced_subgraph_rejects_bad_sets():
         induced_subgraph(G, [0, 0, 1])
     with pytest.raises(InvalidInput):
         induced_subgraph(G, [0, 9])
+
+
+def test_vertex_sets_reject_bools():
+    G = cycle(4)
+    for S in ([True, 2], [False], [0, True]):
+        with pytest.raises(InvalidInput, match="not in 0..3"):
+            check_vertex_set(G, S)
+    assert check_vertex_set(G, [3, 1]) == (1, 3)
 
 
 def test_complement_is_involution():

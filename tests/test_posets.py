@@ -21,7 +21,7 @@ from boxicity.posets import (
     starred_poset,
 )
 
-from util import all_graphs
+from util import all_graphs, dimension_small
 
 K2 = complete(2)
 
@@ -70,6 +70,13 @@ def test_poset_keeps_its_elements_as_given():
     with pytest.raises(InvalidInput, match="arrange exactly"):
         is_linear_extension(P, (0, 1))
     assert Poset((1, 1.5), frozenset({(1, 1), (1.5, 1.5)})).elements == (1, 1.5)
+
+
+def test_poset_rejects_unordered_elements():
+    with pytest.raises(InvalidInput, match="mutually ordered"):
+        Poset((0, "a"), frozenset({(0, 0), ("a", "a")}))
+    with pytest.raises(InvalidInput, match="mutually ordered"):
+        Poset((None, 1), frozenset({(None, None), (1, 1)}))
 
 
 def test_adjacency_poset_of_k2():
@@ -198,6 +205,49 @@ def test_dimension_search_pads_by_repetition():
 def test_dimension_search_budget():
     with pytest.raises(BudgetExhausted):
         poset_dimension_at_most(antichain(8), 4, SearchBudget(max_nodes=10))
+
+
+def random_poset(rng, n):
+    """Transitive closure of random pairs i < j, relabeled by a shuffle."""
+    p, label = rng.random(), rng.sample(range(n), n)
+    below = [{i} for i in range(n)]
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < p:
+                below[j] |= below[i]
+    return Poset(tuple(range(n)),
+                 frozenset((label[i], label[j]) for j in range(n) for i in below[j]))
+
+
+def assert_dimension(P, d):
+    """P is refuted at d - 1 and realized by exactly d orders at d."""
+    if d > 1:
+        assert poset_dimension_at_most(P, d - 1) is None
+    realizer = poset_dimension_at_most(P, d)
+    assert realizer is not None and len(realizer) == d
+    assert intersect_orders(realizer) == P.relation
+
+
+def test_standard_examples_have_dimension_n():
+    # the adjacency poset of K_n is the standard example S_n
+    for n in range(2, 7):
+        assert_dimension(adjacency_poset(complete(n)), n)
+
+
+def test_dimension_search_matches_brute_force():
+    rng = random.Random(8080)
+    posets = [random_poset(rng, rng.randint(0, 6)) for _ in range(300)]
+    posets += [make(G) for n in range(4) for G in all_graphs(n)
+               for make in (adjacency_poset, starred_poset)]
+    for P in posets:
+        assert_dimension(P, dimension_small(P))
+
+
+def test_dimension_search_is_not_bounded_by_recursion_depth():
+    # 34 elements and 1122 critical pairs, one backtracking level each
+    P = adjacency_poset(make_graph(17, []))
+    realizer = poset_dimension_at_most(P, 2)
+    assert realizer is not None and intersect_orders(realizer) == P.relation
 
 
 def smallest_realizer(P):

@@ -1,7 +1,7 @@
 """Helpers shared across test modules."""
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, count, permutations
 
 from boxicity.boxes import (
     BoxRepresentation,
@@ -88,6 +88,25 @@ def box_graph_of(B: BoxRepresentation) -> Graph:
 def interval_graph_of(R: IntervalRepresentation) -> Graph:
     """The intersection graph, relabeled densely through the sorted domain."""
     return _dense_graph(R.domain(), lambda u, v: interval_adjacent(R, u, v))
+
+
+def dimension_small(P) -> int:
+    """Poset dimension by brute force over every permutation (at most six
+    elements): the fewest linear extensions that between them put b before
+    a for every incomparable ordered pair (a, b)."""
+    elems = sorted(P.elements)
+    assert len(elems) <= 6, "brute force is for tiny posets"
+    incomparable = frozenset((a, b) for a in elems for b in elems
+                             if (a, b) not in P.relation and (b, a) not in P.relation)
+    reversed_sets = set()
+    for L in permutations(elems):
+        pos = {x: i for i, x in enumerate(L)}
+        if all(pos[a] <= pos[b] for a, b in P.relation):
+            reversed_sets.add(frozenset((a, b) for a, b in incomparable if pos[b] < pos[a]))
+    for d in count(1):
+        if any(frozenset().union(*sets) == incomparable
+               for sets in combinations(reversed_sets, d)):
+            return d
 
 
 def star(leaves):
