@@ -138,6 +138,13 @@ def test_construct_girth4_finds_partition(tmp_path):
     assert box_rep_from_dict(read_json(rep)).d == 4
 
 
+def test_construct_girth4_finds_partition_past_the_recursion_limit(tmp_path):
+    p, rep = tmp_path / "p.json", tmp_path / "rep.json"
+    assert main(["gen", "path", "1500", "-o", str(p)]) == 0
+    assert main(["construct", "girth4", str(p), "-o", str(rep)]) == 0
+    assert main(["verify", str(p), str(rep)]) == 0
+
+
 def test_construct_girth4_rejects_dense_graph(tmp_path, capsys):
     k4, rep = tmp_path / "k4.json", tmp_path / "rep.json"
     assert main(["gen", "complete", "4", "-o", str(k4)]) == 0

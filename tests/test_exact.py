@@ -1,7 +1,7 @@
 """Ordering-search oracle, coloring oracles, and certificate finders."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -32,7 +32,7 @@ from boxicity.graphs import (
 )
 
 from reference import is_interval_small, reference_boxicity
-from util import all_graphs, assert_represents, interval_adjacent, star
+from util import all_graphs, assert_represents, boxicity_by_orderings, interval_adjacent, star
 
 
 # ---------------------------------------------------------------- boxicity
@@ -177,6 +177,37 @@ def test_agreement_with_definition_level_oracle():
     for n in range(1, 5):
         for G in all_graphs(n):
             assert exact_boxicity(G).value == reference_boxicity(G)
+
+
+def test_agreement_with_brute_force_over_orderings():
+    def check(G, want):
+        assert exact_boxicity(G).value == want, G.edges
+        two = boxicity_at_most(G, 2)
+        assert two.status == "exact" and (two.value == 2) == (want <= 2), G.edges
+
+    rng = random.Random(606)
+    graphs = [random_graph(6, rng.uniform(0.4, 0.9), seed=rng.randrange(10**6))
+              for _ in range(80)]
+    for G in graphs + [roberts_graph(3)]:
+        check(G, boxicity_by_orderings(G))
+    # The walk follows the labels, so each relabelling makes other prefixes
+    # meet on one placed set.  On this graph, a C5 plus a vertex joined to
+    # four of its vertices, some labellings lose the witness if a failed
+    # state is remembered without its surviving non-edges.
+    base = sorted(cycle(5).edges) + [(v, 5) for v in range(4)]
+    want = boxicity_by_orderings(make_graph(6, base))
+    assert want == 2
+    for p in permutations(range(6)):
+        check(make_graph(6, [(p[u], p[v]) for u, v in base]), want)
+
+
+# G(n, 1/2) instances where dead prefixes recur: without the memo of failed
+# (placed, surviving) states they take 914k and 341k nodes.
+@pytest.mark.parametrize("n, seed, value", [(10, 7, 3), (12, 4, 2)])
+def test_recurring_dead_prefixes_are_cut(n, seed, value):
+    res = exact_boxicity(random_graph(n, 0.5, seed))
+    assert res.status == "exact" and res.value == value
+    assert res.nodes < 10_000
 
 
 def test_monotone_under_induced_subgraphs():

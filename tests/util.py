@@ -109,6 +109,35 @@ def dimension_small(P) -> int:
             return d
 
 
+def boxicity_by_orderings(G: Graph) -> int:
+    """Boxicity by brute force over every vertex ordering (at most six
+    vertices): the fewest orderings whose interval closures between them
+    exclude every non-edge.
+
+    With u before v in an ordering, the closure adds the non-edge uv
+    exactly when some neighbor of u comes after v.  Added edges never reach
+    past u's last neighbor, so that one forcing step is already closed.
+    Shares no code with the package's closure or ordering search.
+    """
+    assert 1 <= G.n <= 6, "brute force is for tiny graphs"
+    non_edges = frozenset(G.non_edges())
+    if not non_edges:
+        return 1
+    excluded_sets = set()
+    for sigma in permutations(range(G.n)):
+        pos = {v: i for i, v in enumerate(sigma)}
+        excluded_sets.add(frozenset(
+            (u, v) for u, v in non_edges
+            if not any(pos[w] > max(pos[u], pos[v])
+                       for w in G.neighbors(min((u, v), key=pos.get)))
+        ))
+    maximal = [s for s in excluded_sets if not any(s < t for t in excluded_sets)]
+    for d in count(1):
+        if any(frozenset().union(*sets) == non_edges
+               for sets in combinations(maximal, d)):
+            return d
+
+
 def star(leaves):
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
