@@ -6,8 +6,12 @@ i.e. when the intervals meet in every dimension.  Equivalently each dimension
 is an interval representation and the represented graph is the intersection
 of the d interval graphs.
 
-The composition operations each consume a validated certificate and produce
-a representation whose dimension is an exact function of the inputs:
+The composition operations each consume a certificate and produce a
+representation whose dimension is an exact function of the inputs.  They
+take the certificate as valid: the derivation rule that calls them has
+already validated it (see `certificates`).  What they still check is what
+the certificate does not cover, the child representations: their domains,
+and their agreement with the graph.  The dimensions:
 
   pair/singleton gadgets      1 dimension, breaks all non-adjacencies at the
                               chosen vertices
@@ -26,12 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .certificates import (
-    ForestStablePartition,
-    PairCover,
-    Separation,
-    validate_acyclic_coloring,
-)
+from .certificates import ForestStablePartition, PairCover, Separation, check_coloring
 from .errors import InvalidInput
 from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, int_key, is_int
 from .intervals import (
@@ -197,16 +196,15 @@ def singleton_gadget(G: Graph, v: int) -> IntervalRepresentation:
 def sur1_compose(
     G: Graph, cover: PairCover, B_sub: BoxRepresentation
 ) -> BoxRepresentation:
-    """Splice a representation of G minus X back into G.
+    """Splice a representation of G minus X back into G, for a valid pair
+    cover that leaves a vertex outside X.
 
     Each dimension of B_sub is canonically extended to V(G); every cover
     pair contributes one pair-gadget dimension and every uncovered vertex of
     X one singleton dimension.  Total: d(B_sub) + |X| - #pairs.
     """
-    cover.validate(G)
-    rest = tuple(v for v in G.vertices() if v not in set(cover.X))
-    if not rest:
-        raise InvalidInput("X must be a proper subset of the vertex set")
+    xs = set(cover.X)
+    rest = tuple(v for v in G.vertices() if v not in xs)
     if B_sub.domain() != rest:
         raise InvalidInput(
             f"sub-representation domain {list(B_sub.domain())} is not "
@@ -229,7 +227,7 @@ def sur2_compose(
     B1: BoxRepresentation,
     B2: BoxRepresentation,
 ) -> BoxRepresentation:
-    """Glue representations of the two sides of a separation.
+    """Glue representations of the two sides of a valid separation.
 
     B1 must represent, on V1 + X, a supergraph of the induced subgraph that
     agrees with G on every pair except possibly pairs inside X; B2 must
@@ -237,11 +235,8 @@ def sur2_compose(
     pair by pair.  One extra dimension places V1 at 0, V2 at 1 and X across
     [0, 1].  Total: d(B1) + d(B2) + 1.
     """
-    sep.validate(G)
     side1 = tuple(sorted(set(sep.V1) | set(sep.X)))
     side2 = tuple(sorted(set(sep.V2) | set(sep.X)))
-    if not side1 or not side2:
-        raise InvalidInput("both sides of the separation must be nonempty")
     if B1.domain() != side1:
         raise InvalidInput(
             f"B1 domain {list(B1.domain())} is not V1 + X = {list(side1)}"
@@ -362,17 +357,16 @@ def forest_two_dim(F: Graph) -> BoxRepresentation:
 
 
 def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
-    """Representation of G from a coloring whose class pairs induce forests.
+    """Representation of G from an acyclic coloring (proper, every two
+    classes inducing a forest) with at least two classes.
 
     For every pair of color classes the induced forest gets its two
     dimensions, canonically extended to V(G); the extension leaves pairs
     colored within the class pair alone and joins everything else, so the
     intersection over all pairs restores G exactly.  Total: k(k-1).
     """
-    dense = validate_acyclic_coloring(G, colors)
+    dense = check_coloring(G, colors)
     k = max(dense) + 1
-    if k < 2:
-        raise InvalidInput("need at least two color classes")
     dims = []
     for i, j in combinations(range(k), 2):
         keep = [v for v in G.vertices() if dense[v] in (i, j)]
@@ -387,7 +381,7 @@ def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
 
 
 def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
-    """Four-dimensional representation from a forest/stable split.
+    """Four-dimensional representation from a valid forest/stable split.
 
     Dimensions 1-2 represent the forest G[F] and are canonically extended,
     which joins every pair touching S.  Dimensions 3-4 encode the stable
@@ -398,7 +392,6 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
     distinct S-vertices never meet, and an S-F pair meets exactly when the
     attachment matches.  The intersection of the four dimensions is G.
     """
-    part.validate(G)
     F = part.F
     S = part.S
     p = len(S)
@@ -418,16 +411,7 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
             {v: Interval(0, 1) for v in G.vertices()}
         )
         dims = [blanket, blanket]
-    attach: dict[int, int] = {}
-    for f in F:
-        hits = [pos[s] for s in G.neighbors(f) if s in pos]
-        if len(hits) > 1:
-            raise InvalidInput(
-                f"vertex {f} has {len(hits)} neighbors in S; the partition "
-                "validation should have rejected this"
-            )
-        if hits:
-            attach[f] = hits[0]
+    attach = {f: pos[s] for f in F for s in G.neighbors(f) if s in pos}
     dim_a = {}
     dim_b = {}
     for s, t in pos.items():

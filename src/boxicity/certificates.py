@@ -1,9 +1,10 @@
 """Certificates consumed by the composition operations.
 
-Each certificate knows how to validate itself against a graph.  `problems`
-returns human-readable findings (empty list means valid) and `validate`
-raises CertificateError on the first finding, so failures always carry a
-concrete witness: the offending edge, pair, cycle or vertex.
+Each certificate's `validate(G)` raises CertificateError at its first
+finding, naming a concrete witness: the offending edge, pair, cycle or
+vertex; given `ids`, it names vertex v as ids[v].  Certificates are
+validated once, by the derivation rule that uses them (or by `construct
+figure1`); the builders in `boxes` and `figure1` take them as valid.
 """
 
 from __future__ import annotations
@@ -14,59 +15,56 @@ from itertools import combinations
 from .errors import CertificateError, InvalidInput
 from .graphs import (
     Graph,
-    bfs_distances,
     check_vertex_set,
     find_cycle,
     induced_subgraph,
     int_key,
     is_int,
+    within_two,
 )
 
 CYCLE_CLASSES = ("S1", "S2", "S3", "S4")
 
 
-class _Validated:
-    def problems(self, G: Graph) -> list[str]:
-        raise NotImplementedError
+def _namer(ids):
+    """How a finding names vertex v: ids[v], or v itself without ids."""
+    return (lambda v: v) if ids is None else ids.__getitem__
 
-    def validate(self, G: Graph) -> None:
-        found = self.problems(G)
-        if found:
-            raise CertificateError(found[0])
+
+def _vertex_set(G: Graph, S, where: str, name) -> tuple[int, ...]:
+    """check_vertex_set, its finding prefixed by where."""
+    try:
+        return check_vertex_set(G, S, name)
+    except InvalidInput as exc:
+        raise CertificateError(f"{where}{exc}") from None
 
 
 @dataclass(frozen=True)
-class PairCover(_Validated):
+class PairCover:
     """A vertex set X with disjoint non-adjacent pairs inside it."""
 
     X: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
 
-    def problems(self, G: Graph) -> list[str]:
-        out = []
-        try:
-            X = set(check_vertex_set(G, self.X))
-        except InvalidInput as exc:
-            return [f"pair cover: {exc}"]
+    def validate(self, G: Graph, ids=None) -> None:
+        name = _namer(ids)
+        X = set(_vertex_set(G, self.X, "pair cover: ", name))
         if not X:
-            out.append("pair cover: X is empty")
+            raise CertificateError("pair cover: X is empty")
         used: set[int] = set()
         for a, b in self.pairs:
             if a == b:
-                out.append(f"pair cover: pair ({a}, {b}) repeats a vertex")
+                fault = "repeats a vertex"
+            elif a not in X or b not in X:
+                fault = "is not inside X"
+            elif a in used or b in used:
+                fault = "reuses a covered vertex"
+            elif G.has_edge(a, b):
+                fault = "is an edge of the graph"
+            else:
+                used.update((a, b))
                 continue
-            if a not in X or b not in X:
-                out.append(f"pair cover: pair ({a}, {b}) is not inside X")
-                continue
-            if a in used or b in used:
-                out.append(f"pair cover: pair ({a}, {b}) reuses a covered vertex")
-                continue
-            if G.has_edge(a, b):
-                out.append(f"pair cover: pair ({a}, {b}) is an edge of the graph")
-                continue
-            used.add(a)
-            used.add(b)
-        return out
+            raise CertificateError(f"pair cover: pair ({name(a)}, {name(b)}) {fault}")
 
     def uncovered(self) -> tuple[int, ...]:
         used = {v for p in self.pairs for v in p}
@@ -74,40 +72,40 @@ class PairCover(_Validated):
 
 
 @dataclass(frozen=True)
-class Separation(_Validated):
+class Separation:
     """Partition V = V1 + V2 + X with no edge between V1 and V2."""
 
     V1: tuple[int, ...]
     V2: tuple[int, ...]
     X: tuple[int, ...]
 
-    def problems(self, G: Graph) -> list[str]:
-        out = []
-        parts = [("V1", self.V1), ("V2", self.V2), ("X", self.X)]
+    def validate(self, G: Graph, ids=None) -> None:
+        name = _namer(ids)
+        # every part's range comes before any overlap
+        parts = {part: _vertex_set(G, getattr(self, part), f"separation: {part}: ", name)
+                 for part in ("V1", "V2", "X")}
         seen: dict[int, str] = {}
-        for name, part in parts:
-            try:
-                part = check_vertex_set(G, part)
-            except InvalidInput as exc:
-                return [f"separation: {name}: {exc}"]
-            for v in part:
+        for part, vs in parts.items():
+            for v in vs:
                 if v in seen:
-                    out.append(
-                        f"separation: vertex {v} is in both {seen[v]} and {name}"
+                    raise CertificateError(
+                        f"separation: vertex {name(v)} is in both {seen[v]} and {part}"
                     )
-                seen[v] = name
-        missing = [v for v in G.vertices() if v not in seen]
-        if missing:
-            out.append(f"separation: vertex {missing[0]} is in no part")
+                seen[v] = part
+        for v in G.vertices():
+            if v not in seen:
+                raise CertificateError(f"separation: vertex {name(v)} is in no part")
         v2 = set(self.V2)
         for u in self.V1:
-            for w in sorted(G.neighbors(u) & v2):
-                out.append(f"separation: edge ({u}, {w}) joins V1 and V2")
-        return out
+            joined = G.neighbors(u) & v2
+            if joined:
+                raise CertificateError(
+                    f"separation: edge ({name(u)}, {name(min(joined))}) joins V1 and V2"
+                )
 
 
 @dataclass(frozen=True)
-class CycleClassification(_Validated):
+class CycleClassification:
     """An induced cycle plus, for every outside vertex that touches it, the
     class and anchor describing its neighborhood on the cycle.
 
@@ -129,96 +127,79 @@ class CycleClassification(_Validated):
         offsets = {"S1": (0,), "S2": (0, 1), "S3": (0, 2), "S4": (0, 1, 2)}[cls]
         return {self.cycle[(anchor + o) % k] for o in offsets}
 
-    def problems(self, G: Graph) -> list[str]:
+    def validate(self, G: Graph, ids=None) -> None:
+        name = _namer(ids)
         k = len(self.cycle)
         if k < 6:
-            return [f"classification: cycle length {k} is below 6"]
-        try:
-            check_vertex_set(G, self.cycle)
-        except InvalidInput as exc:
-            return [f"classification: cycle: {exc}"]
-        out = []
+            raise CertificateError(f"classification: cycle length {k} is below 6")
+        _vertex_set(G, self.cycle, "classification: cycle: ", name)
         on_cycle = set(self.cycle)
         for i, u in enumerate(self.cycle):
             for j in range(i + 1, k):
                 w = self.cycle[j]
                 consecutive = j - i == 1 or (i == 0 and j == k - 1)
-                if consecutive and not G.has_edge(u, w):
-                    out.append(f"classification: cycle edge ({u}, {w}) is missing")
-                if not consecutive and G.has_edge(u, w):
-                    out.append(f"classification: chord ({u}, {w}) in the cycle")
+                if consecutive != G.has_edge(u, w):
+                    fault = "cycle edge {} is missing" if consecutive else "chord {} in the cycle"
+                    raise CertificateError("classification: " + fault.format((name(u), name(w))))
         for v, (cls, anchor) in sorted(self.assignments.items()):
             if v in on_cycle:
-                out.append(f"classification: cycle vertex {v} has an assignment")
-                continue
-            if not (0 <= v < G.n):
-                out.append(f"classification: assigned vertex {v} is not in the graph")
-                continue
-            if cls not in CYCLE_CLASSES:
-                out.append(f"classification: vertex {v} has unknown class {cls!r}")
-                continue
-            if not (0 <= anchor < k):
-                out.append(f"classification: vertex {v} anchor {anchor} out of range")
-                continue
-            actual = G.neighbors(v) & on_cycle
-            expected = self.expected_neighbors(v)
-            if actual != expected:
-                out.append(
-                    f"classification: vertex {v} declared {cls} at anchor "
-                    f"{anchor} (cycle neighbors {sorted(expected)}) but has "
-                    f"{sorted(actual)}"
+                fault = f"cycle vertex {name(v)} has an assignment"
+            elif not (0 <= v < G.n):
+                fault = f"assigned vertex {v} is not in the graph"
+            elif cls not in CYCLE_CLASSES:
+                fault = f"vertex {name(v)} has unknown class {cls!r}"
+            elif not (0 <= anchor < k):
+                fault = f"vertex {name(v)} anchor {anchor} out of range"
+            elif G.neighbors(v) & on_cycle != self.expected_neighbors(v):
+                fault = (
+                    f"vertex {name(v)} declared {cls} at anchor {anchor} (cycle neighbors "
+                    f"{sorted(map(name, self.expected_neighbors(v)))}) but has "
+                    f"{sorted(map(name, G.neighbors(v) & on_cycle))}"
                 )
+            else:
+                continue
+            raise CertificateError(f"classification: {fault}")
         for v in G.vertices():
-            if v in on_cycle or v in self.assignments:
-                continue
-            touching = sorted(G.neighbors(v) & on_cycle)
-            if touching:
-                out.append(
-                    f"classification: vertex {v} touches the cycle at "
-                    f"{touching} but has no assignment"
+            touching = G.neighbors(v) & on_cycle
+            if touching and v not in on_cycle and v not in self.assignments:
+                raise CertificateError(
+                    f"classification: vertex {name(v)} touches the cycle at "
+                    f"{sorted(map(name, touching))} but has no assignment"
                 )
-        return out
 
 
 @dataclass(frozen=True)
-class ForestStablePartition(_Validated):
+class ForestStablePartition:
     """Partition V = F + S where G[F] is a forest, S is stable, and the
     vertices of S are pairwise at distance at least 3."""
 
     F: tuple[int, ...]
     S: tuple[int, ...]
 
-    def problems(self, G: Graph) -> list[str]:
-        out = []
-        try:
-            F = check_vertex_set(G, self.F)
-            S = check_vertex_set(G, self.S)
-        except InvalidInput as exc:
-            return [f"partition: {exc}"]
+    def validate(self, G: Graph, ids=None) -> None:
+        name = _namer(ids)
+        F = _vertex_set(G, self.F, "partition: ", name)
+        S = _vertex_set(G, self.S, "partition: ", name)
         overlap = set(F) & set(S)
         if overlap:
-            out.append(f"partition: vertex {min(overlap)} is in both F and S")
-        if len(F) + len(S) != G.n or set(F) | set(S) != set(range(G.n)):
-            out.append("partition: F and S do not cover the vertex set")
-        if out:
-            return out
+            raise CertificateError(f"partition: vertex {name(min(overlap))} is in both F and S")
+        if len(F) + len(S) != G.n:
+            raise CertificateError("partition: F and S do not cover the vertex set")
         sub, vmap = induced_subgraph(G, F)
         cyc = find_cycle(sub)
         if cyc is not None:
-            out.append(
-                f"partition: F contains the cycle {[vmap[v] for v in cyc]}"
+            raise CertificateError(
+                f"partition: F contains the cycle {[name(vmap[v]) for v in cyc]}"
             )
-        for a, b in combinations(S, 2):
-            if G.has_edge(a, b):
-                out.append(f"partition: edge ({a}, {b}) inside S")
-        for a in S:
-            dist = bfs_distances(G, a)
-            for b in S:
-                if b > a and dist[b] is not None and dist[b] < 3:
-                    out.append(
-                        f"partition: vertices {a} and {b} of S are at distance {dist[b]}"
-                    )
-        return out
+        # lowest a first, then its lowest partner b > a
+        in_s = sum(1 << v for v in S)
+        for near, fault in ((G.nbr_masks, "edge ({}, {}) inside S"),
+                            (within_two(G), "vertices {} and {} of S are at distance 2")):
+            for a in S:
+                later = near[a] & (in_s >> a + 1 << a + 1)
+                if later:
+                    b = (later & -later).bit_length() - 1
+                    raise CertificateError("partition: " + fault.format(name(a), name(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +216,30 @@ def check_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
     return [index[colors[v]] for v in range(G.n)]
 
 
-def acyclic_coloring_problems(G: Graph, colors: dict[int, int]) -> list[str]:
-    """Findings against a proper coloring whose class pairs induce forests."""
+def acyclic_coloring_problems(G: Graph, colors: dict[int, int], ids=None) -> list[str]:
+    """The first finding against a proper coloring whose class pairs induce
+    forests, as a one-item list; empty when the coloring is one."""
+    name = _namer(ids)
     try:
         dense = check_coloring(G, colors)
     except InvalidInput as exc:
         return [f"coloring: {exc}"]
-    out = []
     for u, v in sorted(G.edges):
         if dense[u] == dense[v]:
-            out.append(f"coloring: edge ({u}, {v}) is monochromatic")
-    if out:
-        return out
-    k = max(dense) + 1
-    for i, j in combinations(range(k), 2):
-        keep = [v for v in G.vertices() if dense[v] in (i, j)]
-        sub, vmap = induced_subgraph(G, keep)
+            return [f"coloring: edge ({name(u)}, {name(v)}) is monochromatic"]
+    for i, j in combinations(range(max(dense) + 1), 2):
+        sub, vmap = induced_subgraph(G, [v for v in G.vertices() if dense[v] in (i, j)])
         cyc = find_cycle(sub)
         if cyc is not None:
-            out.append(
-                f"coloring: classes {i} and {j} contain the cycle "
-                f"{[vmap[v] for v in cyc]}"
-            )
-    return out
+            return [f"coloring: classes {i} and {j} contain the cycle "
+                    f"{[name(vmap[v]) for v in cyc]}"]
+    return []
 
 
-def validate_acyclic_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
-    found = acyclic_coloring_problems(G, colors)
+def validate_acyclic_coloring(G: Graph, colors: dict[int, int], ids=None) -> list[int]:
+    """check_coloring's dense list of a coloring that passes; else its
+    first finding raises."""
+    found = acyclic_coloring_problems(G, colors, ids)
     if found:
         raise CertificateError(found[0])
     return check_coloring(G, colors)

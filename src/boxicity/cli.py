@@ -215,6 +215,7 @@ def _construct_rep(args):
         if not args.classification:
             raise InvalidInput("construct figure1 needs --classification")
         cls = classification_from_dict(_read_json(args.classification))
+        cls.validate(G)
         B = figure1_gadget(G, cls)
         problems = figure1_problems(G, cls, B)
         if problems:
@@ -371,8 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
     poset.set_defaults(func=_cmd_poset)
 
     bounds = sub.add_parser("bounds", help="closed-form genus bounds")
-    bounds.add_argument("--genus", type=int, default=None)
-    bounds.add_argument("--nonorientable", action="store_true")
+    bounds.add_argument("--genus", type=int, default=None,
+                        help="orientable genus g (crosscaps with --nonorientable); "
+                             "box bound 7 on the torus, else 5g + 3, whose genus "
+                             "convention (Euler or orientable) is unverified")
+    bounds.add_argument("--nonorientable", action="store_true",
+                        help="read --genus as the number of crosscaps")
     bounds.add_argument("--box", type=int, default=None)
     bounds.add_argument("--chi", type=int, default=None)
     bounds.add_argument("-o", "--output", default=None)

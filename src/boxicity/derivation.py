@@ -45,7 +45,6 @@ from .boxes import (
 )
 from .certificates import (
     CycleClassification,
-    acyclic_coloring_problems,
     ForestStablePartition,
     PairCover,
     Separation,
@@ -60,6 +59,7 @@ from .certificates import (
     partition_to_dict,
     separation_from_dict,
     separation_to_dict,
+    validate_acyclic_coloring,
 )
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
 from .exact import STATUS_BUDGET, SearchBudget, exact_boxicity
@@ -213,6 +213,14 @@ class _Level:
     def error(self, message: str) -> CertificateError:
         return CertificateError(f"{self.path}: {message}")
 
+    def check(self, validate, *args):
+        """validate(H, *args, ids), the certificate check, its finding in
+        root ids under this step's path."""
+        try:
+            return validate(self.H, *args, self.to_root)
+        except CertificateError as exc:
+            raise self.error(str(exc)) from None
+
     def local(self, ids, what: str) -> tuple[int, ...]:
         """Root ids translated to this level's ids."""
         out = []
@@ -234,7 +242,7 @@ def _sur1_check(step, lv):
         X=lv.local(step.cover.X, "pair cover"),
         pairs=tuple(lv.local(p, "pair cover") for p in step.cover.pairs),
     )
-    cover.validate(lv.H)
+    lv.check(cover.validate)
     xs = set(cover.X)
     rest = [v for v in range(lv.H.n) if v not in xs]
     if not rest:
@@ -250,7 +258,7 @@ def _sur1_build(lv, cover, B_sub):
 def _sur2_check(step, lv):
     sep = Separation(*(lv.local(part, "separation")
                        for part in (step.sep.V1, step.sep.V2, step.sep.X)))
-    sep.validate(lv.H)
+    lv.check(sep.validate)
     if not sep.V1 or not sep.V2:
         raise lv.error("V1 and V2 must both be nonempty")
     sides = (sorted(set(side) | set(sep.X)) for side in (sep.V1, sep.V2))
@@ -268,7 +276,9 @@ def _sur2bis_check(step, lv):
         raise lv.error("clique vertices must be distinct")
     for u, w in combinations(sorted(kset), 2):
         if not lv.H.has_edge(u, w):
-            raise lv.error(f"K is not a clique, ({u}, {w}) is a non-edge")
+            raise lv.error(
+                f"K is not a clique, ({lv.to_root[u]}, {lv.to_root[w]}) is a non-edge"
+            )
     stripped = [(u, v) for u, v in lv.H.edges if not (u in kset and v in kset)]
     return K, [(make_graph(lv.H.n, stripped), None)]
 
@@ -283,7 +293,7 @@ def _figure1_check(step, lv):
         cycle=lv.local(step.cls.cycle, "classification"),
         assignments=dict(zip(lv.local(assigned, "classification"), assigned.values())),
     )
-    cls.validate(lv.H)
+    lv.check(cls.validate)
     on_cycle = set(cls.cycle)
     rest = [v for v in range(lv.H.n) if v not in on_cycle]
     if not rest:
@@ -301,9 +311,7 @@ def _figure1_build(lv, cls, B_rest):
 
 def _acyclic_check(step, lv):
     colors = dict(zip(lv.local(step.coloring, "coloring"), step.coloring.values()))
-    found = acyclic_coloring_problems(lv.H, colors)
-    if found:
-        raise lv.error(found[0])
+    lv.check(validate_acyclic_coloring, colors)
     if len(set(colors.values())) < 2:
         raise lv.error("the coloring pipeline needs at least 2 colors")
     return colors, []
@@ -324,7 +332,7 @@ def _girth4_check(step, lv):
         F=lv.local(step.part.F, "partition"),
         S=lv.local(step.part.S, "partition"),
     )
-    part.validate(lv.H)
+    lv.check(part.validate)
     return part, []
 
 
@@ -343,7 +351,7 @@ def _roberts_check(step, lv):
         missing = [u for u in range(H.n) if u != v and not H.has_edge(u, v)]
         if len(missing) != 1:
             raise lv.error(
-                f"vertex {v} misses {len(missing)} partners; "
+                f"vertex {lv.to_root[v]} misses {len(missing)} partners; "
                 "the complement must be a perfect matching"
             )
         if v not in seen:

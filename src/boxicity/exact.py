@@ -52,7 +52,7 @@ from .boxes import (
 )
 from .certificates import ForestStablePartition, PairCover
 from .errors import BudgetExhausted, InvalidInput
-from .graphs import Graph, bfs_distances, check_vertex_set, is_int
+from .graphs import Graph, check_vertex_set, is_int, within_two
 from .intervals import representation_from_ordering, umbrella_closure
 
 STATUS_EXACT = "exact"
@@ -443,6 +443,26 @@ def chromatic_number(G: Graph) -> int:
     return next(k for k in range(G.n + 1) if proper_coloring(G, k) is not None)
 
 
+def _joins_two(G: Graph, anchors: int, inside: int) -> bool:
+    """Whether two of the vertices in the mask anchors are connected in G
+    induced on the vertex mask inside."""
+    if not anchors & anchors - 1:
+        return False  # fewer than two anchors
+    nbr = G.nbr_masks
+    seen = 0
+    for a in _bits(anchors):
+        if seen >> a & 1:
+            return True
+        frontier = 1 << a
+        while frontier:
+            seen |= frontier
+            reach = 0
+            for x in _bits(frontier):
+                reach |= nbr[x]
+            frontier = reach & inside & ~seen
+    return False
+
+
 def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
     """Can v take color c without an improper edge or a two-colored cycle?
 
@@ -450,29 +470,19 @@ def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
     other-colored neighbors already connected there, so it is enough to
     check connectivity among those anchors in the colored prefix.
     """
-    anchors_by_color: dict[int, list[int]] = {}
+    anchors_by_color: dict[int, int] = {}
     for w in G.neighbors(v):
         cw = colors.get(w)
         if cw == c:
             return False
         if cw is not None:
-            anchors_by_color.setdefault(cw, []).append(w)
+            anchors_by_color[cw] = anchors_by_color.get(cw, 0) | 1 << w
     for other, anchors in anchors_by_color.items():
-        if len(anchors) < 2:
-            continue
-        allowed = {w for w, cw in colors.items() if cw in (c, other)}
-        seen: set[int] = set()
-        for a in anchors:
-            if a in seen:
-                return False
-            queue = [a]
-            seen.add(a)
-            while queue:
-                x = queue.pop()
-                for y in G.neighbors(x):
-                    if y in allowed and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
+        if not anchors & anchors - 1:
+            continue  # one anchor closes no cycle
+        inside = sum(1 << w for w, cw in colors.items() if cw in (c, other))
+        if _joins_two(G, anchors, inside):
+            return False
     return True
 
 
@@ -529,33 +539,10 @@ def find_forest_stable_partition(
     up".
     """
     meter = (budget or SearchBudget()).meter()
-    near: list[set[int]] = []
-    for v in range(G.n):
-        dist = bfs_distances(G, v)
-        near.append({u for u, d in enumerate(dist) if d is not None and 0 < d <= 2})
-
-    forest: list[int] = []
-    stable: set[int] = set()
-
-    def forest_stays_acyclic(v: int) -> bool:
-        parent = {u: u for u in forest}
-        parent[v] = v
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        members = set(forest) | {v}
-        for u, w in G.edges:
-            if u in members and w in members:
-                ru, rw = find(u), find(w)
-                if ru == rw:
-                    return False
-                parent[ru] = rw
-        return True
-
+    near = within_two(G)
+    # vertex masks; v keeps the forest acyclic unless two of its forest
+    # neighbours are already connected in it
+    forest = stable = 0
     # Vertices are placed in turn, the forest tried before the stable set.
     # side[v] for the placed prefix and the vertex being placed: the next
     # side to try for v, 0 the forest, 1 the stable set, 2 neither.  The
@@ -564,27 +551,25 @@ def find_forest_stable_partition(
     while side:
         v = len(side) - 1
         if v == G.n:
-            return ForestStablePartition(F=tuple(sorted(forest)), S=tuple(sorted(stable)))
+            return ForestStablePartition(F=tuple(_bits(forest)), S=tuple(_bits(stable)))
         if side[v] == 0:
             meter.tick()
             side[v] = 1
-            if forest_stays_acyclic(v):
-                forest.append(v)
+            if not _joins_two(G, G.nbr_masks[v] & forest, forest):
+                forest |= 1 << v
                 side.append(0)
                 continue
         if side[v] == 1:
             side[v] = 2
-            if not (near[v] & stable):
-                stable.add(v)
+            if not near[v] & stable:
+                stable |= 1 << v
                 side.append(0)
                 continue
         side.pop()
         if side:
             # v - 1 leaves the side it sat on; its next side is tried next
-            if side[-1] == 1:
-                forest.pop()
-            else:
-                stable.remove(v - 1)
+            forest &= ~(1 << v - 1)
+            stable &= ~(1 << v - 1)
     return None
 
 

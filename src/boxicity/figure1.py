@@ -110,12 +110,12 @@ _CLASS_BOXES = {"S1": _s1_box, "S2": _s2_box, "S3": _s3_box, "S4": _s4_box}
 def figure1_gadget(G: Graph, cls: CycleClassification) -> BoxRepresentation:
     """Two-dimensional representation of the cycle and its attachments.
 
-    Validates the classification, then emits the coordinates above.  The
+    Emits the coordinates above for a classification the caller has
+    validated: the figure1 derivation rule, or `construct figure1`.  The
     domain is the cycle plus the assigned vertices; restricted to the cycle
     the represented graph is exactly the cycle, and each assigned vertex
     meets exactly the cycle boxes of its declared neighbors.
     """
-    cls.validate(G)
     k = len(cls.cycle)
     boxes: dict[int, tuple[Interval, Interval]] = {}
     for pos, v in enumerate(cls.cycle):

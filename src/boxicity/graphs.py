@@ -7,7 +7,6 @@ sorted tuples; there is no wrapper class for them.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -96,14 +95,16 @@ def make_graph(n: int, edges) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-def check_vertex_set(G: Graph, S) -> tuple[int, ...]:
-    """Normalize S to a sorted tuple; reject out-of-range ids and repeats."""
+def check_vertex_set(G: Graph, S, name=None) -> tuple[int, ...]:
+    """Normalize S to a sorted tuple; reject out-of-range ids and repeats,
+    a repeat reported with every vertex v written as name(v), if given."""
     out = tuple(sorted(S))
     for v in out:
         if not is_int(v) or not (0 <= v < G.n):
             raise InvalidInput(f"vertex {v!r} is not in 0..{G.n - 1}")
     if len(set(out)) != len(out):
-        raise InvalidInput(f"vertex set {list(out)} has repeated entries")
+        raise InvalidInput(f"vertex set {list(map(name, out)) if name else list(out)} "
+                           "has repeated entries")
     return out
 
 
@@ -228,18 +229,16 @@ def find_cycle(G: Graph) -> list[int] | None:
     return None
 
 
-def bfs_distances(G: Graph, source: int) -> list[int | None]:
-    """Hop distances from source; None for unreachable vertices."""
-    dist: list[int | None] = [None] * G.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+def within_two(G: Graph) -> list[int]:
+    """Per vertex v, the bitmask of the vertices at distance at most 2 from
+    v, v included: its neighbours' neighbour masks ORed together."""
+    nbr = G.nbr_masks
+    out = []
+    for v, mask in enumerate(nbr):
         for w in G.neighbors(v):
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+            mask |= nbr[w]
+        out.append(mask | 1 << v)
+    return out
 
 
 # ---------------------------------------------------------------------------

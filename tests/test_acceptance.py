@@ -275,9 +275,10 @@ def test_criterion_8_poset_suite():
                 P, star = adjacency_poset(G), starred_poset(G)
                 assert all(is_linear_extension(P, L) for L in orders)
                 assert intersect_orders(orders) & star.relation == P.relation
+        # the torus: 2 * 7 + 7 + 4, from the abstract's boxicity bound of 7
         report = bound_calculator(g=1, orientable=True)
-        assert report.dim_bound.floor == 27
-        assert report.dim_bound.exact == 27
+        assert report.dim_bound.floor == 25
+        assert report.dim_bound.exact == 25
 
 
 def test_criterion_9_girth_pipeline_on_c7():

@@ -23,6 +23,7 @@ from boxicity.boxes import (
     verify_representation,
 )
 from boxicity.certificates import CertificateError, ForestStablePartition, PairCover, Separation
+from boxicity.derivation import AcyclicStep, RobertsStep, Sur1Step, assemble
 from boxicity.errors import InvalidInput
 from boxicity.graphs import (
     complete,
@@ -204,25 +205,24 @@ def test_sur1_compose_odd_cycle_cover():
 
 
 def test_sur1_compose_validates_inputs():
+    """sur1_compose checks the sub-representation; the cover is checked
+    once, by its own validate when a derivation step uses it."""
     G = roberts_graph(4)
     B_sub = relabel_box_representation(
         roberts_representation(2), {0: 4, 1: 5, 2: 6, 3: 7}
     )
-    with pytest.raises(CertificateError):
-        sur1_compose(G, PairCover(X=(0, 1), pairs=((0, 2),)), B_sub)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="not inside X"):
+        PairCover(X=(0, 1), pairs=((0, 2),)).validate(G)
+    with pytest.raises(CertificateError, match="is an edge"):
         # (0, 2) is an edge
-        sur1_compose(G, PairCover(X=(0, 1, 2, 3), pairs=((0, 2),)), B_sub)
+        PairCover(X=(0, 1, 2, 3), pairs=((0, 2),)).validate(G)
     with pytest.raises(InvalidInput):
         # wrong domain
         sur1_compose(G, PairCover(X=(0, 1), pairs=()), B_sub)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="X must leave at least one vertex"):
         # X must leave something behind
-        sur1_compose(
-            roberts_graph(1),
-            PairCover(X=(0, 1), pairs=((0, 1),)),
-            boxes_of({0: [(0, 0)]}),
-        )
+        assemble(roberts_graph(1),
+                 Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=RobertsStep()))
     # sub-representation that disagrees with the graph
     wrong = boxes_of({v: [(0, 1)] for v in range(4, 8)})
     with pytest.raises(InvalidInput):
@@ -280,14 +280,16 @@ def test_sur2_compose_allows_added_edges_inside_x():
 
 
 def test_sur2_compose_validates_inputs():
+    """sur2_compose checks the two sides' representations; the separation
+    is checked once, by its own validate when a derivation step uses it."""
     G = make_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     B1 = boxes_of({0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]})
     B2 = boxes_of({1: [(0, 0)], 2: [(1, 1)], 3: [(0, 1)]})
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"edge \(0, 1\) joins V1 and V2"):
         # (0, 1) is an edge joining V1 and V2
-        sur2_compose(G, Separation(V1=(0,), V2=(1, 3), X=(2,)), B1, B2)
-    with pytest.raises(CertificateError):
-        sur2_compose(G, Separation(V1=(0,), V2=(3,), X=(1,)), B1, B2)
+        Separation(V1=(0,), V2=(1, 3), X=(2,)).validate(G)
+    with pytest.raises(CertificateError, match="vertex 2 is in no part"):
+        Separation(V1=(0,), V2=(3,), X=(1,)).validate(G)
     bad_b1 = boxes_of({0: [(0, 0)], 1: [(1, 1)], 2: [(0, 1)]})
     with pytest.raises(InvalidInput):
         # misses the edge (0, 1)
@@ -408,15 +410,17 @@ def test_acyclic_pipeline_on_a_five_cycle():
 
 
 def test_acyclic_pipeline_validates_coloring():
+    """The coloring is checked once, by the acyclic rule's check, before
+    acyclic_pipeline runs."""
     G = cycle(4)
     with pytest.raises(CertificateError) as err:
-        acyclic_pipeline(G, {0: 0, 1: 0, 2: 1, 3: 1})
+        assemble(G, AcyclicStep(coloring={0: 0, 1: 0, 2: 1, 3: 1}))
     assert "monochromatic" in str(err.value)
     with pytest.raises(CertificateError) as err:
-        acyclic_pipeline(G, {0: 0, 1: 1, 2: 0, 3: 1})
+        assemble(G, AcyclicStep(coloring={0: 0, 1: 1, 2: 0, 3: 1}))
     assert "cycle" in str(err.value)
-    with pytest.raises(InvalidInput):
-        acyclic_pipeline(make_graph(3, []), {0: 0, 1: 0, 2: 0})
+    with pytest.raises(InvalidInput, match="at least 2 colors"):
+        assemble(make_graph(3, []), AcyclicStep(coloring={0: 0, 1: 0, 2: 0}))
 
 
 def test_acyclic_pipeline_random_cases():
@@ -457,17 +461,19 @@ def test_girth4_pipeline_empty_forest_side():
 
 
 def test_girth4_pipeline_validates_partition():
+    """The partition is checked once, by its own validate when a derivation
+    step uses it, before girth4_pipeline runs."""
     with pytest.raises(CertificateError) as err:
-        girth4_pipeline(cycle(4), ForestStablePartition(F=(0, 1, 2, 3), S=()))
+        ForestStablePartition(F=(0, 1, 2, 3), S=()).validate(cycle(4))
     assert "cycle" in str(err.value)
     with pytest.raises(CertificateError) as err:
-        girth4_pipeline(cycle(4), ForestStablePartition(F=(1, 3), S=(0, 2)))
+        ForestStablePartition(F=(1, 3), S=(0, 2)).validate(cycle(4))
     assert "distance" in str(err.value)
     with pytest.raises(CertificateError) as err:
-        girth4_pipeline(path(2), ForestStablePartition(F=(), S=(0, 1)))
+        ForestStablePartition(F=(), S=(0, 1)).validate(path(2))
     assert "edge" in str(err.value)
     with pytest.raises(CertificateError):
-        girth4_pipeline(path(2), ForestStablePartition(F=(0,), S=(0, 1)))
+        ForestStablePartition(F=(0,), S=(0, 1)).validate(path(2))
 
 
 # ---------------------------------------------------------------------------

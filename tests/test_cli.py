@@ -477,8 +477,8 @@ def test_poset_dimension_queries(tmp_path, capsys):
 def test_bounds_stdout_and_file(tmp_path, capsys):
     assert main(["bounds", "--genus", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["box_bound"] == 8
-    assert doc["dim_bound"]["floor"] == 27 and doc["dim_bound"]["exact"] == [27, 1]
+    assert doc["box_bound"] == 7
+    assert doc["dim_bound"]["floor"] == 25 and doc["dim_bound"]["exact"] == [25, 1]
     out = tmp_path / "b.json"
     assert main(["bounds", "--box", "3", "--chi", "4", "-o", str(out)]) == 0
     assert read_json(out)["dim_from_box_chi"] == 14

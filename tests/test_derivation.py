@@ -257,6 +257,60 @@ def test_roberts_rejects_other_graphs():
         assemble(cycle(6), RobertsStep())
 
 
+def _under_sur1(n, edges, step):
+    """Root graph: two isolated vertices 0 and 1, then a graph on 2..n+1
+    given in root ids.  The root sur1 step covers {0, 1} by one pair and
+    hands step the rest, whose dense ids are the root ids minus 2."""
+    G = make_graph(n + 2, edges)
+    return G, Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=step)
+
+
+_HEXAGON = [(2 + i, 2 + (i + 1) % 6) for i in range(6)]
+
+
+@pytest.mark.parametrize("G, script, message", [
+    _under_sur1(4, [(2, 5), (2, 3), (3, 4), (4, 5)],
+                Sur2Step(Separation(V1=(2,), V2=(5,), X=(3, 4)), RobertsStep(), RobertsStep()))
+    + ("root/sub: separation: edge (2, 5) joins V1 and V2",),
+    _under_sur1(3, [(2, 3), (3, 4)],
+                Sur1Step(cover=PairCover(X=(2, 3), pairs=((2, 3),)), sub=BaseOracleStep()))
+    + ("root/sub: pair cover: pair (2, 3) is an edge of the graph",),
+    _under_sur1(3, [(2, 3), (3, 4)],
+                Sur1Step(cover=PairCover(X=(3, 3), pairs=()), sub=BaseOracleStep()))
+    + ("root/sub: pair cover: vertex set [3, 3] has repeated entries",),
+    _under_sur1(7, _HEXAGON + [(8, 2)],
+                Figure1Step(cls=CycleClassification(cycle=tuple(range(2, 8)),
+                                                    assignments={8: ("S2", 0)}),
+                            sub=BaseOracleStep()))
+    + ("root/sub: classification: vertex 8 declared S2 at anchor 0 "
+       "(cycle neighbors [2, 3]) but has [2]",),
+    _under_sur1(3, [(2, 3), (3, 4)],
+                Girth4Step(part=ForestStablePartition(F=(3,), S=(2, 4))))
+    + ("root/sub: partition: vertices 2 and 4 of S are at distance 2",),
+    _under_sur1(3, [(2, 3), (3, 4)], AcyclicStep(coloring={2: 0, 3: 0, 4: 1}))
+    + ("root/sub: coloring: edge (2, 3) is monochromatic",),
+    _under_sur1(4, [(2, 3), (3, 4), (4, 5), (2, 5)],
+                AcyclicStep(coloring={2: 0, 3: 1, 4: 0, 5: 1}))
+    + ("root/sub: coloring: classes 0 and 1 contain the cycle [3, 2, 5, 4]",),
+    _under_sur1(3, [(2, 3), (3, 4)], Sur2bisStep(K=(2, 4), sub=BaseOracleStep()))
+    + ("root/sub: K is not a clique, (2, 4) is a non-edge",),
+    _under_sur1(4, [(2, 3), (4, 5)], RobertsStep())
+    + ("root/sub: vertex 2 misses 2 partners; the complement must be a perfect matching",),
+], ids=["sur2", "sur1", "sur1-repeat", "figure1", "girth4", "acyclic", "acyclic-cycle",
+        "sur2bis", "roberts"])
+def test_nested_findings_name_the_step_and_root_ids(G, script, message):
+    for run in (validate_script, assemble):
+        with pytest.raises(CertificateError) as caught:
+            run(G, script)
+        assert str(caught.value) == message
+
+
+def test_root_findings_name_the_root_step():
+    with pytest.raises(CertificateError) as caught:
+        assemble(cycle(4), Girth4Step(part=ForestStablePartition(F=(0, 1, 2, 3), S=())))
+    assert str(caught.value) == "root: partition: F contains the cycle [1, 0, 3, 2]"
+
+
 def test_oracle_step_failure_reports_status():
     G = roberts_graph(3)
     script = BaseOracleStep(d_max=2)

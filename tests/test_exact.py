@@ -32,7 +32,14 @@ from boxicity.graphs import (
 )
 
 from reference import is_interval_small, reference_boxicity
-from util import all_graphs, assert_represents, boxicity_by_orderings, interval_adjacent, star
+from util import (
+    all_graphs,
+    assert_represents,
+    boxicity_by_orderings,
+    find_forest_stable_partition_reference,
+    interval_adjacent,
+    star,
+)
 
 
 # ---------------------------------------------------------------- boxicity
@@ -397,6 +404,20 @@ def test_forest_stable_partition_trivial_on_forests():
 
 def test_forest_stable_partition_none_for_k4():
     assert find_forest_stable_partition(complete(4)) is None
+
+
+def test_forest_stable_partition_matches_the_reference_finder():
+    rng = random.Random(1414)
+    found = 0
+    for _ in range(320):
+        n = rng.randint(1, 14)
+        G = random_graph(n, rng.uniform(0.1, 0.6), seed=rng.randrange(10**6))
+        part = find_forest_stable_partition(G)
+        assert part == find_forest_stable_partition_reference(G)
+        if part is not None:
+            part.validate(G)
+            found += 1
+    assert 0 < found < 320  # both outcomes occur
 
 
 def test_forest_stable_partition_budget():

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from boxicity.boxes import BoxRepresentation
-from boxicity.certificates import CycleClassification
+from boxicity.certificates import CycleClassification, classification_to_dict
+from boxicity.cli import main
 from boxicity.errors import CertificateError
 from boxicity.figure1 import figure1_gadget, figure1_problems
-from boxicity.graphs import cycle, make_graph
+from boxicity.graphs import cycle, graph_to_dict, make_graph
 from boxicity.intervals import Interval
 
 from util import box_adjacent, box_graph_of, gadget_instance
@@ -85,11 +86,20 @@ def test_special_anchor_coordinates_k6():
     assert box_of("S4", 5) == (Interval(0, 0), Interval(1, 3))
 
 
-def test_gadget_validates_the_classification():
+def test_gadget_validates_the_classification(tmp_path, capsys):
+    """figure1_gadget takes its classification as valid; `construct
+    figure1`, which builds without assembly, validates it first."""
     G = cycle(5)
     cls = CycleClassification(cycle=(0, 1, 2, 3, 4), assignments={})
-    with pytest.raises(CertificateError):
-        figure1_gadget(G, cls)
+    with pytest.raises(CertificateError, match="cycle length 5 is below 6"):
+        cls.validate(G)
+    graph, doc, rep = tmp_path / "c5.json", tmp_path / "cls.json", tmp_path / "rep.json"
+    graph.write_text(json.dumps(graph_to_dict(G)))
+    doc.write_text(json.dumps(classification_to_dict(cls)))
+    assert main(["construct", "figure1", str(graph), "-o", str(rep),
+                 "--classification", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: classification: cycle length 5 is below 6\n"
+    assert not rep.exists()
 
 
 def test_problems_detect_a_moved_box():

@@ -2,11 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxicity.errors import InvalidInput
 from boxicity.graphs import (
     Graph,
-    bfs_distances,
     check_vertex_set,
     complete,
     cycle,
@@ -20,9 +21,10 @@ from boxicity.graphs import (
     random_graph,
     roberts_graph,
     subdivided_complete,
+    within_two,
 )
 
-from util import connected_components
+from util import bfs_distances, connected_components
 
 
 def test_make_graph_normalizes_orientation():
@@ -146,6 +148,24 @@ def test_bfs_distances():
     assert bfs_distances(G, 0) == [0, 1, 2, 3]
     H = make_graph(3, [(0, 1)])
     assert bfs_distances(H, 0) == [0, 1, None]
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_within_two_agrees_with_breadth_first_distances(G):
+    n = G.n
+    near = within_two(G)
+    for v in range(n):
+        dist = bfs_distances(G, v)
+        assert near[v] == sum(1 << u for u, d in enumerate(dist) if d is not None and d <= 2)
 
 
 def test_serialize_parse_round_trip():

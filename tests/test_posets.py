@@ -21,7 +21,7 @@ from boxicity.posets import (
     starred_poset,
 )
 
-from util import all_graphs, dimension_small
+from util import all_graphs, dimension_small, intersect_orders_reference
 
 K2 = complete(2)
 
@@ -172,6 +172,14 @@ def test_intersecting_an_order_with_its_reverse():
         intersect_orders([])
 
 
+def test_intersect_orders_matches_the_set_intersection():
+    rng = random.Random(3131)
+    for _ in range(200):
+        elems = rng.sample(range(100), rng.randint(1, 9))
+        orders = [tuple(rng.sample(elems, len(elems))) for _ in range(rng.randint(1, 4))]
+        assert intersect_orders(orders) == intersect_orders_reference(orders)
+
+
 # ---------------------------------------------------------- dimension
 
 
@@ -205,6 +213,14 @@ def test_dimension_search_pads_by_repetition():
 def test_dimension_search_budget():
     with pytest.raises(BudgetExhausted):
         poset_dimension_at_most(antichain(8), 4, SearchBudget(max_nodes=10))
+
+
+def test_dimension_search_budget_bounds_the_critical_pair_scan():
+    # a chain has no critical pairs, so only the scan, one tick per
+    # element, can spend the budget
+    assert poset_dimension_at_most(chain(6), 1, SearchBudget(max_nodes=6)) is not None
+    with pytest.raises(BudgetExhausted):
+        poset_dimension_at_most(chain(6), 1, SearchBudget(max_nodes=5))
 
 
 def random_poset(rng, n):
@@ -276,16 +292,19 @@ def test_combining_starred_realizer_with_class_orders():
 
 
 def test_bounds_for_the_torus():
+    # the abstract's 7 for toroidal graphs; dim = 2 * 7 + 7 + 4
     report = bound_calculator(g=1, orientable=True)
-    assert report.box_bound == 8
-    assert report.dim_bound.floor == 27
-    assert report.dim_bound.exact == Fraction(27)
+    assert report.box_bound == 7
+    assert report.dim_bound.floor == 25
+    assert report.dim_bound.exact == Fraction(25)
+    assert report.dim_bound.approx == 25.0
     assert report.chi_bound.floor == 7
     assert report.chi_bound.exact == Fraction(7)
 
 
 def test_bounds_nonorientable_genus_one():
     report = bound_calculator(g=1, orientable=False)
+    assert report.box_bound == 8
     assert report.dim_bound.floor == 26
     assert report.dim_bound.exact == Fraction(26)
     assert report.chi_bound.exact == Fraction(6)
@@ -293,6 +312,7 @@ def test_bounds_nonorientable_genus_one():
 
 def test_bounds_irrational_case_keeps_exact_empty():
     report = bound_calculator(g=2, orientable=True)
+    assert report.box_bound == 13
     assert report.dim_bound.floor == 38
     assert report.dim_bound.exact is None
     assert report.dim_bound.approx == pytest.approx(38.424, abs=1e-3)
@@ -303,7 +323,7 @@ def test_bounds_from_box_and_chi():
     assert report.dim_from_box_chi == 14
     assert report.genus is None and report.box_bound is None
     both = bound_calculator(g=1, box=3, chi=4)
-    assert both.dim_from_box_chi == 14 and both.box_bound == 8
+    assert both.dim_from_box_chi == 14 and both.box_bound == 7
 
 
 def test_bounds_input_validation():

@@ -9,7 +9,12 @@ from boxicity.boxes import (
     singleton_gadget,
     verify_representation,
 )
-from boxicity.certificates import CycleClassification, acyclic_coloring_problems
+from boxicity.certificates import (
+    CycleClassification,
+    ForestStablePartition,
+    acyclic_coloring_problems,
+)
+from boxicity.exact import SearchBudget
 from boxicity.graphs import Graph, make_graph
 from boxicity.intervals import Interval, IntervalRepresentation, check_ordering
 
@@ -41,6 +46,92 @@ def connected_components(G: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(comp)
     return comps
+
+
+def bfs_distances(G: Graph, source: int) -> list[int | None]:
+    """Hop distances from source; None for unreachable vertices."""
+    dist: list[int | None] = [None] * G.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in G.neighbors(v):
+            if dist[w] is None:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def find_forest_stable_partition_reference(
+    G: Graph, budget: SearchBudget | None = None
+) -> ForestStablePartition | None:
+    """The same search as exact.find_forest_stable_partition, written from
+    breadth-first distances and a union-find over all of G's edges per
+    vertex tried, with no bitmasks."""
+    meter = (budget or SearchBudget()).meter()
+    near: list[set[int]] = []
+    for v in range(G.n):
+        dist = bfs_distances(G, v)
+        near.append({u for u, d in enumerate(dist) if d is not None and 0 < d <= 2})
+
+    forest: list[int] = []
+    stable: set[int] = set()
+
+    def forest_stays_acyclic(v: int) -> bool:
+        parent = {u: u for u in forest}
+        parent[v] = v
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        members = set(forest) | {v}
+        for u, w in G.edges:
+            if u in members and w in members:
+                ru, rw = find(u), find(w)
+                if ru == rw:
+                    return False
+                parent[ru] = rw
+        return True
+
+    side = [0]
+    while side:
+        v = len(side) - 1
+        if v == G.n:
+            return ForestStablePartition(F=tuple(sorted(forest)), S=tuple(sorted(stable)))
+        if side[v] == 0:
+            meter.tick()
+            side[v] = 1
+            if forest_stays_acyclic(v):
+                forest.append(v)
+                side.append(0)
+                continue
+        if side[v] == 1:
+            side[v] = 2
+            if not (near[v] & stable):
+                stable.add(v)
+                side.append(0)
+                continue
+        side.pop()
+        if side:
+            if side[-1] == 1:
+                forest.pop()
+            else:
+                stable.remove(v - 1)
+    return None
+
+
+def intersect_orders_reference(orders) -> frozenset:
+    """Pairs (a, b) with a at or before b in every order, as the
+    intersection of every order's full set of pairs."""
+    out = None
+    for L in orders:
+        pos = {x: i for i, x in enumerate(L)}
+        pairs = {(a, b) for a in L for b in L if pos[a] <= pos[b]}
+        out = pairs if out is None else out & pairs
+    return frozenset(out)
 
 
 def is_umbrella_free(G: Graph, sigma) -> bool:
