@@ -26,7 +26,7 @@ and their agreement with the graph.  The dimensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 
@@ -44,27 +44,24 @@ from .intervals import (
 )
 
 
-@dataclass(frozen=True)
-class BoxRepresentation:
-    """Map from vertex ids to d-tuples of intervals.
+class BoxRepresentation(namedtuple("BoxRepresentation", "d boxes")):
+    """Its boxes map vertex ids to d-tuples of intervals.
 
     Like interval representations, the ids are arbitrary ints so that a
     representation can live on a subset of an ambient graph's vertices.
     """
 
-    d: int
-    boxes: dict[int, tuple[Interval, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidInput(f"dimension must be at least 1, got {self.d}")
-        if not self.boxes:
+    def __new__(cls, d, boxes):
+        if d < 1:
+            raise InvalidInput(f"dimension must be at least 1, got {d}")
+        if not boxes:
             raise InvalidInput("empty representation")
-        for v, box in self.boxes.items():
-            if len(box) != self.d:
-                raise InvalidInput(
-                    f"vertex {v} has {len(box)} intervals, expected {self.d}"
-                )
+        for v, box in boxes.items():
+            if len(box) != d:
+                raise InvalidInput(f"vertex {v} has {len(box)} intervals, expected {d}")
+        return super().__new__(cls, d, boxes)
 
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(self.boxes))
@@ -111,11 +108,8 @@ def relabel_box_representation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
-    equal: bool
-    missing_edges: list[tuple[int, int]]  # in the graph, not in the boxes
-    extra_edges: list[tuple[int, int]]  # in the boxes, not in the graph
+# missing_edges are in the graph, not in the boxes; extra_edges the reverse
+VerificationReport = namedtuple("VerificationReport", "equal missing_edges extra_edges")
 
 
 def verify_representation(B: BoxRepresentation, G: Graph) -> VerificationReport:

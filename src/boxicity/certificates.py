@@ -9,7 +9,7 @@ figure1`); the builders in `boxes` and `figure1` take them as valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import CertificateError, InvalidInput
@@ -39,12 +39,10 @@ def _vertex_set(G: Graph, S, where: str, name) -> tuple[int, ...]:
         raise CertificateError(f"{where}{exc}") from None
 
 
-@dataclass(frozen=True)
-class PairCover:
+class PairCover(namedtuple("PairCover", "X pairs")):
     """A vertex set X with disjoint non-adjacent pairs inside it."""
 
-    X: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def validate(self, G: Graph, ids=None) -> None:
         name = _namer(ids)
@@ -71,13 +69,10 @@ class PairCover:
         return tuple(v for v in self.X if v not in used)
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(namedtuple("Separation", "V1 V2 X")):
     """Partition V = V1 + V2 + X with no edge between V1 and V2."""
 
-    V1: tuple[int, ...]
-    V2: tuple[int, ...]
-    X: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, G: Graph, ids=None) -> None:
         name = _namer(ids)
@@ -104,8 +99,7 @@ class Separation:
                 )
 
 
-@dataclass(frozen=True)
-class CycleClassification:
+class CycleClassification(namedtuple("CycleClassification", "cycle assignments")):
     """An induced cycle plus, for every outside vertex that touches it, the
     class and anchor describing its neighborhood on the cycle.
 
@@ -113,10 +107,10 @@ class CycleClassification:
     0-based positions into that list.  A vertex of class S1 at anchor i is
     adjacent on the cycle to exactly cycle[i]; S2 adds cycle[i+1]; S3 pairs
     cycle[i] with cycle[i+2]; S4 covers cycle[i..i+2] (indices mod k).
+    `assignments` maps each such vertex to its (class, anchor).
     """
 
-    cycle: tuple[int, ...]
-    assignments: dict[int, tuple[str, int]] = field(default_factory=dict)
+    __slots__ = ()
 
     def __hash__(self):
         return hash((self.cycle, tuple(sorted(self.assignments.items()))))
@@ -168,13 +162,11 @@ class CycleClassification:
                 )
 
 
-@dataclass(frozen=True)
-class ForestStablePartition:
+class ForestStablePartition(namedtuple("ForestStablePartition", "F S")):
     """Partition V = F + S where G[F] is a forest, S is stable, and the
     vertices of S are pairwise at distance at least 3."""
 
-    F: tuple[int, ...]
-    S: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, G: Graph, ids=None) -> None:
         name = _namer(ids)
@@ -227,7 +219,7 @@ def acyclic_coloring_problems(G: Graph, colors: dict[int, int], ids=None) -> lis
     for u, v in sorted(G.edges):
         if dense[u] == dense[v]:
             return [f"coloring: edge ({name(u)}, {name(v)}) is monochromatic"]
-    for i, j in combinations(range(max(dense) + 1), 2):
+    for i, j in combinations(range(max(dense, default=0) + 1), 2):
         sub, vmap = induced_subgraph(G, [v for v in G.vertices() if dense[v] in (i, j)])
         cyc = find_cycle(sub)
         if cyc is not None:

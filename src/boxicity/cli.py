@@ -6,6 +6,9 @@ representations, emit chi-realizers, and evaluate the closed-form bounds.
 Everything on disk is plain JSON with sorted keys, so reruns with the same
 inputs produce byte-identical files and diffs stay readable.
 
+Each subcommand imports the modules it uses, so a run loads only what its
+subcommand needs.
+
 Exit codes: 0 success, 1 a finished representation failed verification,
 2 invalid input (bad file, flag, certificate, or script), 3 a search
 budget ran out before an answer, 4 an internal error (a bug, reported on
@@ -20,60 +23,7 @@ import os
 import sys
 import tempfile
 
-from .boxes import (
-    box_rep_from_dict,
-    box_rep_to_dict,
-    forest_two_dim,
-    verify_representation,
-)
-from .certificates import (
-    classification_from_dict,
-    coloring_from_dict,
-    coloring_to_dict,
-    partition_from_dict,
-)
-from .derivation import (
-    AcyclicStep,
-    Girth4Step,
-    RobertsStep,
-    assemble,
-    report_to_dict,
-    step_from_dict,
-)
 from .errors import BudgetExhausted, InvalidInput
-from .exact import (
-    STATUS_EXACT,
-    SearchBudget,
-    acyclic_chromatic_number,
-    acyclic_coloring,
-    boxicity_result_to_dict,
-    chromatic_number,
-    exact_boxicity,
-    find_forest_stable_partition,
-    proper_coloring,
-)
-from .figure1 import figure1_gadget, figure1_problems
-from .graphs import (
-    complete,
-    cycle,
-    graph_from_dict,
-    graph_to_dict,
-    path,
-    random_forest,
-    random_graph,
-    roberts_graph,
-    subdivided_complete,
-)
-from .posets import (
-    adjacency_poset,
-    bound_calculator,
-    bound_report_to_dict,
-    chi_realizer_extensions,
-    intersect_orders,
-    is_linear_extension,
-    poset_dimension_at_most,
-    starred_poset,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -123,16 +73,20 @@ def _read_json(path: str):
 
 
 def _load_graph(path: str):
-    return graph_from_dict(_read_json(path))
+    from . import graphs
+
+    return graphs.graph_from_dict(_read_json(path))
 
 
-def _budget_from_args(args) -> SearchBudget:
+def _budget_from_args(args):
+    from . import exact
+
     fields = {}
     if args.max_nodes is not None:
         fields["max_nodes"] = args.max_nodes
     if args.time_limit is not None:
         fields["time_limit"] = args.time_limit
-    return SearchBudget(**fields)
+    return exact.SearchBudget(**fields)
 
 
 def _add_budget_flags(sub) -> None:
@@ -151,30 +105,34 @@ _FAMILIES = ("complete", "cycle", "path", "roberts", "subdivided",
 
 
 def _cmd_gen(args) -> int:
+    from . import graphs
+
     if args.family == "random":
         if args.seed is None or args.p is None:
             raise InvalidInput("gen random needs both --seed and -p")
-        G = random_graph(args.n, args.p, args.seed)
+        G = graphs.random_graph(args.n, args.p, args.seed)
     elif args.family == "forest":
         if args.seed is None:
             raise InvalidInput("gen forest needs --seed")
-        G = random_forest(args.n, args.seed)
+        G = graphs.random_forest(args.n, args.seed)
     else:
-        maker = {"complete": complete, "cycle": cycle, "path": path,
-                 "roberts": roberts_graph,
-                 "subdivided": subdivided_complete}[args.family]
+        maker = {"complete": graphs.complete, "cycle": graphs.cycle, "path": graphs.path,
+                 "roberts": graphs.roberts_graph,
+                 "subdivided": graphs.subdivided_complete}[args.family]
         G = maker(args.n)
-    _write_atomic(args.output, graph_to_dict(G))
+    _write_atomic(args.output, graphs.graph_to_dict(G))
     print(f"wrote {args.output}: {G.n} vertices, {len(G.edges)} edges")
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
+    from . import exact
+
     G = _load_graph(args.graph)
-    result = exact_boxicity(G, d_max=args.max_d, budget=_budget_from_args(args))
+    result = exact.exact_boxicity(G, d_max=args.max_d, budget=_budget_from_args(args))
     if args.output:
-        _write_atomic(args.output, boxicity_result_to_dict(result))
-    if result.status == STATUS_EXACT:
+        _write_atomic(args.output, exact.boxicity_result_to_dict(result))
+    if result.status == exact.STATUS_EXACT:
         print(result.value)
         return EXIT_OK
     print(f"{result.status}: boxicity is at least {result.lower_bound}",
@@ -183,70 +141,82 @@ def _cmd_exact(args) -> int:
 
 
 def _construct_rep(args):
+    """The representation the construct kind builds; the kinds that are
+    derivation rules run through assemble."""
     G = _load_graph(args.graph)
     kind = args.kind
+    if kind == "forest":
+        from . import boxes
+
+        B = boxes.forest_two_dim(G)
+        if not boxes.verify_representation(B, G).equal:
+            raise RuntimeError("forest layout failed to verify")
+        return B
+    if kind == "figure1":
+        from . import certificates, figure1
+
+        if not args.classification:
+            raise InvalidInput("construct figure1 needs --classification")
+        cls = certificates.classification_from_dict(_read_json(args.classification))
+        cls.validate(G)
+        B = figure1.figure1_gadget(G, cls)
+        problems = figure1.figure1_problems(G, cls, B)
+        if problems:
+            raise RuntimeError(f"gadget check: {problems[0]}")
+        return B
+    from . import certificates, derivation, exact
+
     if kind == "roberts":
-        B, _ = assemble(G, RobertsStep())
-        return G, B
-    if kind == "acyclic":
+        step = derivation.RobertsStep()
+    elif kind == "acyclic":
         if args.coloring:
-            colors = coloring_from_dict(_read_json(args.coloring))
+            colors = certificates.coloring_from_dict(_read_json(args.coloring))
         else:
-            colors = acyclic_coloring(G, acyclic_chromatic_number(G))
-        B, _ = assemble(G, AcyclicStep(coloring=colors))
-        return G, B
-    if kind == "girth4":
+            colors = exact.acyclic_coloring(G, exact.acyclic_chromatic_number(G))
+        step = derivation.AcyclicStep(coloring=colors)
+    else:  # girth4, the last choice the parser allows
         if args.partition:
-            part = partition_from_dict(_read_json(args.partition))
+            part = certificates.partition_from_dict(_read_json(args.partition))
         else:
-            part = find_forest_stable_partition(G, _budget_from_args(args))
+            part = exact.find_forest_stable_partition(G, _budget_from_args(args))
             if part is None:
                 raise InvalidInput(
                     "no forest/stable split with the distance guard exists"
                 )
-        B, _ = assemble(G, Girth4Step(part=part))
-        return G, B
-    if kind == "forest":
-        B = forest_two_dim(G)
-        if not verify_representation(B, G).equal:
-            raise RuntimeError("forest layout failed to verify")
-        return G, B
-    if kind == "figure1":
-        if not args.classification:
-            raise InvalidInput("construct figure1 needs --classification")
-        cls = classification_from_dict(_read_json(args.classification))
-        cls.validate(G)
-        B = figure1_gadget(G, cls)
-        problems = figure1_problems(G, cls, B)
-        if problems:
-            raise RuntimeError(f"gadget check: {problems[0]}")
-        return G, B
-    raise InvalidInput(f"unknown construct kind {kind!r}")
+        step = derivation.Girth4Step(part=part)
+    B, _ = derivation.assemble(G, step)
+    return B
 
 
 def _cmd_construct(args) -> int:
-    G, B = _construct_rep(args)
-    _write_atomic(args.output, box_rep_to_dict(B))
+    from . import boxes
+
+    B = _construct_rep(args)
+    _write_atomic(args.output, boxes.box_rep_to_dict(B))
     print(f"wrote {args.output}: {B.d} dimensions, {len(B.domain())} boxes")
     return EXIT_OK
 
 
 def _cmd_derive(args) -> int:
+    from . import boxes, derivation
+
     G = _load_graph(args.graph)
-    script = step_from_dict(_read_json(args.script))
-    B, report = assemble(G, script)
-    _write_atomic(args.output, box_rep_to_dict(B))
+    script = derivation.step_from_dict(_read_json(args.script))
+    B, report = derivation.assemble(G, script)
+    _write_atomic(args.output, boxes.box_rep_to_dict(B))
     if args.report:
-        _write_atomic(args.report, report_to_dict(report))
+        _write_atomic(args.report, derivation.report_to_dict(report))
     print(f"verified: {report.total_dimension} dimensions "
           f"over {len(report.steps)} steps")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from . import boxes
+
     G = _load_graph(args.graph)
-    B = box_rep_from_dict(_read_json(args.rep))
-    report = verify_representation(B, G)
+    B = boxes.box_rep_from_dict(_read_json(args.rep))
+    report = boxes.verify_representation(B, G)
     if report.equal:
         print(f"OK: matches the graph in {B.d} dimensions")
         return EXIT_OK
@@ -258,28 +228,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    from . import certificates, exact, posets
+
     G = _load_graph(args.graph)
     if args.check_dimension is not None:
-        P = adjacency_poset(G)
-        orders = poset_dimension_at_most(P, args.check_dimension,
-                                         _budget_from_args(args))
+        P = posets.adjacency_poset(G)
+        orders = posets.poset_dimension_at_most(P, args.check_dimension,
+                                                _budget_from_args(args))
         if orders is None:
             print(f"no: dimension exceeds {args.check_dimension}")
         else:
             print(f"yes: realized by {len(orders)} linear orders")
         return EXIT_OK
     if args.coloring:
-        colors = coloring_from_dict(_read_json(args.coloring))
+        colors = certificates.coloring_from_dict(_read_json(args.coloring))
     else:
-        colors = proper_coloring(G, chromatic_number(G))
-    orders = chi_realizer_extensions(G, colors)
-    P, star = adjacency_poset(G), starred_poset(G)
-    recovered = intersect_orders(orders) & star.relation if orders else None
+        colors = exact.proper_coloring(G, exact.chromatic_number(G))
+    orders = posets.chi_realizer_extensions(G, colors)
+    P, star = posets.adjacency_poset(G), posets.starred_poset(G)
+    recovered = posets.intersect_orders(orders) & star.relation if orders else None
     if orders and (recovered != P.relation
-                   or not all(is_linear_extension(P, L) for L in orders)):
+                   or not all(posets.is_linear_extension(P, L) for L in orders)):
         raise RuntimeError("realizer lost the adjacency poset")
     doc = {
-        "colors": coloring_to_dict(colors),
+        "colors": certificates.coloring_to_dict(colors),
         "orders": [list(L) for L in orders],
     }
     if args.output:
@@ -289,10 +261,12 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bound_calculator(g=args.genus,
-                              orientable=not args.nonorientable,
-                              box=args.box, chi=args.chi)
-    doc = bound_report_to_dict(report)
+    from . import posets
+
+    report = posets.bound_calculator(g=args.genus,
+                                     orientable=not args.nonorientable,
+                                     box=args.box, chi=args.chi)
+    doc = posets.bound_report_to_dict(report)
     if args.output:
         _write_atomic(args.output, doc)
     else:

@@ -9,8 +9,10 @@ search oracle).  Assembly first validates every certificate against the
 subgraph it applies to and refuses a script predicted to build more than
 MAX_PREDICTED_INTERVALS intervals at any step; then it replays the tree
 bottom-up, verifies the composed representation at every level, and
-reports the per-step dimension accounting.  Each rule is one record of RULES, which the dry run, the
-build, the report and the JSON codec all read.
+reports the per-step dimension accounting.  Each rule is one record of
+RULES, which the dry run, the build, the report and the JSON codec all
+read; the nine step classes (Sur1Step ... BaseOracleStep) are named tuples
+generated from it, so a step's keys and child slots are declared once.
 
 All vertex sets in a script, at any depth, use the root graph's vertex
 ids.  Internally each level works on a dense induced copy; certificates
@@ -24,10 +26,10 @@ into the report unverified, for exactly those caller-asserted claims.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from collections import namedtuple
+from functools import cached_property, reduce
 from itertools import combinations
-from typing import Callable
+from operator import or_
 
 from .boxes import (
     BoxRepresentation,
@@ -66,115 +68,23 @@ from .exact import STATUS_BUDGET, SearchBudget, exact_boxicity
 from .figure1 import figure1_gadget
 from .graphs import Graph, induced_subgraph, is_int, make_graph
 
-
-@dataclass(frozen=True)
-class Sur1Step:
-    cover: PairCover
-    sub: "DerivationStep"
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class Sur2Step:
-    sep: Separation
-    sub1: "DerivationStep"
-    sub2: "DerivationStep"
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class Sur2bisStep:
-    K: tuple[int, ...]
-    sub: "DerivationStep"
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class Figure1Step:
-    cls: CycleClassification
-    sub: "DerivationStep"
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class AcyclicStep:
-    coloring: dict[int, int]
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class Girth4Step:
-    part: ForestStablePartition
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class RobertsStep:
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class BaseExplicitStep:
-    rep: BoxRepresentation
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class BaseOracleStep:
-    d_max: int | None = None
-    budget: SearchBudget | None = None
-    note: str | None = None
-
-
-DerivationStep = (
-    Sur1Step
-    | Sur2Step
-    | Sur2bisStep
-    | Figure1Step
-    | AcyclicStep
-    | Girth4Step
-    | RobertsStep
-    | BaseExplicitStep
-    | BaseOracleStep
+StepReport = namedtuple(
+    "StepReport", "path rule vertices formula claimed achieved verified note"
 )
-
-
-@dataclass(frozen=True)
-class StepReport:
-    path: str
-    rule: str
-    vertices: int
-    formula: str
-    claimed: int
-    achieved: int
-    verified: bool
-    note: str | None
-
-
-@dataclass(frozen=True)
-class DerivationReport:
-    steps: tuple[StepReport, ...]
-    total_dimension: int
-    verified: bool
+DerivationReport = namedtuple("DerivationReport", "steps total_dimension verified")
 
 
 # --------------------------------------------------------------------------
 # the rule table
 
-
-@dataclass(frozen=True)
-class Field:
-    """One JSON key of a step, named like the step's attribute, with its
-    codec; an optional field may be absent or null."""
-
-    key: str
-    encode: Callable
-    decode: Callable
-    optional: bool = False
+# One JSON key of a step, named like the step's attribute, with its codec;
+# an optional field may be absent or null.
+Field = namedtuple("Field", "key encode decode optional", defaults=(False,))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(namedtuple(
+    "Rule", "name fields slots check build dimension self_verified step"
+)):
     """Everything the walk and the JSON codec know about one rule.
 
     check(step, level) validates the step's certificate against level.H
@@ -186,25 +96,30 @@ class Rule:
     dimension, None when only the build can tell; a leaf is passed the
     vertex count.  self_verified marks rules whose build output is already
     verified against level.H, so the walk does not verify it again.
+
+    step, the class of the rule's steps, is made here: a named tuple named
+    after the rule (sur2bis gives Sur2bisStep) whose attributes are the
+    required fields, the child slots, then the optional fields and note,
+    the last ones defaulting to None.
     """
 
-    name: str
-    step: type
-    fields: tuple[Field, ...]
-    slots: tuple[str, ...]
-    check: Callable
-    build: Callable
-    dimension: Callable
-    self_verified: bool = False
+    __slots__ = ()
+
+    def __new__(cls, name, fields, slots, check, build, dimension, self_verified=False):
+        optional = [field.key for field in fields if field.optional] + ["note"]
+        step = namedtuple(
+            "".join(part.capitalize() for part in name.split("_")) + "Step",
+            [field.key for field in fields if not field.optional] + list(slots) + optional,
+            defaults=(None,) * len(optional),
+            module=__name__,
+        )
+        return super().__new__(cls, name, fields, slots, check, build, dimension,
+                               self_verified, step)
 
 
-@dataclass(frozen=True)
-class _Level:
-    """A step's dense subgraph, its vertices' root ids and its script path."""
-
-    H: Graph
-    to_root: tuple[int, ...]
-    path: str
+class _Level(namedtuple("_Level", "H to_root path")):
+    """A step's dense subgraph, its vertices' root ids and its script path.
+    Instances keep a __dict__ for the cached inverse map."""
 
     @cached_property
     def inverse(self) -> dict[int, int]:
@@ -417,7 +332,7 @@ def _d_max_from_dict(doc) -> int:
 
 def _budget_from_dict(doc) -> SearchBudget:
     """Absent keys take the defaults; SearchBudget checks every value."""
-    if not isinstance(doc, dict) or set(doc) - set(asdict(SearchBudget())):
+    if not isinstance(doc, dict) or set(doc) - set(SearchBudget._fields):
         raise ParseError("budget must be an object with known keys")
     return SearchBudget(**doc)
 
@@ -426,39 +341,42 @@ def _budget_from_dict(doc) -> SearchBudget:
 # here (hence the lambdas around the representation codec), so that a tracer
 # that replaces a module attribute sees every call.
 RULES: tuple[Rule, ...] = (
-    Rule("sur1", Sur1Step, (Field("cover", pair_cover_to_dict, pair_cover_from_dict),),
+    Rule("sur1", (Field("cover", pair_cover_to_dict, pair_cover_from_dict),),
          ("sub",), _sur1_check, _sur1_build,
          lambda step, sub: sub + len(step.cover.X) - len(step.cover.pairs)),
-    Rule("sur2", Sur2Step, (Field("sep", separation_to_dict, separation_from_dict),),
+    Rule("sur2", (Field("sep", separation_to_dict, separation_from_dict),),
          ("sub1", "sub2"), _sur2_check, _sur2_build,
          lambda step, sub1, sub2: sub1 + sub2 + 1),
-    Rule("sur2bis", Sur2bisStep, (Field("K", list, lambda doc: int_list(doc, "K")),),
+    Rule("sur2bis", (Field("K", list, lambda doc: int_list(doc, "K")),),
          ("sub",), _sur2bis_check, _sur2bis_build,
          lambda step, sub: 2 * sub),
-    Rule("figure1", Figure1Step,
-         (Field("cls", classification_to_dict, classification_from_dict),),
+    Rule("figure1", (Field("cls", classification_to_dict, classification_from_dict),),
          ("sub",), _figure1_check, _figure1_build,
          lambda step, sub: sub + 5),
-    Rule("acyclic", AcyclicStep, (Field("coloring", coloring_to_dict, coloring_from_dict),),
+    Rule("acyclic", (Field("coloring", coloring_to_dict, coloring_from_dict),),
          (), _acyclic_check, _acyclic_build,
          _acyclic_dimension),
-    Rule("girth4", Girth4Step, (Field("part", partition_to_dict, partition_from_dict),),
+    Rule("girth4", (Field("part", partition_to_dict, partition_from_dict),),
          (), _girth4_check, _girth4_build,
          lambda step, *_: 4),
-    Rule("roberts", RobertsStep, (), (), _roberts_check, _roberts_build,
+    Rule("roberts", (), (), _roberts_check, _roberts_build,
          lambda step, n: n // 2),
-    Rule("base_explicit", BaseExplicitStep,
+    Rule("base_explicit",
          (Field("rep", lambda B: box_rep_to_dict(B), lambda doc: box_rep_from_dict(doc)),),
          (), _explicit_check, _explicit_build,
          lambda step, *_: step.rep.d, self_verified=True),
-    Rule("base_oracle", BaseOracleStep,
-         (Field("d_max", lambda d: d, _d_max_from_dict, optional=True),
-          Field("budget", asdict, _budget_from_dict, optional=True)),
+    Rule("base_oracle", (Field("d_max", lambda d: d, _d_max_from_dict, optional=True),
+                         Field("budget", SearchBudget._asdict, _budget_from_dict,
+                               optional=True)),
          (), _oracle_check, _oracle_build,
          lambda step, *_: None, self_verified=True),
 )
 _BY_NAME = {rule.name: rule for rule in RULES}
 _BY_TYPE = {rule.step: rule for rule in RULES}
+# the step classes under their public names, in the order of RULES
+(Sur1Step, Sur2Step, Sur2bisStep, Figure1Step, AcyclicStep, Girth4Step, RobertsStep,
+ BaseExplicitStep, BaseOracleStep) = _BY_TYPE
+DerivationStep = reduce(or_, _BY_TYPE)
 
 
 def _rule_of(step) -> Rule:
@@ -609,10 +527,9 @@ def step_from_dict(doc, *, _depth: int = 1) -> DerivationStep:
     rule = _BY_NAME.get(name) if isinstance(name, str) else None
     if rule is None:
         raise ParseError(f"unknown rule {name!r}")
-    optional = {field.key for field in rule.fields if field.optional}
-    required = {field.key for field in rule.fields if not field.optional} | set(rule.slots)
-    missing = required - set(doc)
-    extra = set(doc) - required - optional - {"rule", "note"}
+    # the step's attributes are its keys; those without a default are required
+    missing = set(rule.step._fields) - set(rule.step._field_defaults) - set(doc)
+    extra = set(doc) - set(rule.step._fields) - {"rule"}
     if missing:
         raise ParseError(f"{name} step is missing {sorted(missing)}")
     if extra:
@@ -631,5 +548,5 @@ def report_to_dict(report: DerivationReport) -> dict:
     return {
         "total_dimension": report.total_dimension,
         "verified": report.verified,
-        "steps": [asdict(s) for s in report.steps],
+        "steps": [s._asdict() for s in report.steps],
     }

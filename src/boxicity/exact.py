@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .boxes import (
     BoxRepresentation,
@@ -60,26 +60,24 @@ STATUS_LOWER_BOUND = "lower-bound-only"
 STATUS_BUDGET = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_nodes time_limit")):
     """Caps on a single oracle call."""
 
-    max_nodes: int = 2_000_000
-    time_limit: float = 60.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_int(self.max_nodes) or self.max_nodes < 1:
+    def __new__(cls, max_nodes=2_000_000, time_limit=60.0):
+        if not is_int(max_nodes) or max_nodes < 1:
             raise InvalidInput(
-                f"budget max_nodes must be an int of at least 1, got {self.max_nodes!r}"
+                f"budget max_nodes must be an int of at least 1, got {max_nodes!r}"
             )
-        limit = self.time_limit
         # the comparisons also reject NaN, infinity and ints too large for a float
-        if not (is_int(limit) or isinstance(limit, float)) or not (
-            0 < limit <= sys.float_info.max
+        if not (is_int(time_limit) or isinstance(time_limit, float)) or not (
+            0 < time_limit <= sys.float_info.max
         ):
             raise InvalidInput(
-                f"budget time_limit must be finite seconds above 0, got {limit!r}"
+                f"budget time_limit must be finite seconds above 0, got {time_limit!r}"
             )
+        return super().__new__(cls, max_nodes, time_limit)
 
     def meter(self) -> BudgetMeter:
         """A fresh node counter and deadline for one search."""
@@ -95,16 +93,27 @@ class BudgetMeter:
         self.nodes = 0
         self.deadline = time.monotonic() + budget.time_limit
 
+    def meter(self) -> BudgetMeter:
+        """This meter: a search given it in place of a budget continues its
+        node count and deadline."""
+        return self
+
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise BudgetExhausted(f"node budget of {self.budget.max_nodes} exceeded")
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 256 == 0:
+            self.check_deadline()
+
+    def check_deadline(self) -> None:
+        """Raise BudgetExhausted if the deadline has passed; counts no node."""
+        if time.monotonic() > self.deadline:
             raise BudgetExhausted(f"time limit of {self.budget.time_limit}s exceeded")
 
 
-@dataclass(frozen=True)
-class BoxicityResult:
+class BoxicityResult(namedtuple(
+    "BoxicityResult", "value witness status orderings lower_bound nodes", defaults=(None, 1, 0)
+)):
     """Outcome of a boxicity search.
 
     value and witness are set together: a witness is returned only when the
@@ -112,12 +121,7 @@ class BoxicityResult:
     even when the status reports an interrupted or capped search.
     """
 
-    value: int | None
-    witness: BoxRepresentation | None
-    status: str
-    orderings: tuple[tuple[int, ...], ...] | None = None
-    lower_bound: int = 1
-    nodes: int = 0
+    __slots__ = ()
 
 
 def _bits(mask: int):
@@ -128,16 +132,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def chord_conflicts(G: Graph, non_edges) -> list[int]:
+def chord_conflicts(
+    G: Graph, non_edges, budget: SearchBudget | BudgetMeter | None = None
+) -> list[int]:
     """For each non-edge (a, c), the bitmask over non_edges of the (b, d)
     for which all four pairs between {a, c} and {b, d} are edges.
 
     a-b-c-d-a is then an induced C4 with chords ac and bd, and an interval
-    graph is chordal, so no one dimension excludes both.
+    graph is chordal, so no one dimension excludes both.  The table is
+    quadratic in the non-edges, so each row checks the deadline, counting
+    no node.
     """
+    check_deadline = (budget or SearchBudget()).meter().check_deadline
     nbr = G.nbr_masks
     out = []
     for a, c in non_edges:
+        check_deadline()
         common = nbr[a] & nbr[c]
         mask = 0
         for j, (b, d) in enumerate(non_edges):
@@ -170,12 +180,12 @@ class _ClosureSearch:
     """Sets of non-edges are int masks over the indices of self.non_edges,
     sets of vertices int masks over the vertices."""
 
-    def __init__(self, G: Graph, budget: SearchBudget):
+    def __init__(self, G: Graph, meter: BudgetMeter):
         self.G = G
         self.n = G.n
-        self.meter = budget.meter()
+        self.meter = meter
         self.non_edges = sorted(G.non_edges())
-        self.conflicts = chord_conflicts(G, self.non_edges)
+        self.conflicts = chord_conflicts(G, self.non_edges, meter)
         # index[u][v]: the index of non-edge (u, v), in either order
         self.index = [[-1] * self.n for _ in range(self.n)]
         for i, (u, v) in enumerate(self.non_edges):
@@ -318,29 +328,29 @@ def _stacked_witness(G: Graph, orderings) -> BoxRepresentation:
 
 
 def boxicity_at_most(
-    G: Graph, d: int, budget: SearchBudget | None = None
+    G: Graph, d: int, budget: SearchBudget | BudgetMeter | None = None
 ) -> BoxicityResult:
     """Decide whether d interval graphs suffice.
 
     On success the result carries the d orderings and the stacked, verified
     representation.  On exhaustive failure the status stays "exact" with no
     value; an interrupted search reports "budget-exhausted" instead, never
-    a silent no.
+    a silent no.  Given a running meter, the search continues its count;
+    the result's nodes are this call's.
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
     if G.n == 0:
         raise InvalidInput("boxicity needs at least one vertex")
-    budget = budget or SearchBudget()
-    engine = _ClosureSearch(G, budget)
+    meter = (budget or SearchBudget()).meter()
+    start = meter.nodes
     try:
-        found = engine.search(d)
+        found = _ClosureSearch(G, meter).search(d)
     except BudgetExhausted:
-        return BoxicityResult(None, None, STATUS_BUDGET, nodes=engine.meter.nodes)
+        return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes - start)
+    nodes = meter.nodes - start
     if found is None:
-        return BoxicityResult(
-            None, None, STATUS_EXACT, lower_bound=d + 1, nodes=engine.meter.nodes
-        )
+        return BoxicityResult(None, None, STATUS_EXACT, lower_bound=d + 1, nodes=nodes)
     identity = tuple(range(G.n))
     orderings = found + (identity,) * (d - len(found))
     return BoxicityResult(
@@ -349,7 +359,7 @@ def boxicity_at_most(
         STATUS_EXACT,
         orderings=orderings,
         lower_bound=1,
-        nodes=engine.meter.nodes,
+        nodes=nodes,
     )
 
 
@@ -373,30 +383,26 @@ def exact_boxicity(
     budget = budget or SearchBudget()
     meter = budget.meter()
     try:
-        bound = clique_number(chord_conflicts(G, G.non_edges()), meter)
+        bound = clique_number(chord_conflicts(G, G.non_edges(), meter), meter)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
-    total = meter.nodes
     if bound > d_max:
-        return BoxicityResult(None, None, STATUS_LOWER_BOUND, lower_bound=bound, nodes=total)
-    for d in range(max(1, bound), d_max + 1):
-        left = budget.max_nodes - total
-        time_left = meter.deadline - time.monotonic()
-        if left < 1 or time_left <= 0:
-            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=total)
-        step = boxicity_at_most(
-            G, d, replace(budget, max_nodes=left, time_limit=time_left)
+        return BoxicityResult(
+            None, None, STATUS_LOWER_BOUND, lower_bound=bound, nodes=meter.nodes
         )
-        total += step.nodes
+    for d in range(max(1, bound), d_max + 1):
+        if meter.nodes >= budget.max_nodes or time.monotonic() >= meter.deadline:
+            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=meter.nodes)
+        step = boxicity_at_most(G, d, meter)
         if step.status == STATUS_BUDGET:
-            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=total)
+            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=meter.nodes)
         if step.value is not None:
             return BoxicityResult(
                 d, step.witness, STATUS_EXACT,
-                orderings=step.orderings, lower_bound=d, nodes=total,
+                orderings=step.orderings, lower_bound=d, nodes=meter.nodes,
             )
     return BoxicityResult(
-        None, None, STATUS_LOWER_BOUND, lower_bound=d_max + 1, nodes=total
+        None, None, STATUS_LOWER_BOUND, lower_bound=d_max + 1, nodes=meter.nodes
     )
 
 

@@ -7,19 +7,16 @@ sorted tuples; there is no wrapper class for them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Finite simple graph; edges stored as (u, v) pairs with u < v."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
+class Graph(namedtuple("Graph", "n edges")):
+    """Finite simple graph on 0..n-1; edges is a frozenset of (u, v) pairs
+    with u < v.  Instances keep a __dict__ for the cached adjacency."""
 
     @cached_property
     def _adjacency(self) -> tuple[frozenset[int], ...]:

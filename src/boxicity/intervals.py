@@ -35,7 +35,7 @@ no Fraction comparison at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -60,30 +60,27 @@ def _order_key(q: Fraction):
     return (n,) if d == 1 else (n // d, q)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed interval [lo, hi] with Fraction endpoints; ints are converted,
     anything else (bool, float) is refused."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _endpoint(self.lo, "lo"))
-        object.__setattr__(self, "hi", _endpoint(self.hi, "hi"))
-        if _order_key(self.lo) > _order_key(self.hi):
-            raise InvalidInput(f"interval has lo > hi: [{self.lo}, {self.hi}]")
+    def __new__(cls, lo, hi):
+        lo, hi = _endpoint(lo, "lo"), _endpoint(hi, "hi")
+        if _order_key(lo) > _order_key(hi):
+            raise InvalidInput(f"interval has lo > hi: [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
 
-@dataclass(frozen=True)
-class IntervalRepresentation:
-    """Map from vertex ids to intervals.
+class IntervalRepresentation(namedtuple("IntervalRepresentation", "intervals")):
+    """Its intervals map vertex ids to Intervals.
 
     Ids are arbitrary non-negative ints: a representation may live on a
     subset of some ambient graph's vertices (compositions rely on that).
     """
 
-    intervals: dict[int, Interval]
+    __slots__ = ()
 
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(self.intervals))

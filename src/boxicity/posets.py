@@ -17,7 +17,7 @@ the worst case.  The rest is closed-form bound evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -29,28 +29,25 @@ from .graphs import Graph
 LinearOrder = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Finite poset given by its full order relation.
+class Poset(namedtuple("Poset", "elements relation")):
+    """Finite poset given by its full order relation: a tuple of elements
+    and a frozenset of pairs (a, b) with a <= b.
 
     Construction validates reflexivity, antisymmetry, and transitivity and
     reports the first offending pair or triple.
     """
 
-    elements: tuple[int, ...]
-    relation: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+    def __new__(cls, elements, relation):
+        elems = tuple(elements)
         if len(set(elems)) != len(elems):
             raise InvalidInput("poset elements must be distinct")
         try:
             sorted(elems)
         except TypeError as exc:
             raise InvalidInput(f"poset elements must be mutually ordered: {exc}") from None
-        rel = frozenset((a, b) for a, b in self.relation)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "relation", rel)
+        rel = frozenset((a, b) for a, b in relation)
         members = set(elems)
         for a, b in rel:
             if a not in members or b not in members:
@@ -71,6 +68,7 @@ class Poset:
                     raise InvalidInput(
                         f"transitivity violated: {a} <= {b} <= {c} without {a} <= {c}"
                     )
+        return super().__new__(cls, elems, rel)
 
 
 def adjacency_poset(G: Graph) -> Poset:
@@ -215,24 +213,12 @@ def poset_dimension_at_most(
     return tuple(realizer)
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """A closed-form bound: its floor, a float reading, and the exact
-    rational when the radical collapses."""
-
-    floor: int
-    approx: float
-    exact: Fraction | None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    genus: int | None
-    orientable: bool | None
-    box_bound: int | None
-    chi_bound: BoundValue | None
-    dim_bound: BoundValue | None
-    dim_from_box_chi: int | None
+# A closed-form bound: its floor, a float reading, and the exact rational
+# (None unless the radical collapses).
+BoundValue = namedtuple("BoundValue", "floor approx exact")
+BoundReport = namedtuple(
+    "BoundReport", "genus orientable box_bound chi_bound dim_bound dim_from_box_chi"
+)
 
 
 def _half_plus(base: int, radicand: int, offset: int) -> BoundValue:

@@ -2,8 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from itertools import count
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from boxicity import exact
 
 from boxicity.boxes import BoxRepresentation, box_rep_from_dict, verify_representation
 from boxicity.certificates import (
@@ -104,6 +112,18 @@ def test_exact_budget_exit(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_exact_exits_3_when_the_deadline_passes_in_the_chord_table(tmp_path, capsys, monkeypatch):
+    """The deadline stops the quadratic table before any node is counted;
+    the clock reads 0 when the meter starts and 1 at the table's first row."""
+    g, out = tmp_path / "g.json", tmp_path / "out.json"
+    assert main(["gen", "random", "30", "-p", "0.5", "--seed", "1", "-o", str(g)]) == 0
+    monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=count().__next__))
+    capsys.readouterr()
+    assert main(["exact", str(g), "--time-limit", "0.5", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "budget-exhausted: boxicity is at least 1\n"
+    assert read_json(out)["nodes"] == 0
+
+
 def test_exact_missing_file(tmp_path, capsys):
     assert main(["exact", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -198,7 +218,7 @@ def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["gen", "path", "3", "-o", str(f)]) == 0
     # a layout that misses the edges, so the construction's own check fails
     wrong = BoxRepresentation(1, {v: (Interval(v, v),) for v in range(3)})
-    monkeypatch.setattr("boxicity.cli.forest_two_dim", lambda G: wrong)
+    monkeypatch.setattr("boxicity.boxes.forest_two_dim", lambda G: wrong)
     capsys.readouterr()
     assert main(["construct", "forest", str(f), "-o", str(rep)]) == 4
     err = capsys.readouterr().err
@@ -212,10 +232,23 @@ def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
     g, c = tmp_path / "g.json", tmp_path / "cls.json"
     write_json(g, graph_to_dict(G))
     write_json(c, classification_to_dict(cls))
-    monkeypatch.setattr("boxicity.cli.figure1_gadget", broken)
+    monkeypatch.setattr("boxicity.figure1.figure1_gadget", broken)
     assert main(["construct", "figure1", str(g), "--classification", str(c),
                  "-o", str(rep)]) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 7\n"
+
+
+def test_construct_acyclic_on_an_empty_graph_exits_2(tmp_path, capsys):
+    g, colors, rep = tmp_path / "g.json", tmp_path / "colors.json", tmp_path / "rep.json"
+    write_json(g, {"n": 0, "edges": []})
+    write_json(colors, {"colors": {}})
+    for argv in (["construct", "acyclic", str(g), "-o", str(rep)],
+                 ["construct", "acyclic", str(g), "--coloring", str(colors), "-o", str(rep)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: root: the coloring pipeline needs at least 2 colors\n", argv
+        assert not rep.exists()
 
 
 def test_construct_figure1_needs_classification(tmp_path, capsys):
@@ -496,3 +529,32 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["exact", "g.json", "--no-symmetry"])
     assert info.value.code == 2
+
+
+# -------------------------------------------------------------- start-up
+
+SRC = Path(exact.__file__).resolve().parents[1]  # the package's parent directory
+
+
+def loaded_modules(code: str, *args: str) -> list[str]:
+    """The names in sys.modules after code runs in a new interpreter
+    without site packages, with the package on its path."""
+    code += "; import json; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    loaded = loaded_modules("import sys, boxicity.cli")
+    assert "boxicity.cli" in loaded and "dataclasses" not in loaded
+
+
+def test_verify_loads_no_search_derivation_or_poset_module(tmp_path):
+    g, rep = tmp_path / "g.json", tmp_path / "rep.json"
+    assert main(["gen", "path", "5", "-o", str(g)]) == 0
+    assert main(["construct", "forest", str(g), "-o", str(rep)]) == 0
+    loaded = loaded_modules("import sys; from boxicity.cli import main; "
+                            "assert main(sys.argv[1:]) == 0", "verify", str(g), str(rep))
+    assert "boxicity.boxes" in loaded
+    assert not {"boxicity.derivation", "boxicity.exact", "boxicity.posets"} & set(loaded)

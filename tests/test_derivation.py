@@ -3,6 +3,7 @@
 import json
 import re
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -643,3 +644,28 @@ def test_rules_cover_every_step_type_and_every_documented_rule():
     listed = readme.split("Rules:", 1)[1].split(".", 1)[0]
     listed = re.sub(r"\([^)]*\)", "", listed)  # drop each rule's keys
     assert {rule.name for rule in RULES} == set(re.findall(r"`(\w+)`", listed))
+
+
+def test_step_classes_come_from_the_rules_as_immutable_records():
+    assert [rule.step.__name__ for rule in RULES] == [
+        "Sur1Step", "Sur2Step", "Sur2bisStep", "Figure1Step", "AcyclicStep",
+        "Girth4Step", "RobertsStep", "BaseExplicitStep", "BaseOracleStep"]
+    cover = PairCover(X=(0, 1), pairs=((0, 1),))
+    step = Sur1Step(cover=cover, sub=RobertsStep())
+    assert (step.cover, step.sub, step.note) == (cover, RobertsStep(), None)
+    assert step == Sur1Step(cover, RobertsStep(note=None), None)
+    assert hash(step) == hash((cover, RobertsStep(), None))
+    assert repr(step) == ("Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), "
+                          "sub=RobertsStep(note=None), note=None)")
+    assert repr(BaseOracleStep(d_max=2)) == "BaseOracleStep(d_max=2, budget=None, note=None)"
+    with pytest.raises(AttributeError):
+        step.note = "changed"
+
+
+def test_records_hash_as_their_field_tuples():
+    """As the frozen dataclasses did, so sets of records iterate as before."""
+    assert hash(make_graph(3, [(0, 1)])) == hash((3, frozenset({(0, 1)})))
+    assert hash(Interval(0, 1)) == hash((Fraction(0), Fraction(1)))
+    assert hash(SearchBudget()) == hash((2_000_000, 60.0))
+    assert hash(Separation((0,), (1,), ())) == hash(((0,), (1,), ()))
+    assert hash(ForestStablePartition(F=(0,), S=())) == hash(((0,), ()))

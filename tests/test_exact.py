@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from boxicity import exact
 from boxicity.certificates import acyclic_coloring_problems, check_coloring
 from boxicity.errors import BudgetExhausted, InvalidInput
 from boxicity.exact import (
@@ -260,6 +261,36 @@ def test_c4_has_one_conflicting_pair_and_c5_is_refuted_by_search():
     assert one.value is None and one.nodes > 0 and two.value == 2
     assert whole.value == 2
     assert whole.nodes == meter.nodes + one.nodes + two.nodes
+
+
+class StepClock:
+    """Stands in for the time module: monotonic() reads 0, 1, 2, ..."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return self.reads - 1
+
+
+def test_chord_conflict_table_checks_the_deadline_once_per_row(monkeypatch):
+    clock = StepClock()
+    monkeypatch.setattr(exact, "time", clock)
+    meter = SearchBudget(time_limit=3.5).meter()  # reads 0
+    with pytest.raises(BudgetExhausted):
+        chord_conflicts(cycle(7), cycle(7).non_edges(), meter)
+    # rows 0, 1 and 2 read 1, 2 and 3; row 3 reads 4, past the deadline
+    assert clock.reads == 5 and meter.nodes == 0
+
+
+def test_exact_time_limit_covers_the_chord_conflict_table(monkeypatch):
+    monkeypatch.setattr(exact, "time", StepClock())
+    res = exact_boxicity(cycle(7), budget=SearchBudget(time_limit=0.5))
+    assert (res.status, res.lower_bound, res.nodes) == ("budget-exhausted", 1, 0)
+    monkeypatch.setattr(exact, "time", StepClock())
+    res = boxicity_at_most(cycle(7), 2, SearchBudget(time_limit=0.5))
+    assert (res.status, res.nodes) == ("budget-exhausted", 0)
 
 
 def test_conflict_bound_and_witness_dimensions_on_random_graphs():

@@ -10,6 +10,7 @@ function or class in src/ must have a caller in src/.
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +58,49 @@ def test_every_public_name_has_a_caller_in_the_package():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
+    """The CLI imports a layer's module inside the subcommand and calls
+    through it, so the tracer, which replaces the module's attributes,
+    records a span for every layer each job reaches."""
+    from boxicity.certificates import PairCover
+    from boxicity.derivation import RobertsStep, Sur1Step, step_to_dict
+    from boxicity.graphs import cycle, graph_to_dict, path, roberts_graph
+
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    p6 = write("p6.json", graph_to_dict(path(6)))
+    c5 = write("c5.json", graph_to_dict(cycle(5)))
+    k6 = write("k6.json", graph_to_dict(roberts_graph(3)))
+    script = write("script.json", step_to_dict(
+        Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=RobertsStep())))
+    rep, out, report = (str(tmp_path / name) for name in ("rep.json", "out.json", "report.json"))
+    jobs = [
+        ({"cmd": "construct"}, ["construct", "forest", p6, "-o", rep],
+         {"graphs.load", "boxes.build", "boxes.verify", "boxes.encode"}),
+        ({"cmd": "verify"}, ["verify", p6, rep],
+         {"graphs.load", "boxes.decode", "boxes.verify"}),
+        ({"cmd": "derive", "graph": k6, "script": script, "report": report},
+         ["derive", k6, script, "-o", out, "--report", report],
+         {"graphs.load", "derivation.decode", "derivation.dry_run", "derivation.assemble",
+          "certificates.validate", "boxes.build", "boxes.verify", "boxes.encode"}),
+        ({"cmd": "exact"}, ["exact", c5],
+         {"graphs.load", "exact.refute", "exact.witness", "boxes.build", "boxes.verify"}),
+        ({"cmd": "poset"}, ["poset", p6, "--check-dimension", "2"],
+         {"graphs.load", "posets.dimension", "posets.realizer"}),
+    ]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for spec, argv, layers in jobs:
+            first = len(tracer.spans)
+            code, _ = tracing.replay(spec, argv, tracer)
+            assert code == 0, argv
+            seen = {name for name, *_ in tracer.spans[first:]}
+            assert layers <= seen, (argv[0], layers - seen)
+    finally:
+        tracer.uninstall()
