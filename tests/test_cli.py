@@ -449,6 +449,28 @@ def test_construct_forest_output_bytes_are_pinned(tmp_path):
     assert sha256(rep) == "834ec82564d03cf3dc5c4eb6833d227fdeaa659106d59890805873e474e683bf"
 
 
+@pytest.mark.parametrize("gen, command, out_sha", [
+    (["cycle", "7"], ["exact"],
+     "4714b95dc59d00c1fa3cd6fa141550930d34b247cdc5228bd6da55fb989f9c8b"),
+    (["roberts", "3"], ["exact"],
+     "61b05f80073547273d6306fc97b7c1dda1f1bda022fd8ed716745658e9dc3f6f"),
+    (["roberts", "4"], ["construct", "roberts"],
+     "c43abe8bca84da1edc72bb02fab5438fbb9a9c1f4cf0002cf201ca34dc6565e9"),
+    (["cycle", "7"], ["construct", "acyclic"],
+     "8d3131362ad2629f571769c89ced20828f6481f51251fdea18103e056e9d737d"),
+    (["subdivided", "4"], ["construct", "acyclic"],
+     "8f08dbceefad6267be61ca237258adb81cb8c0a804ee2fef8e2f925418b36216"),
+    (["subdivided", "4"], ["construct", "girth4"],
+     "ca9f544d61572c2fee428ea2c28aa2e14768efde2e666f0a77232b08e71bc27c"),
+])
+def test_witness_gadget_and_pipeline_output_bytes_are_pinned(tmp_path, gen, command, out_sha):
+    """The exact witness, the pair-gadget stack and both pipelines."""
+    g, out = tmp_path / "g.json", tmp_path / "out.json"
+    assert main(["gen", *gen, "-o", str(g)]) == 0
+    assert main([*command, str(g), "-o", str(out)]) == 0
+    assert sha256(out) == out_sha
+
+
 # --------------------------------------------------------------- verify
 
 
