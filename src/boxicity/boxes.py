@@ -1,10 +1,12 @@
 """Axis-parallel box representations and the composition operations.
 
-A d-dimensional box representation maps each vertex to a product of d closed
-rational intervals; two vertices are adjacent exactly when their boxes meet,
-i.e. when the intervals meet in every dimension.  Equivalently each dimension
-is an interval representation and the represented graph is the intersection
-of the d interval graphs.
+A d-dimensional box representation is stored as its d layers: layer i is
+an interval representation (see `intervals`), and the box of a vertex v is
+the product of the intervals layer[v].  Two vertices are adjacent exactly
+when their boxes meet, i.e. when their intervals meet in every layer, so the
+represented graph is the intersection of the d interval graphs.  Every
+operation here reads and writes whole layers; only the JSON format lists
+each vertex's box as a row of d intervals.
 
 The composition operations each consume a certificate and produce a
 representation whose dimension is an exact function of the inputs.  They
@@ -35,72 +37,65 @@ from .errors import InvalidInput
 from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, int_key, is_int
 from .intervals import (
     Interval,
-    IntervalRepresentation,
     canonical_extension,
     _disagreeing_pairs,
     interval_from_pairs,
     interval_to_pairs,
     meet_masks,
+    span,
 )
 
 
-class BoxRepresentation(namedtuple("BoxRepresentation", "d boxes")):
-    """Its boxes map vertex ids to d-tuples of intervals.
+class BoxRepresentation(namedtuple("BoxRepresentation", "layers")):
+    """Its layers are d >= 1 dicts from vertex ids to Intervals, all on one
+    nonempty key set, the domain.
 
-    Like interval representations, the ids are arbitrary ints so that a
+    Like a single layer, the ids are arbitrary ints so that a
     representation can live on a subset of an ambient graph's vertices.
     """
 
     __slots__ = ()
 
-    def __new__(cls, d, boxes):
-        if d < 1:
-            raise InvalidInput(f"dimension must be at least 1, got {d}")
-        if not boxes:
+    def __new__(cls, layers):
+        layers = tuple(layers)
+        if not layers:
+            raise InvalidInput("need at least one dimension")
+        if not layers[0]:
             raise InvalidInput("empty representation")
-        for v, box in boxes.items():
-            if len(box) != d:
-                raise InvalidInput(f"vertex {v} has {len(box)} intervals, expected {d}")
-        return super().__new__(cls, d, boxes)
+        if any(layer.keys() != layers[0].keys() for layer in layers[1:]):
+            raise InvalidInput("dimension domains differ")
+        return super().__new__(cls, layers)
+
+    @property
+    def d(self) -> int:
+        return len(self.layers)
 
     def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.boxes))
-
-    def dimension_rep(self, i: int) -> IntervalRepresentation:
-        return IntervalRepresentation({v: box[i] for v, box in self.boxes.items()})
+        return tuple(sorted(self.layers[0]))
 
     def meet_masks(self) -> dict[int, int]:
         """Per vertex, the bitmask of the vertices whose boxes meet its box:
-        the AND of every dimension's meet_masks, taken one at a time."""
-        dims = (meet_masks(self.dimension_rep(i)) for i in range(self.d))
+        the AND of every layer's meet_masks, taken one at a time."""
+        dims = map(meet_masks, self.layers)
         return reduce(lambda acc, dim: {v: m & dim[v] for v, m in acc.items()}, dims)
 
 
-def from_interval_reps(reps) -> BoxRepresentation:
-    """Stack 1-dimensional layers given as interval representations."""
-    reps = list(reps)
-    if not reps:
-        raise InvalidInput("need at least one dimension")
-    dom = reps[0].domain()
-    for R in reps[1:]:
-        if R.domain() != dom:
-            raise InvalidInput("dimension domains differ")
-    return BoxRepresentation(
-        len(reps), {v: tuple(R.intervals[v] for R in reps) for v in dom}
-    )
+def from_interval_reps(layers) -> BoxRepresentation:
+    """Stack layers into a representation, one dimension each."""
+    return BoxRepresentation(layers)
 
 
 def relabel_box_representation(
     B: BoxRepresentation, mapping: dict[int, int]
 ) -> BoxRepresentation:
-    out: dict[int, tuple[Interval, ...]] = {}
-    for v, box in B.boxes.items():
+    for v in B.layers[0]:
         if v not in mapping:
             raise InvalidInput(f"relabeling misses vertex {v}")
-        out[mapping[v]] = box
-    if len(out) != len(B.boxes):
+    if len(set(map(mapping.__getitem__, B.layers[0]))) != len(B.layers[0]):
         raise InvalidInput("relabeling is not injective")
-    return BoxRepresentation(B.d, out)
+    return BoxRepresentation(
+        {mapping[v]: iv for v, iv in layer.items()} for layer in B.layers
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def _check_agrees(B: BoxRepresentation, G: Graph, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def pair_gadget(G: Graph, u: int, v: int) -> IntervalRepresentation:
+def pair_gadget(G: Graph, u: int, v: int) -> dict[int, Interval]:
     """One dimension that separates the non-adjacent pair u, v.
 
     u sits at 0 and v at 2; common neighbors span [0, 2], private neighbors
@@ -168,10 +163,10 @@ def pair_gadget(G: Graph, u: int, v: int) -> IntervalRepresentation:
             out[w] = Interval(1, 2)
         else:
             out[w] = Interval(1, 1)
-    return IntervalRepresentation(out)
+    return out
 
 
-def singleton_gadget(G: Graph, v: int) -> IntervalRepresentation:
+def singleton_gadget(G: Graph, v: int) -> dict[int, Interval]:
     """One dimension that separates v from all its non-neighbors."""
     check_vertex_set(G, [v])
     out = {v: Interval(0, 0)}
@@ -179,7 +174,7 @@ def singleton_gadget(G: Graph, v: int) -> IntervalRepresentation:
         if w == v:
             continue
         out[w] = Interval(0, 1) if G.has_edge(w, v) else Interval(1, 1)
-    return IntervalRepresentation(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ def sur1_compose(
     """Splice a representation of G minus X back into G, for a valid pair
     cover that leaves a vertex outside X.
 
-    Each dimension of B_sub is canonically extended to V(G); every cover
+    Each layer of B_sub is canonically extended to V(G); every cover
     pair contributes one pair-gadget dimension and every uncovered vertex of
     X one singleton dimension.  Total: d(B_sub) + |X| - #pairs.
     """
@@ -205,9 +200,7 @@ def sur1_compose(
             f"V minus X = {list(rest)}"
         )
     _check_agrees(B_sub, G, "sub-representation")
-    dims = [
-        canonical_extension(B_sub.dimension_rep(i), G) for i in range(B_sub.d)
-    ]
+    dims = [canonical_extension(layer, G) for layer in B_sub.layers]
     for a, b in cover.pairs:
         dims.append(pair_gadget(G, a, b))
     for v in cover.uncovered():
@@ -251,8 +244,7 @@ def sur2_compose(
             raise InvalidInput(f"B1 misses the edge {bad}")
         raise InvalidInput(f"B1 adds the non-edge {bad} outside X")
     _check_agrees(B2, G, "B2")
-    dims = [canonical_extension(B1.dimension_rep(i), G) for i in range(B1.d)]
-    dims += [canonical_extension(B2.dimension_rep(i), G) for i in range(B2.d)]
+    dims = [canonical_extension(layer, G) for layer in B1.layers + B2.layers]
     split = {}
     for v in sep.V1:
         split[v] = Interval(0, 0)
@@ -260,7 +252,7 @@ def sur2_compose(
         split[v] = Interval(1, 1)
     for v in sep.X:
         split[v] = Interval(0, 1)
-    dims.append(IntervalRepresentation(split))
+    dims.append(split)
     return from_interval_reps(dims)
 
 
@@ -279,16 +271,14 @@ def sur2bis_double(B: BoxRepresentation, K) -> BoxRepresentation:
         if v not in dom:
             raise InvalidInput(f"clique vertex {v} is outside the domain")
     dims = []
-    for i in range(B.d):
-        R = B.dimension_rep(i)
-        span = R.span()
-        left = dict(R.intervals)
-        right = dict(R.intervals)
+    for layer in B.layers:
+        lo, hi = span(layer)
+        left = dict(layer)
+        right = dict(layer)
         for v in K:
-            left[v] = Interval(span.lo, R.intervals[v].hi)
-            right[v] = Interval(R.intervals[v].lo, span.hi)
-        dims.append(IntervalRepresentation(left))
-        dims.append(IntervalRepresentation(right))
+            left[v] = Interval(lo, layer[v].hi)
+            right[v] = Interval(layer[v].lo, hi)
+        dims += (left, right)
     return from_interval_reps(dims)
 
 
@@ -305,8 +295,6 @@ def forest_two_dim(F: Graph) -> BoxRepresentation:
     cyc = find_cycle(F)
     if cyc is not None:
         raise InvalidInput(f"not a forest: contains the cycle {cyc}")
-    if F.n == 0:
-        raise InvalidInput("empty representation")
     entry = [0] * F.n
     exit_ = [0] * F.n
     depth = [0] * F.n
@@ -338,16 +326,10 @@ def forest_two_dim(F: Graph) -> BoxRepresentation:
                 exit_[v] = clock
                 clock += 1
                 stack.pop()
-    return BoxRepresentation(
-        2,
-        {
-            v: (
-                Interval(entry[v], exit_[v]),
-                Interval(2 * depth[v], 2 * depth[v] + 2),
-            )
-            for v in F.vertices()
-        },
-    )
+    return BoxRepresentation((
+        {v: Interval(entry[v], exit_[v]) for v in F.vertices()},
+        {v: Interval(2 * depth[v], 2 * depth[v] + 2) for v in F.vertices()},
+    ))
 
 
 def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
@@ -369,8 +351,7 @@ def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
         lifted = relabel_box_representation(
             two, {new: old for new, old in enumerate(vmap)}
         )
-        dims.append(canonical_extension(lifted.dimension_rep(0), G))
-        dims.append(canonical_extension(lifted.dimension_rep(1), G))
+        dims += (canonical_extension(layer, G) for layer in lifted.layers)
     return from_interval_reps(dims)
 
 
@@ -395,16 +376,10 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
         two = relabel_box_representation(
             forest_two_dim(sub), {new: old for new, old in enumerate(vmap)}
         )
-        dims = [
-            canonical_extension(two.dimension_rep(0), G),
-            canonical_extension(two.dimension_rep(1), G),
-        ]
+        dims = [canonical_extension(layer, G) for layer in two.layers]
     else:
         # no forest side: the stable dimensions already separate everything
-        blanket = IntervalRepresentation(
-            {v: Interval(0, 1) for v in G.vertices()}
-        )
-        dims = [blanket, blanket]
+        dims = [dict.fromkeys(G.vertices(), Interval(0, 1))] * 2
     attach = {f: pos[s] for f in F for s in G.neighbors(f) if s in pos}
     dim_a = {}
     dim_b = {}
@@ -419,8 +394,7 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
         else:
             dim_a[f] = Interval(p + 1, p + 1)
             dim_b[f] = Interval(0, 0)
-    dims.append(IntervalRepresentation(dim_a))
-    dims.append(IntervalRepresentation(dim_b))
+    dims += (dim_a, dim_b)
     return from_interval_reps(dims)
 
 
@@ -430,18 +404,12 @@ def roberts_representation(n: int) -> BoxRepresentation:
     [2, 3] and lets everyone else span [0, 3]."""
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
-    boxes = {}
-    for v in range(2 * n):
-        row = []
-        for j in range(n):
-            if v == 2 * j:
-                row.append(Interval(0, 1))
-            elif v == 2 * j + 1:
-                row.append(Interval(2, 3))
-            else:
-                row.append(Interval(0, 3))
-        boxes[v] = tuple(row)
-    return BoxRepresentation(n, boxes)
+    layers = []
+    for j in range(n):
+        layer = dict.fromkeys(range(2 * n), Interval(0, 3))
+        layer[2 * j], layer[2 * j + 1] = Interval(0, 1), Interval(2, 3)
+        layers.append(layer)
+    return BoxRepresentation(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +421,8 @@ def box_rep_to_dict(B: BoxRepresentation) -> dict:
     return {
         "d": B.d,
         "vertices": {
-            str(v): [interval_to_pairs(iv) for iv in box]
-            for v, box in sorted(B.boxes.items())
+            str(v): [interval_to_pairs(layer[v]) for layer in B.layers]
+            for v in B.domain()
         },
     }
 
@@ -467,15 +435,15 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
         raise InvalidInput(f"'d' must be a positive int, got {d!r}")
     if not isinstance(doc["vertices"], dict):
         raise InvalidInput("'vertices' must map vertex ids to interval lists")
-    boxes = {}
+    layers = None
     for key, val in doc["vertices"].items():
         v = int_key(key, "vertex")
         if not isinstance(val, list) or len(val) != d:
             raise InvalidInput(
                 f"vertices[{key}] must list exactly {d} intervals"
             )
-        boxes[v] = tuple(
-            interval_from_pairs(iv, f"vertices[{key}][{i}]")
-            for i, iv in enumerate(val)
-        )
-    return BoxRepresentation(d, boxes)
+        layers = layers or [{} for _ in val]  # d of them, once a row has d
+        for i, (layer, iv) in enumerate(zip(layers, val)):
+            layer[v] = interval_from_pairs(iv, f"vertices[{key}][{i}]")
+    # no rows: one empty layer, which the constructor refuses
+    return BoxRepresentation(layers or [{}])

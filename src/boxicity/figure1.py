@@ -117,12 +117,13 @@ def figure1_gadget(G: Graph, cls: CycleClassification) -> BoxRepresentation:
     meets exactly the cycle boxes of its declared neighbors.
     """
     k = len(cls.cycle)
-    boxes: dict[int, tuple[Interval, Interval]] = {}
+    x: dict[int, Interval] = {}
+    y: dict[int, Interval] = {}
     for pos, v in enumerate(cls.cycle):
-        boxes[v] = _cycle_box(pos + 1, k)
+        x[v], y[v] = _cycle_box(pos + 1, k)
     for v, (name, anchor) in cls.assignments.items():
-        boxes[v] = _CLASS_BOXES[name](anchor + 1, k)
-    return BoxRepresentation(2, boxes)
+        x[v], y[v] = _CLASS_BOXES[name](anchor + 1, k)
+    return BoxRepresentation((x, y))
 
 
 def figure1_problems(

@@ -1,4 +1,8 @@
-"""Closed intervals with exact rational endpoints and interval representations.
+"""Closed intervals with exact rational endpoints, and their layers.
+
+A layer (an interval representation) is a plain dict from vertex ids to
+Intervals; the ids are arbitrary non-negative ints, so a layer may live on
+a subset of some ambient graph's vertices (compositions rely on that).
 
 A vertex ordering sigma is *umbrella-free* for a graph G when for all
 positions p(u) < p(v) < p(w), uw in E(G) implies uv in E(G).  These orderings
@@ -27,9 +31,9 @@ Orderings are plain tuples of vertex ids; intervals use Fraction endpoints
 (ints are converted, bools and floats refused), so all comparisons are
 exact.  Endpoints are ordered by _order_key, which compares integers and
 floors as plain ints.  The adjacency kernel meet_masks ranks each
-dimension's distinct endpoint values once and then works on integer ranks
+layer's distinct endpoint values once and then works on integer ranks
 and bitmasks: it never scales to a common denominator, which grows with
-the product of distinct denominators, and an all-integer dimension makes
+the product of distinct denominators, and an all-integer layer makes
 no Fraction comparison at all.
 """
 
@@ -73,26 +77,14 @@ class Interval(namedtuple("Interval", "lo hi")):
         return super().__new__(cls, lo, hi)
 
 
-class IntervalRepresentation(namedtuple("IntervalRepresentation", "intervals")):
-    """Its intervals map vertex ids to Intervals.
-
-    Ids are arbitrary non-negative ints: a representation may live on a
-    subset of some ambient graph's vertices (compositions rely on that).
-    """
-
-    __slots__ = ()
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.intervals))
-
-    def span(self) -> Interval:
-        """Smallest interval containing every vertex interval."""
-        if not self.intervals:
-            raise InvalidInput("span of an empty representation")
-        return Interval(
-            min((iv.lo for iv in self.intervals.values()), key=_order_key),
-            max((iv.hi for iv in self.intervals.values()), key=_order_key),
-        )
+def span(layer: dict[int, Interval]) -> Interval:
+    """Smallest interval containing every interval of the layer."""
+    if not layer:
+        raise InvalidInput("span of an empty representation")
+    return Interval(
+        min((iv.lo for iv in layer.values()), key=_order_key),
+        max((iv.hi for iv in layer.values()), key=_order_key),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +92,7 @@ class IntervalRepresentation(namedtuple("IntervalRepresentation", "intervals")):
 # ---------------------------------------------------------------------------
 
 
-def meet_masks(R: IntervalRepresentation) -> dict[int, int]:
+def meet_masks(layer: dict[int, Interval]) -> dict[int, int]:
     """Per vertex id v, the bitmask of the ids whose closed intervals meet
     v's interval (bit w for vertex w; v's own bit is set).
 
@@ -114,7 +106,7 @@ def meet_masks(R: IntervalRepresentation) -> dict[int, int]:
     """
     values: dict[tuple[int, int], Fraction] = {}
     ends = []
-    for v, iv in R.intervals.items():
+    for v, iv in layer.items():
         lo, hi = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
         values[lo] = iv.lo
         values[hi] = iv.hi
@@ -197,7 +189,7 @@ def umbrella_closure(G: Graph, sigma) -> Graph:
     return Graph(G.n, frozenset(edges))
 
 
-def representation_from_ordering(G: Graph, sigma) -> IntervalRepresentation:
+def representation_from_ordering(G: Graph, sigma) -> dict[int, Interval]:
     """Canonical interval representation read off an umbrella-free ordering.
 
     Vertex at position i (1-based) gets [i, max(i, positions of its later
@@ -215,9 +207,7 @@ def representation_from_ordering(G: Graph, sigma) -> IntervalRepresentation:
     reach, later = _reach(G, sigma)
     if any(later[i] != reach[i] - i for i in range(G.n)):
         raise InvalidInput("ordering is not umbrella-free for this graph")
-    return IntervalRepresentation(
-        {v: Interval(i + 1, reach[i] + 1) for i, v in enumerate(sigma)}
-    )
+    return {v: Interval(i + 1, reach[i] + 1) for i, v in enumerate(sigma)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,29 +215,22 @@ def representation_from_ordering(G: Graph, sigma) -> IntervalRepresentation:
 # ---------------------------------------------------------------------------
 
 
-def canonical_extension(
-    R: IntervalRepresentation, G: Graph
-) -> IntervalRepresentation:
-    """Extend a representation on X subset of V(G) to all of V(G).
+def canonical_extension(layer: dict[int, Interval], G: Graph) -> dict[int, Interval]:
+    """Extend a layer on X subset of V(G) to all of V(G).
 
-    Vertices outside X are mapped to the full span of R, so they meet
+    Vertices outside X are mapped to the layer's full span, so they meet
     everything.  Requires a nonempty domain inside V(G) covering every edge
     of the induced subgraph G[X]; the result's graph is then a supergraph of
-    G that agrees with R's graph on pairs inside X.
+    G that agrees with the layer's graph on pairs inside X.
     """
-    X = check_vertex_set(G, R.domain())
-    if not X:
+    if not check_vertex_set(G, layer):
         raise InvalidInput("canonical extension needs a nonempty domain")
     nbr = G.nbr_masks
-    missing = next(_disagreeing_pairs(meet_masks(R), nbr, nbr.__getitem__), None)
+    missing = next(_disagreeing_pairs(meet_masks(layer), nbr, nbr.__getitem__), None)
     if missing is not None:
         raise InvalidInput(f"representation misses edge {missing} of the induced subgraph")
-    span = R.span()
-    out = dict(R.intervals)
-    for v in G.vertices():
-        if v not in out:
-            out[v] = span
-    return IntervalRepresentation(out)
+    full = span(layer)
+    return {v: layer.get(v, full) for v in G.vertices()}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from reference import reference_boxicity
 from util import (
     all_graphs,
     box_adjacent,
+    box_of,
     connected_components,
     gadget_instance,
     universal_representation,
@@ -130,7 +131,7 @@ def test_criterion_3_cycle_gadget_contract_and_goldens():
             boxes = {}
             for v in B.domain():
                 entry = []
-                for side in B.boxes[v]:
+                for side in box_of(B, v):
                     lo, hi = side.lo * 2, side.hi * 2
                     assert lo.denominator == 1 and hi.denominator == 1
                     entry.append([int(lo), int(hi)])

@@ -19,17 +19,9 @@ from boxicity.certificates import CycleClassification, PairCover, Separation
 from boxicity.errors import InvalidInput
 from boxicity.figure1 import figure1_gadget, figure1_problems
 from boxicity.graphs import make_graph, roberts_graph
-from boxicity.intervals import Interval, IntervalRepresentation, canonical_extension
+from boxicity.intervals import Interval, canonical_extension
 
-from util import box_adjacent, gadget_instance
-
-
-def boxes_of(d):
-    return BoxRepresentation(
-        len(next(iter(d.values()))),
-        {v: tuple(Interval(Fraction(lo), Fraction(hi)) for lo, hi in box)
-         for v, box in d.items()},
-    )
+from util import box_adjacent, boxes_of, gadget_instance
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +32,8 @@ def boxes_of(d):
 def test_sur1_reports_the_first_disagreeing_pair():
     G = roberts_graph(4)
     cover = PairCover(X=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
-    wrong = boxes_of({4: [(0, 1), (0, 0)], 5: [(2, 3), (0, 0)],
-                      6: [(1, 2), (1, 1)], 7: [(1, 3), (0, 1)]})
+    wrong = boxes_of({4: (0, 1), 5: (2, 3), 6: (1, 2), 7: (1, 3)},
+                     {4: (0, 0), 5: (0, 0), 6: (1, 1), 7: (0, 1)})
     with pytest.raises(
         InvalidInput,
         match=r"^sub-representation disagrees with the graph at pair \(4, 6\)$",
@@ -52,16 +44,16 @@ def test_sur1_reports_the_first_disagreeing_pair():
 # X = {0, 1}, V1 = {2, 3}, V2 = {4}; side 1 induces the path 0-2-3-1
 SUR2_GRAPH = make_graph(5, [(0, 2), (2, 3), (1, 3), (0, 4), (1, 4)])
 SUR2_SEP = Separation(V1=(2, 3), V2=(4,), X=(0, 1))
-SUR2_B1 = {0: [(0, 1)], 2: [(1, 2)], 3: [(2, 3)], 1: [(3, 4)]}
-SUR2_B2 = {0: [(0, 0)], 1: [(1, 1)], 4: [(0, 1)]}
+SUR2_B1 = {0: (0, 1), 2: (1, 2), 3: (2, 3), 1: (3, 4)}
+SUR2_B2 = {0: (0, 0), 1: (1, 1), 4: (0, 1)}
 
 
 @pytest.mark.parametrize("b1, b2, message", [
     # (0, 1) meets inside X, which is allowed; (0, 3) meets outside X
-    ({**SUR2_B1, 0: [(0, 4)]}, SUR2_B2, r"B1 adds the non-edge \(0, 3\) outside X"),
-    ({**SUR2_B1, 3: [(Fraction(5, 2), 3)]}, SUR2_B2, r"B1 misses the edge \(2, 3\)"),
-    (SUR2_B1, {**SUR2_B2, 4: [(2, 2)]}, r"B2 disagrees with the graph at pair \(0, 4\)"),
-    (SUR2_B1, {**SUR2_B2, 0: [(0, 1)]}, r"B2 disagrees with the graph at pair \(0, 1\)"),
+    ({**SUR2_B1, 0: (0, 4)}, SUR2_B2, r"B1 adds the non-edge \(0, 3\) outside X"),
+    ({**SUR2_B1, 3: (Fraction(5, 2), 3)}, SUR2_B2, r"B1 misses the edge \(2, 3\)"),
+    (SUR2_B1, {**SUR2_B2, 4: (2, 2)}, r"B2 disagrees with the graph at pair \(0, 4\)"),
+    (SUR2_B1, {**SUR2_B2, 0: (0, 1)}, r"B2 disagrees with the graph at pair \(0, 1\)"),
 ], ids=["b1-extra-outside-x", "b1-missing", "b2-missing", "b2-extra"])
 def test_sur2_reports_the_first_failing_pair(b1, b2, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
@@ -71,8 +63,8 @@ def test_sur2_reports_the_first_failing_pair(b1, b2, message):
 
 def test_canonical_extension_reports_the_first_missing_edge():
     G = make_graph(6, [(0, 1), (1, 2), (2, 4), (4, 5), (1, 5), (2, 3)])
-    R = IntervalRepresentation({1: Interval(0, 1), 2: Interval(1, 2), 4: Interval(3, 4),
-                                5: Interval(Fraction(1, 2), 4)})
+    R = {1: Interval(0, 1), 2: Interval(1, 2), 4: Interval(3, 4),
+         5: Interval(Fraction(1, 2), 4)}
     with pytest.raises(
         InvalidInput,
         match=r"^representation misses edge \(2, 4\) of the induced subgraph$",
@@ -90,10 +82,10 @@ def test_figure1_problems_lists_every_wrong_pair_in_cycle_order():
         assignments={perm[v]: a for v, a in cls.assignments.items()},
     )
     assert cls.cycle == (3, 8, 13, 0, 5, 10)
-    moved = dict(figure1_gadget(G, cls).boxes)
-    moved[13] = moved[5]
-    moved[6] = (Interval(50, 51), Interval(50, 51))
-    assert figure1_problems(G, cls, BoxRepresentation(2, moved)) == [
+    x, y = map(dict, figure1_gadget(G, cls).layers)
+    x[13], y[13] = x[5], y[5]
+    x[6], y[6] = Interval(50, 51), Interval(50, 51)
+    assert figure1_problems(G, cls, BoxRepresentation((x, y))) == [
         "cycle pair (8, 13) has the wrong adjacency",
         "cycle pair (13, 5) has the wrong adjacency",
         "cycle pair (13, 10) has the wrong adjacency",
@@ -123,8 +115,7 @@ def represented_pairs(draw):
     same vertices, drawn so that about half the pairs agree."""
     n = draw(st.integers(1, 9))
     d = draw(st.integers(1, 3))
-    boxes = {v: tuple(draw(_interval) for _ in range(d)) for v in range(n)}
-    B = BoxRepresentation(d, boxes)
+    B = BoxRepresentation([{v: draw(_interval) for v in range(n)} for _ in range(d)])
     flips = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     edges = [
         (u, w) for u in range(n) for w in range(u + 1, n)

@@ -35,12 +35,14 @@ from boxicity.graphs import (
     random_graph,
     roberts_graph,
 )
-from boxicity.intervals import Interval, IntervalRepresentation, representation_from_ordering
+from boxicity.intervals import Interval, representation_from_ordering
 
 from util import (
     assert_represents,
     box_adjacent,
     box_graph_of,
+    box_of,
+    boxes_of,
     greedy_acyclic_coloring,
     interval_adjacent,
     interval_graph_of,
@@ -52,41 +54,37 @@ def iv(lo, hi):
     return Interval(Fraction(lo), Fraction(hi))
 
 
-def boxes_of(d):
-    return BoxRepresentation(
-        len(next(iter(d.values()))),
-        {v: tuple(iv(lo, hi) for lo, hi in box) for v, box in d.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # representation basics
 # ---------------------------------------------------------------------------
 
 
 def test_one_dimension_reduces_to_interval_graph():
-    B = boxes_of({0: [(0, 1)], 1: [(1, 2)], 2: [(3, 4)]})
-    R = IntervalRepresentation({0: iv(0, 1), 1: iv(1, 2), 2: iv(3, 4)})
+    B = boxes_of({0: (0, 1), 1: (1, 2), 2: (3, 4)})
+    R = {0: iv(0, 1), 1: iv(1, 2), 2: iv(3, 4)}
     assert box_graph_of(B) == interval_graph_of(R)
 
 
 def test_all_unit_boxes_make_a_complete_graph():
-    B = boxes_of({v: [(0, 1), (0, 1)] for v in range(4)})
+    B = boxes_of(*[{v: (0, 1) for v in range(4)}] * 2)
     assert box_graph_of(B) == complete(4)
 
 
 def test_box_adjacency_requires_every_dimension():
-    B = boxes_of({0: [(0, 1), (0, 1)], 1: [(0, 1), (2, 3)]})
+    B = boxes_of({0: (0, 1), 1: (0, 1)}, {0: (0, 1), 1: (2, 3)})
     assert not box_adjacent(B, 0, 1)
 
 
 def test_representation_validation():
-    with pytest.raises(InvalidInput):
-        BoxRepresentation(0, {0: ()})
-    with pytest.raises(InvalidInput):
-        BoxRepresentation(1, {})
-    with pytest.raises(InvalidInput):
-        BoxRepresentation(2, {0: (iv(0, 1),)})
+    with pytest.raises(InvalidInput, match="^need at least one dimension$"):
+        BoxRepresentation([])
+    with pytest.raises(InvalidInput, match="^empty representation$"):
+        BoxRepresentation([{}])
+    # a vertex missing from one layer, and layers on different vertices
+    with pytest.raises(InvalidInput, match="^dimension domains differ$"):
+        BoxRepresentation([{0: iv(0, 1), 1: iv(0, 1)}, {0: iv(0, 1)}])
+    with pytest.raises(InvalidInput, match="^dimension domains differ$"):
+        BoxRepresentation([{0: iv(0, 1)}, {1: iv(0, 1)}])
 
 
 def test_verify_representation_reports_witnesses():
@@ -94,9 +92,9 @@ def test_verify_representation_reports_witnesses():
     B = roberts_representation(2)
     assert verify_representation(B, G).equal
     # sabotage one box: push vertex 0 away from everything in dimension 1
-    bad = dict(B.boxes)
-    bad[0] = (iv(10, 11), bad[0][1])
-    report = verify_representation(BoxRepresentation(2, bad), G)
+    x, y = map(dict, B.layers)
+    x[0] = iv(10, 11)
+    report = verify_representation(BoxRepresentation((x, y)), G)
     assert not report.equal
     assert report.missing_edges == [(0, 2), (0, 3)]
     assert report.extra_edges == []
@@ -108,16 +106,16 @@ def test_verify_representation_rejects_domain_mismatch():
 
 
 def test_stack_and_relabel():
-    A = boxes_of({0: [(0, 1)], 1: [(2, 3)]})
-    B = boxes_of({0: [(0, 0)], 1: [(0, 1)]})
-    S = from_interval_reps([A.dimension_rep(0), B.dimension_rep(0)])
+    A = boxes_of({0: (0, 1), 1: (2, 3)})
+    B = boxes_of({0: (0, 0), 1: (0, 1)})
+    S = from_interval_reps(A.layers + B.layers)
     assert S.d == 2
-    assert S.boxes[1] == (iv(2, 3), iv(0, 1))
+    assert box_of(S, 1) == (iv(2, 3), iv(0, 1))
     with pytest.raises(InvalidInput):
         from_interval_reps([])
-    elsewhere = boxes_of({0: [(0, 1)], 2: [(0, 1)]})
+    elsewhere = boxes_of({0: (0, 1), 2: (0, 1)})
     with pytest.raises(InvalidInput):
-        from_interval_reps([A.dimension_rep(0), elsewhere.dimension_rep(0)])
+        from_interval_reps(A.layers + elsewhere.layers)
     R = relabel_box_representation(A, {0: 5, 1: 7})
     assert R.domain() == (5, 7)
     with pytest.raises(InvalidInput):
@@ -132,10 +130,10 @@ def test_stack_and_relabel():
 def test_pair_gadget_on_a_four_cycle():
     G = cycle(4)
     R = pair_gadget(G, 0, 2)
-    assert R.intervals[0] == iv(0, 0)
-    assert R.intervals[2] == iv(2, 2)
-    assert R.intervals[1] == iv(0, 2)
-    assert R.intervals[3] == iv(0, 2)
+    assert R[0] == iv(0, 0)
+    assert R[2] == iv(2, 2)
+    assert R[1] == iv(0, 2)
+    assert R[3] == iv(0, 2)
     # the gadget graph is K4 minus the separated pair
     H = interval_graph_of(R)
     assert H.edges == frozenset({(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)})
@@ -198,7 +196,7 @@ def test_sur1_compose_odd_cycle_cover():
     # singleton: 1 + 5 - 2 = 4
     G = make_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
     cover = PairCover(X=(0, 1, 2, 3, 4), pairs=((0, 2), (1, 3)))
-    B_sub = boxes_of({5: [(0, 0)]})
+    B_sub = boxes_of({5: (0, 0)})
     B = sur1_compose(G, cover, B_sub)
     assert B.d == 4
     assert_represents(B, G)
@@ -224,7 +222,7 @@ def test_sur1_compose_validates_inputs():
         assemble(roberts_graph(1),
                  Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=RobertsStep()))
     # sub-representation that disagrees with the graph
-    wrong = boxes_of({v: [(0, 1)] for v in range(4, 8)})
+    wrong = boxes_of({v: (0, 1) for v in range(4, 8)})
     with pytest.raises(InvalidInput):
         sur1_compose(G, PairCover(X=(0, 1, 2, 3), pairs=((0, 1), (2, 3))), wrong)
 
@@ -272,8 +270,8 @@ def test_sur2_compose_allows_added_edges_inside_x():
     sep = Separation(V1=(0,), V2=(3,), X=(1, 2))
     # B1 represents the triangle 0-1-2, i.e. the induced side plus the
     # non-edge (1, 2) completed inside X
-    B1 = boxes_of({0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]})
-    B2 = boxes_of({1: [(0, 0)], 2: [(1, 1)], 3: [(0, 1)]})
+    B1 = boxes_of({0: (0, 1), 1: (0, 1), 2: (0, 1)})
+    B2 = boxes_of({1: (0, 0), 2: (1, 1), 3: (0, 1)})
     B = sur2_compose(G, sep, B1, B2)
     assert B.d == 3
     assert_represents(B, G)
@@ -283,18 +281,18 @@ def test_sur2_compose_validates_inputs():
     """sur2_compose checks the two sides' representations; the separation
     is checked once, by its own validate when a derivation step uses it."""
     G = make_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    B1 = boxes_of({0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]})
-    B2 = boxes_of({1: [(0, 0)], 2: [(1, 1)], 3: [(0, 1)]})
+    B1 = boxes_of({0: (0, 1), 1: (0, 1), 2: (0, 1)})
+    B2 = boxes_of({1: (0, 0), 2: (1, 1), 3: (0, 1)})
     with pytest.raises(CertificateError, match=r"edge \(0, 1\) joins V1 and V2"):
         # (0, 1) is an edge joining V1 and V2
         Separation(V1=(0,), V2=(1, 3), X=(2,)).validate(G)
     with pytest.raises(CertificateError, match="vertex 2 is in no part"):
         Separation(V1=(0,), V2=(3,), X=(1,)).validate(G)
-    bad_b1 = boxes_of({0: [(0, 0)], 1: [(1, 1)], 2: [(0, 1)]})
+    bad_b1 = boxes_of({0: (0, 0), 1: (1, 1), 2: (0, 1)})
     with pytest.raises(InvalidInput):
         # misses the edge (0, 1)
         sur2_compose(G, Separation(V1=(0,), V2=(3,), X=(1, 2)), bad_b1, B2)
-    bad_b2 = boxes_of({1: [(0, 1)], 2: [(0, 1)], 3: [(0, 1)]})
+    bad_b2 = boxes_of({1: (0, 1), 2: (0, 1), 3: (0, 1)})
     with pytest.raises(InvalidInput):
         # represents the non-edge (1, 2) but B2 must be exact
         sur2_compose(G, Separation(V1=(0,), V2=(3,), X=(1, 2)), B1, bad_b2)
@@ -373,10 +371,10 @@ def test_sur2bis_double_random_cases():
 def test_forest_two_dim_star_coordinates():
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     B = forest_two_dim(star)
-    assert B.boxes[0] == (iv(1, 8), iv(0, 2))
-    assert B.boxes[1] == (iv(2, 3), iv(2, 4))
-    assert B.boxes[2] == (iv(4, 5), iv(2, 4))
-    assert B.boxes[3] == (iv(6, 7), iv(2, 4))
+    assert box_of(B, 0) == (iv(1, 8), iv(0, 2))
+    assert box_of(B, 1) == (iv(2, 3), iv(2, 4))
+    assert box_of(B, 2) == (iv(4, 5), iv(2, 4))
+    assert box_of(B, 3) == (iv(6, 7), iv(2, 4))
     assert_represents(B, star)
 
 
@@ -385,8 +383,8 @@ def test_forest_two_dim_components_stay_apart():
     B = forest_two_dim(F)
     assert_represents(B, F)
     # roots of different components share the depth band but not the window
-    assert B.boxes[0][1] == B.boxes[3][1]
-    assert not interval_adjacent(B.dimension_rep(0), 0, 3)
+    assert B.layers[1][0] == B.layers[1][3]
+    assert not interval_adjacent(B.layers[0], 0, 3)
 
 
 def test_forest_two_dim_rejects_cycles():
@@ -506,8 +504,11 @@ def test_box_representation_schema_errors():
         box_rep_from_dict({"d": 0, "vertices": {}})
     with pytest.raises(InvalidInput):
         box_rep_from_dict({"d": True, "vertices": {"0": [[[0, 1], [1, 1]]]}})
-    with pytest.raises(InvalidInput):
-        box_rep_from_dict({"d": 1, "vertices": {"0": []}})
+    with pytest.raises(InvalidInput, match="^empty representation$"):
+        box_rep_from_dict({"d": 10**12, "vertices": {}})
+    for d, row in ((1, []), (2, [[[0, 1], [1, 1]]]), (10**12, [[[0, 1], [1, 1]]])):
+        with pytest.raises(InvalidInput, match=rf"^vertices\[0\] must list exactly {d} intervals$"):
+            box_rep_from_dict({"d": d, "vertices": {"0": row}})
     with pytest.raises(InvalidInput):
         box_rep_from_dict({"d": 1, "vertices": {"a": [[[0, 1], [1, 1]]]}})
     with pytest.raises(InvalidInput):

@@ -217,7 +217,7 @@ def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
     f, rep = tmp_path / "f.json", tmp_path / "rep.json"
     assert main(["gen", "path", "3", "-o", str(f)]) == 0
     # a layout that misses the edges, so the construction's own check fails
-    wrong = BoxRepresentation(1, {v: (Interval(v, v),) for v in range(3)})
+    wrong = BoxRepresentation([{v: Interval(v, v) for v in range(3)}])
     monkeypatch.setattr("boxicity.boxes.forest_two_dim", lambda G: wrong)
     capsys.readouterr()
     assert main(["construct", "forest", str(f), "-o", str(rep)]) == 4

@@ -560,10 +560,9 @@ _id_tuples = st.lists(_ids, max_size=5).map(tuple)
 _notes = st.none() | st.text(max_size=8)
 _intervals = st.tuples(st.fractions(), st.fractions()).map(
     lambda p: Interval(min(p), max(p)))
-_box_reps = st.integers(1, 3).flatmap(lambda d: st.builds(
-    BoxRepresentation, st.just(d),
-    st.dictionaries(_ids, st.lists(_intervals, min_size=d, max_size=d).map(tuple),
-                    min_size=1, max_size=4)))
+_box_reps = st.lists(_ids, min_size=1, max_size=4, unique=True).flatmap(lambda dom: st.builds(
+    BoxRepresentation,
+    st.lists(st.fixed_dictionaries(dict.fromkeys(dom, _intervals)), min_size=1, max_size=3)))
 _budgets = st.builds(
     SearchBudget,
     max_nodes=st.integers(1, 10**15),

@@ -303,8 +303,7 @@ def test_conflict_bound_and_witness_dimensions_on_random_graphs():
         res = exact_boxicity(G)
         assert res.status == "exact"
         assert clique_number(conflicts, SearchBudget().meter()) <= res.value
-        for i in range(res.witness.d):
-            R = res.witness.dimension_rep(i)
+        for i, R in enumerate(res.witness.layers):
             excluded = sum(1 << j for j, (u, v) in enumerate(non_edges)
                            if not interval_adjacent(R, u, v))
             assert not any(excluded >> j & 1 and conflicts[j] & excluded

@@ -15,7 +15,7 @@ from boxicity.figure1 import figure1_gadget, figure1_problems
 from boxicity.graphs import cycle, graph_to_dict, make_graph
 from boxicity.intervals import Interval
 
-from util import box_adjacent, box_graph_of, gadget_instance
+from util import box_adjacent, box_graph_of, box_of, gadget_instance
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -30,15 +30,13 @@ def bare_cycle(k):
 def test_cycle_boxes_k6_frozen():
     G, cls = bare_cycle(6)
     B = figure1_gadget(G, cls)
-    want = {
-        0: (Interval(-1, 0), Interval(0, 3)),
-        1: (Interval(0, 1), Interval(0, 1)),
-        2: (Interval(1, 2), Interval(1, 2)),
-        3: (Interval(2, 3), Interval(0, 1)),
-        4: (Interval(3, 4), Interval(0, 3)),
-        5: (Interval(0, 3), Interval(3, 4)),
-    }
-    assert {v: B.boxes[v] for v in B.domain()} == want
+    want = (
+        {0: Interval(-1, 0), 1: Interval(0, 1), 2: Interval(1, 2),
+         3: Interval(2, 3), 4: Interval(3, 4), 5: Interval(0, 3)},
+        {0: Interval(0, 3), 1: Interval(0, 1), 2: Interval(1, 2),
+         3: Interval(0, 1), 4: Interval(0, 3), 5: Interval(3, 4)},
+    )
+    assert B.layers == want
 
 
 @pytest.mark.parametrize("k", range(6, 13))
@@ -60,7 +58,7 @@ def test_single_neighbor_point_is_interior():
     G, cls = gadget_instance(7, classes=("S1",))
     B = figure1_gadget(G, cls)
     v = 7  # anchored at cycle position 0
-    assert B.boxes[v] == (Interval(-HALF, -HALF), Interval(Fraction(3, 2), Fraction(3, 2)))
+    assert box_of(B, v) == (Interval(-HALF, -HALF), Interval(Fraction(3, 2), Fraction(3, 2)))
     hits = [u for u in range(7) if box_adjacent(B, v, u)]
     assert hits == [0]
 
@@ -71,7 +69,7 @@ def test_special_anchor_coordinates_k6():
     by_assignment = {cls.assignments[v]: v for v in cls.assignments}
 
     def box_of(name, anchor):
-        return B.boxes[by_assignment[(name, anchor)]]
+        return tuple(layer[by_assignment[(name, anchor)]] for layer in B.layers)
 
     # two-neighbor points at the wall corners
     assert box_of("S2", 4) == (Interval(3, 3), Interval(3, 3))
@@ -106,9 +104,9 @@ def test_problems_detect_a_moved_box():
     G, cls = gadget_instance(6, classes=("S2",))
     B = figure1_gadget(G, cls)
     v = 6
-    moved = dict(B.boxes)
-    moved[v] = (Interval(50, 51), Interval(50, 51))
-    bad = BoxRepresentation(2, moved)
+    x, y = map(dict, B.layers)
+    x[v], y[v] = Interval(50, 51), Interval(50, 51)
+    bad = BoxRepresentation((x, y))
     found = figure1_problems(G, cls, bad)
     assert found and any(f"({0}, {v})" in p for p in found)
 
@@ -116,9 +114,9 @@ def test_problems_detect_a_moved_box():
 def test_problems_reject_domain_and_dimension_mismatch():
     G, cls = bare_cycle(6)
     B = figure1_gadget(G, cls)
-    shrunk = BoxRepresentation(2, {v: B.boxes[v] for v in range(5)})
+    shrunk = BoxRepresentation({v: layer[v] for v in range(5)} for layer in B.layers)
     assert figure1_problems(G, cls, shrunk)
-    fat = BoxRepresentation(3, {v: B.boxes[v] + (Interval(0, 1),) for v in B.domain()})
+    fat = BoxRepresentation(B.layers + (dict.fromkeys(B.domain(), Interval(0, 1)),))
     assert figure1_problems(G, cls, fat) == ["gadget must be 2-dimensional, got 3"]
 
 
@@ -126,7 +124,7 @@ def _scaled(B: BoxRepresentation) -> dict:
     boxes = {}
     for v in B.domain():
         entry = []
-        for side in B.boxes[v]:
+        for side in box_of(B, v):
             lo, hi = side.lo * 2, side.hi * 2
             assert lo.denominator == 1 and hi.denominator == 1
             entry.append([int(lo), int(hi)])

@@ -20,12 +20,12 @@ from boxicity.graphs import (
 )
 from boxicity.intervals import (
     Interval,
-    IntervalRepresentation,
     canonical_extension,
     interval_from_pairs,
     interval_to_pairs,
     meet_masks,
     representation_from_ordering,
+    span,
     umbrella_closure,
 )
 
@@ -37,7 +37,7 @@ def iv(lo, hi):
 
 
 def rep(d):
-    return IntervalRepresentation({v: iv(lo, hi) for v, (lo, hi) in d.items()})
+    return {v: iv(lo, hi) for v, (lo, hi) in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +75,17 @@ def test_meet_masks_match_the_pairwise_oracle(seed):
         # sparse ids
         ids = rng.sample(range(3 * 12), rng.randrange(1, 12))
         drawn = []
-        R = IntervalRepresentation({
+        R = {
             v: iv(min(a, b), max(a, b))
             for v in ids
             for a, b in [(endpoint(drawn), endpoint(drawn))]
-        })
+        }
         masks = meet_masks(R)
         assert set(masks) == set(ids)
         for u in ids:
             assert masks[u] == sum(1 << w for w in ids if interval_adjacent(R, u, w))
-        ivs = R.intervals.values()
-        assert R.span() == iv(min(x.lo for x in ivs), max(x.hi for x in ivs))
+        ivs = R.values()
+        assert span(R) == iv(min(x.lo for x in ivs), max(x.hi for x in ivs))
 
 
 def test_interval_coerces_ints_to_fractions():
@@ -110,7 +110,7 @@ def test_interval_graph_of_dense_relabeling():
 
 
 def test_interval_graph_of_empty():
-    assert interval_graph_of(IntervalRepresentation({})) == Graph(0, frozenset())
+    assert interval_graph_of({}) == Graph(0, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,7 @@ def test_umbrella_closure_properties():
 
 def test_representation_from_ordering_frozen_example():
     R = representation_from_ordering(path(3), (0, 1, 2))
-    assert R.intervals[0] == iv(1, 2)
-    assert R.intervals[1] == iv(2, 3)
-    assert R.intervals[2] == iv(3, 3)
+    assert R == {0: iv(1, 2), 1: iv(2, 3), 2: iv(3, 3)}
 
 
 def test_representation_from_ordering_requires_umbrella_free():
@@ -244,13 +242,11 @@ def test_interval_recognition_round_trip_from_random_representations():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randrange(1, 9)
-        R = IntervalRepresentation(
-            {
-                v: iv(min(a, b), max(a, b))
-                for v in range(n)
-                for a, b in [(rng.randrange(10), rng.randrange(10))]
-            }
-        )
+        R = {
+            v: iv(min(a, b), max(a, b))
+            for v in range(n)
+            for a, b in [(rng.randrange(10), rng.randrange(10))]
+        }
         G = interval_graph_of(R)
         res = boxicity_at_most(G, 1)
         assert res.value == 1
@@ -266,9 +262,7 @@ def test_canonical_extension_example():
     G = path(3)
     R = rep({0: (0, 1), 1: (1, 2)})
     ext = canonical_extension(R, G)
-    assert ext.domain() == (0, 1, 2)
-    assert ext.intervals[2] == iv(0, 2)
-    assert ext.intervals[0] == iv(0, 1)
+    assert ext == {0: iv(0, 1), 1: iv(1, 2), 2: iv(0, 2)}
 
 
 def test_canonical_extension_properties():
@@ -290,13 +284,11 @@ def test_canonical_extension_properties():
         sigma = list(range(len(X)))
         rng.shuffle(sigma)
         closed = umbrella_closure(H, sigma)
-        R = IntervalRepresentation({
-            X[i]: x for i, x in representation_from_ordering(closed, sigma).intervals.items()
-        })
+        R = {X[i]: x for i, x in representation_from_ordering(closed, sigma).items()}
         ext = canonical_extension(R, G)
-        assert set(ext.domain()) == set(range(n))
+        assert set(ext) == set(range(n))
         for u, v in combinations(range(n), 2):
-            if u in R.intervals and v in R.intervals:
+            if u in R and v in R:
                 # pairs inside X are untouched
                 assert interval_adjacent(ext, u, v) == interval_adjacent(R, u, v)
             else:
@@ -327,10 +319,10 @@ def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_compariso
     F = random_forest(2000, 5)
     B = forest_two_dim(F)
     G = path(400)
-    R = IntervalRepresentation({v: Interval(v, v + 1) for v in range(0, 400, 2)})
+    R = {v: Interval(v, v + 1) for v in range(0, 400, 2)}
     fraction_order_comparisons[0] = 0
     assert verify_representation(B, F).equal
-    assert canonical_extension(R, G).intervals[1] == Interval(0, 399)
+    assert canonical_extension(R, G)[1] == Interval(0, 399)
     assert fraction_order_comparisons[0] == 0
     # the counter does see comparisons of non-integer endpoints
     meet_masks(rep({0: (Fraction(1, 3), Fraction(1, 2)), 1: (Fraction(1, 4), 1)}))
@@ -343,7 +335,7 @@ def test_canonical_extension_rejects_missing_edge():
     with pytest.raises(InvalidInput):
         canonical_extension(R, G)
     with pytest.raises(InvalidInput):
-        canonical_extension(IntervalRepresentation({}), G)
+        canonical_extension({}, G)
     with pytest.raises(InvalidInput):
         canonical_extension(rep({7: (0, 1)}), G)
 

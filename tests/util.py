@@ -1,6 +1,7 @@
 """Helpers shared across test modules."""
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, count, permutations
 
 from boxicity.boxes import (
@@ -16,7 +17,7 @@ from boxicity.certificates import (
 )
 from boxicity.exact import SearchBudget
 from boxicity.graphs import Graph, make_graph
-from boxicity.intervals import Interval, IntervalRepresentation, check_ordering
+from boxicity.intervals import Interval, check_ordering
 
 
 def all_graphs(n):
@@ -154,14 +155,27 @@ def meets(a: Interval, b: Interval) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-def interval_adjacent(R: IntervalRepresentation, u: int, v: int) -> bool:
-    """Pairwise oracle for one interval representation."""
-    return meets(R.intervals[u], R.intervals[v])
+def interval_adjacent(layer: dict[int, Interval], u: int, v: int) -> bool:
+    """Pairwise oracle for one layer (an interval representation)."""
+    return meets(layer[u], layer[v])
+
+
+def boxes_of(*layers) -> BoxRepresentation:
+    """The representation whose layers map each v to (lo, hi)."""
+    return BoxRepresentation(
+        {v: Interval(Fraction(lo), Fraction(hi)) for v, (lo, hi) in layer.items()}
+        for layer in layers
+    )
+
+
+def box_of(B: BoxRepresentation, v: int) -> tuple[Interval, ...]:
+    """The box of v: its interval in each layer."""
+    return tuple(layer[v] for layer in B.layers)
 
 
 def box_adjacent(B: BoxRepresentation, u: int, v: int) -> bool:
-    """Pairwise oracle: boxes meet when they meet in every dimension."""
-    return all(meets(a, b) for a, b in zip(B.boxes[u], B.boxes[v]))
+    """Pairwise oracle: boxes meet when they meet in every layer."""
+    return all(interval_adjacent(layer, u, v) for layer in B.layers)
 
 
 def _dense_graph(dom, adjacent) -> Graph:
@@ -176,9 +190,9 @@ def box_graph_of(B: BoxRepresentation) -> Graph:
     return _dense_graph(B.domain(), lambda u, v: box_adjacent(B, u, v))
 
 
-def interval_graph_of(R: IntervalRepresentation) -> Graph:
+def interval_graph_of(layer: dict[int, Interval]) -> Graph:
     """The intersection graph, relabeled densely through the sorted domain."""
-    return _dense_graph(R.domain(), lambda u, v: interval_adjacent(R, u, v))
+    return _dense_graph(sorted(layer), lambda u, v: interval_adjacent(layer, u, v))
 
 
 def dimension_small(P) -> int:
