@@ -60,7 +60,7 @@ def _write_atomic(target: str, doc) -> None:
 
 def _read_json(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
@@ -68,6 +68,8 @@ def _read_json(path: str):
         raise InvalidInput(
             f"{path}: bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an int too long to convert
+        raise InvalidInput(f"{path}: bad JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path}: JSON nested too deeply") from exc
 

@@ -137,6 +137,20 @@ def test_exact_rejects_malformed_json(tmp_path, capsys):
     assert "bad JSON at line 1 column" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"n": ' + b"1" * 5001 + b', "edges": []}', "Exceeds the limit (4300 digits)"),
+    (b'{"n": 3, "edges": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["5001-digit-int", "non-utf8-byte"])
+def test_undecodable_json_exits_2(tmp_path, capsys, content, message):
+    """Input files are read as UTF-8, JSON's encoding, whatever the locale;
+    a value the decoder refuses is an input error like bad syntax."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["exact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+
+
 # ------------------------------------------------------------ construct
 
 
