@@ -139,21 +139,31 @@ def chord_conflicts(
     for which all four pairs between {a, c} and {b, d} are edges.
 
     a-b-c-d-a is then an induced C4 with chords ac and bd, and an interval
-    graph is chordal, so no one dimension excludes both.  The table is
-    quadratic in the non-edges, so each row checks the deadline, counting
-    no node.
+    graph is chordal, so no one dimension excludes both.
+
+    With ends[x] the mask of the non_edges that have x as an end, row
+    (a, c) is the OR of ends over the common neighbours of a and c, minus
+    the OR over every other vertex: the non-edges with both ends common.
+    The table is quadratic in the non-edges, so each row checks the
+    deadline, counting no node.
     """
     check_deadline = (budget or SearchBudget()).meter().check_deadline
     nbr = G.nbr_masks
+    ends = [0] * G.n
+    for j, (b, d) in enumerate(non_edges):
+        ends[b] |= 1 << j
+        ends[d] |= 1 << j
     out = []
     for a, c in non_edges:
         check_deadline()
         common = nbr[a] & nbr[c]
-        mask = 0
-        for j, (b, d) in enumerate(non_edges):
-            if common >> b & 1 and common >> d & 1:
-                mask |= 1 << j
-        out.append(mask)
+        inside = outside = 0
+        for x, mask in enumerate(ends):
+            if common >> x & 1:
+                inside |= mask
+            else:
+                outside |= mask
+        out.append(inside & ~outside)
     return out
 
 
@@ -184,7 +194,7 @@ class _ClosureSearch:
         self.G = G
         self.n = G.n
         self.meter = meter
-        self.non_edges = sorted(G.non_edges())
+        self.non_edges = G.non_edges()
         self.conflicts = chord_conflicts(G, self.non_edges, meter)
         # index[u][v]: the index of non-edge (u, v), in either order
         self.index = [[-1] * self.n for _ in range(self.n)]

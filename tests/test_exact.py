@@ -37,6 +37,7 @@ from util import (
     all_graphs,
     assert_represents,
     boxicity_by_orderings,
+    chord_conflicts_by_scan,
     find_forest_stable_partition_reference,
     interval_adjacent,
     star,
@@ -238,6 +239,18 @@ def conflicts_of(G):
 
 def conflict_clique(G):
     return clique_number(conflicts_of(G), SearchBudget().meter())
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_chord_conflicts_match_the_scan(p):
+    rng = random.Random(f"chords {p}")
+    for _ in range(6):
+        G = random_graph(rng.randint(1, 40), p, seed=rng.randrange(10**6))
+        assert conflicts_of(G) == chord_conflicts_by_scan(G, G.non_edges())
+    # a non_edges list in another order indexes the masks by that order
+    order = G.non_edges()
+    rng.shuffle(order)
+    assert chord_conflicts(G, order) == chord_conflicts_by_scan(G, order)
 
 
 def test_roberts_conflict_clique_is_m():

@@ -195,6 +195,17 @@ def interval_graph_of(layer: dict[int, Interval]) -> Graph:
     return _dense_graph(sorted(layer), lambda u, v: interval_adjacent(layer, u, v))
 
 
+def chord_conflicts_by_scan(G: Graph, non_edges) -> list[int]:
+    """exact.chord_conflicts by its definition: row (a, c) scans every
+    non-edge (b, d) for b and d both common neighbours of a and c."""
+    out = []
+    for a, c in non_edges:
+        common = G.nbr_masks[a] & G.nbr_masks[c]
+        out.append(sum(1 << j for j, (b, d) in enumerate(non_edges)
+                       if common >> b & 1 and common >> d & 1))
+    return out
+
+
 def dimension_small(P) -> int:
     """Poset dimension by brute force over every permutation (at most six
     elements): the fewest linear extensions that between them put b before
