@@ -435,15 +435,15 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
         raise InvalidInput(f"'d' must be a positive int, got {d!r}")
     if not isinstance(doc["vertices"], dict):
         raise InvalidInput("'vertices' must map vertex ids to interval lists")
-    layers = None
+    layers = None  # made at the first row, once its length has matched d
     for key, val in doc["vertices"].items():
         v = int_key(key, "vertex")
         if not isinstance(val, list) or len(val) != d:
             raise InvalidInput(
                 f"vertices[{key}] must list exactly {d} intervals"
             )
-        layers = layers or [{} for _ in val]  # d of them, once a row has d
+        layers = layers or [{} for _ in val]
         for i, (layer, iv) in enumerate(zip(layers, val)):
             layer[v] = interval_from_pairs(iv, f"vertices[{key}][{i}]")
-    # no rows: one empty layer, which the constructor refuses
+    # no rows: one empty layer, which the constructor refuses as empty
     return BoxRepresentation(layers or [{}])
