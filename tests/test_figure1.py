@@ -68,20 +68,20 @@ def test_special_anchor_coordinates_k6():
     B = figure1_gadget(G, cls)
     by_assignment = {cls.assignments[v]: v for v in cls.assignments}
 
-    def box_of(name, anchor):
-        return tuple(layer[by_assignment[(name, anchor)]] for layer in B.layers)
+    def assigned(name, anchor):
+        return box_of(B, by_assignment[(name, anchor)])
 
     # two-neighbor points at the wall corners
-    assert box_of("S2", 4) == (Interval(3, 3), Interval(3, 3))
-    assert box_of("S2", 5) == (Interval(0, 0), Interval(3, 3))
+    assert assigned("S2", 4) == (Interval(3, 3), Interval(3, 3))
+    assert assigned("S2", 5) == (Interval(0, 0), Interval(3, 3))
     # distance-two bridges near the end of the staircase and around the lid
-    assert box_of("S3", 3) == (Interval(Fraction(5, 2), Fraction(5, 2)), Interval(1, 3))
-    assert box_of("S3", 4) == (Interval(0, 3), Interval(Fraction(5, 2), Fraction(5, 2)))
-    assert box_of("S3", 5) == (Interval(HALF, HALF), Interval(1, 3))
+    assert assigned("S3", 3) == (Interval(Fraction(5, 2), Fraction(5, 2)), Interval(1, 3))
+    assert assigned("S3", 4) == (Interval(0, 3), Interval(Fraction(5, 2), Fraction(5, 2)))
+    assert assigned("S3", 5) == (Interval(HALF, HALF), Interval(1, 3))
     # three-neighbor runs along the walls and the lid
-    assert box_of("S4", 3) == (Interval(3, 3), Interval(1, 3))
-    assert box_of("S4", 4) == (Interval(0, 3), Interval(3, 3))
-    assert box_of("S4", 5) == (Interval(0, 0), Interval(1, 3))
+    assert assigned("S4", 3) == (Interval(3, 3), Interval(1, 3))
+    assert assigned("S4", 4) == (Interval(0, 3), Interval(3, 3))
+    assert assigned("S4", 5) == (Interval(0, 0), Interval(1, 3))
 
 
 def test_gadget_validates_the_classification(tmp_path, capsys):
