@@ -13,7 +13,11 @@ representation whose dimension is an exact function of the inputs.  They
 take the certificate as valid: the derivation rule that calls them has
 already validated it (see `certificates`).  What they still check is what
 the certificate does not cover, the child representations: their domains,
-and their agreement with the graph.  The dimensions:
+and their agreement with the graph, so that each child is checked once, by
+the composition that takes it.  sur2bis_double is the exception: it takes
+its child as it is, and the doubled result is checked by whatever consumes
+it.  Doubling keeps every pair that is not inside K, so a wrong child still
+fails that check.  The dimensions:
 
   pair/singleton gadgets      1 dimension, breaks all non-adjacencies at the
                               chosen vertices

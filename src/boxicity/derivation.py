@@ -8,11 +8,13 @@ matched-complement family, an explicit representation, or the exhaustive
 search oracle).  Assembly first validates every certificate against the
 subgraph it applies to and refuses a script predicted to build more than
 MAX_PREDICTED_INTERVALS intervals at any step; then it replays the tree
-bottom-up, verifies the composed representation at every level, and
-reports the per-step dimension accounting.  Each rule is one record of
-RULES, which the dry run, the build, the report and the JSON codec all
-read; the nine step classes (Sur1Step ... BaseOracleStep) are named tuples
-generated from it, so a step's keys and child slots are declared once.
+bottom-up and reports the per-step dimension accounting.  Each
+representation is checked once: by the composition that takes it (a sur2bis
+child through its doubling, which keeps every pair outside K) or against G
+at the root.  Each rule is one record of RULES, which the dry run, the
+build, the report and the JSON codec all read; the nine step classes
+(Sur1Step ... BaseOracleStep) are named tuples generated from it, so a
+step's keys and child slots are declared once.
 
 All vertex sets in a script, at any depth, use the root graph's vertex
 ids.  Internally each level works on a dense induced copy; certificates
@@ -82,9 +84,7 @@ DerivationReport = namedtuple("DerivationReport", "steps total_dimension verifie
 Field = namedtuple("Field", "key encode decode optional", defaults=(False,))
 
 
-class Rule(namedtuple(
-    "Rule", "name fields slots check build dimension self_verified step"
-)):
+class Rule(namedtuple("Rule", "name fields slots check build dimension step")):
     """Everything the walk and the JSON codec know about one rule.
 
     check(step, level) validates the step's certificate against level.H
@@ -94,8 +94,7 @@ class Rule(namedtuple(
     the children, lifted to level ids, and returns the representation and
     the report's formula text.  dimension(step, *sub_dims) is the claimed
     dimension, None when only the build can tell; a leaf is passed the
-    vertex count.  self_verified marks rules whose build output is already
-    verified against level.H, so the walk does not verify it again.
+    vertex count.
 
     step, the class of the rule's steps, is made here: a named tuple named
     after the rule (sur2bis gives Sur2bisStep) whose attributes are the
@@ -105,7 +104,7 @@ class Rule(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, name, fields, slots, check, build, dimension, self_verified=False):
+    def __new__(cls, name, fields, slots, check, build, dimension):
         optional = [field.key for field in fields if field.optional] + ["note"]
         step = namedtuple(
             "".join(part.capitalize() for part in name.split("_")) + "Step",
@@ -113,8 +112,7 @@ class Rule(namedtuple(
             defaults=(None,) * len(optional),
             module=__name__,
         )
-        return super().__new__(cls, name, fields, slots, check, build, dimension,
-                               self_verified, step)
+        return super().__new__(cls, name, fields, slots, check, build, dimension, step)
 
 
 class _Level(namedtuple("_Level", "H to_root path")):
@@ -310,7 +308,6 @@ def _oracle_check(step, lv):
 
 
 def _oracle_build(lv, step):
-    """The search's witness, which it verifies before returning it."""
     result = exact_boxicity(lv.H, step.d_max, step.budget)
     if result.status == STATUS_BUDGET:
         raise BudgetExhausted(
@@ -364,12 +361,12 @@ RULES: tuple[Rule, ...] = (
     Rule("base_explicit",
          (Field("rep", lambda B: box_rep_to_dict(B), lambda doc: box_rep_from_dict(doc)),),
          (), _explicit_check, _explicit_build,
-         lambda step, *_: step.rep.d, self_verified=True),
+         lambda step, *_: step.rep.d),
     Rule("base_oracle", (Field("d_max", lambda d: d, _d_max_from_dict, optional=True),
                          Field("budget", SearchBudget._asdict, _budget_from_dict,
                                optional=True)),
          (), _oracle_check, _oracle_build,
-         lambda step, *_: None, self_verified=True),
+         lambda step, *_: None),
 )
 _BY_NAME = {rule.name: rule for rule in RULES}
 _BY_TYPE = {rule.step: rule for rule in RULES}
@@ -416,7 +413,7 @@ def _plan(lv: _Level, step: DerivationStep):
 
     Returns the most dimensions building the step can take, refused above
     MAX_PREDICTED_INTERVALS, and a function build(out) that builds the
-    children, composes, verifies, compares with the claim and fills the
+    children, composes, compares with the claim and fills the
     step's report slot in out, reserved before the children's so that
     reports run in pre-order.
     """
@@ -447,11 +444,6 @@ def _plan(lv: _Level, step: DerivationStep):
             for B, (_, vmap) in zip(built, children)
         ]
         B, formula = rule.build(lv, cert, *lifted)
-        if not rule.self_verified:
-            report = verify_representation(B, lv.H)
-            if not report.equal:
-                bad = (report.missing_edges + report.extra_edges)[0]
-                raise lv.error(f"composed representation disagrees on pair {bad}")
         claimed = bound_formula(step, *([S.d for S in built] if rule.slots else [lv.H.n]))
         if claimed is None:
             claimed = B.d
@@ -471,16 +463,20 @@ def _root(G: Graph) -> _Level:
 
 
 def assemble(G: Graph, script: DerivationStep) -> tuple[BoxRepresentation, DerivationReport]:
-    """Build and verify the representation a script describes.
+    """Build the representation a script describes and verify it against G.
 
     Every certificate is validated against the subgraph it applies to, and
-    the predicted size is capped, before anything is built; then every
-    composition is re-verified.  The first failure aborts with the step's
-    path and a witness, and nothing partial is returned.
+    the predicted size is capped, before anything is built.  The first
+    failure aborts with the step's path and a witness, and nothing partial
+    is returned; a result that disagrees with G is a bug: RuntimeError.
     """
     steps: list[StepReport] = []
     _, build = _plan(_root(G), script)
     B = build(steps)
+    report = verify_representation(B, G)
+    if not report.equal:
+        bad = min(report.missing_edges + report.extra_edges)
+        raise RuntimeError(f"root: assembled representation disagrees on pair {bad}")
     return B, DerivationReport(tuple(steps), B.d, True)
 
 

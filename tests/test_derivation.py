@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxicity.boxes import BoxRepresentation, relabel_box_representation
+from boxicity.boxes import BoxRepresentation, relabel_box_representation, verify_representation
 from boxicity.certificates import (
     CycleClassification,
     ForestStablePartition,
@@ -310,6 +310,43 @@ def test_root_findings_name_the_root_step():
     with pytest.raises(CertificateError) as caught:
         assemble(cycle(4), Girth4Step(part=ForestStablePartition(F=(0, 1, 2, 3), S=())))
     assert str(caught.value) == "root: partition: F contains the cycle [1, 0, 3, 2]"
+
+
+def test_assembly_verifies_the_result_once(monkeypatch):
+    """Each composition checks the child it takes, so the only full
+    verification is the root's, however deep the script."""
+    G, script = _under_sur1(6, [(u + 4, v + 4) for u, v in roberts_graph(2).edges],
+                            Sur1Step(cover=PairCover(X=(2, 3), pairs=((2, 3),)),
+                                     sub=RobertsStep()))
+    calls = []
+
+    def counted(B, H):
+        calls.append(H.n)
+        return verify_representation(B, H)
+
+    monkeypatch.setattr("boxicity.derivation.verify_representation", counted)
+    B, report = assemble(G, script)
+    assert [s.path for s in report.steps] == ["root", "root/sub", "root/sub/sub"]
+    assert calls == [G.n]
+    assert_represents(B, G)
+
+
+def test_a_wrong_child_of_a_doubling_cannot_escape(monkeypatch):
+    """sur2bis_double takes its child unchecked; the doubled result, here
+    at the root, still fails on every pair the child got wrong outside K."""
+    G = make_graph(6, [(0, 1)] + [(u + 2, v + 2) for u, v in roberts_graph(2).edges])
+    script = Sur2bisStep(K=(0, 1), sub=Sur1Step(
+        cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=RobertsStep()))
+    assemble(G, script)
+
+    def overlapping(H, cover, B_sub):
+        d = B_sub.d + len(cover.X) - len(cover.pairs)
+        return BoxRepresentation([{v: Interval(0, 1) for v in range(H.n)}] * d)
+
+    monkeypatch.setattr("boxicity.derivation.sur1_compose", overlapping)
+    with pytest.raises(RuntimeError, match=r"^root: assembled representation disagrees "
+                                           r"on pair \(0, 2\)$"):
+        assemble(G, script)
 
 
 def test_oracle_step_failure_reports_status():
