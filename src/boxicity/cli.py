@@ -43,19 +43,23 @@ def _dump(doc) -> str:
 
 def _write_atomic(target: str, doc) -> None:
     """Write canonical JSON via a temp file in the same directory, then
-    rename, so readers never observe a half-written file."""
-    target = os.path.abspath(target)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".boxicity-")
+    rename, so readers never observe a half-written file.  A path that
+    cannot be written is an input error naming that path."""
+    path = os.path.abspath(target)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(_dump(doc))
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".boxicity-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(_dump(doc))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _read_json(path: str):

@@ -13,6 +13,12 @@ from itertools import combinations
 
 from .errors import InvalidInput
 
+# The most vertices a graph may have, as many as a one-dimensional derivation
+# step can build on under derivation.MAX_PREDICTED_INTERVALS.  make_graph
+# checks it before reading any edge, and the families pass their edges
+# lazily, so that a huge n fails at once.
+MAX_VERTICES = 10**6
+
 
 class Graph(namedtuple("Graph", "n edges")):
     """Finite simple graph on 0..n-1; edges is a frozenset of (u, v) pairs
@@ -71,11 +77,13 @@ def int_key(key: str, what: str) -> int:
 def make_graph(n: int, edges) -> Graph:
     """Build a Graph from an edge iterable, validating and normalizing.
 
-    Rejects negative n, loops, endpoints outside 0..n-1, and duplicate
-    edges (after orienting each pair as (min, max)).
+    Rejects negative n, n above MAX_VERTICES, loops, endpoints outside
+    0..n-1, and duplicate edges (after orienting each pair as (min, max)).
     """
     if not is_int(n) or n < 0:
         raise InvalidInput(f"vertex count must be a non-negative int, got {n!r}")
+    if n > MAX_VERTICES:
+        raise InvalidInput(f"vertex count exceeds the cap of {MAX_VERTICES} vertices")
     seen: set[tuple[int, int]] = set()
     for e in edges:
         u, v = e
@@ -124,8 +132,15 @@ def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _pairs(n: int):
+    """The pairs u < v of 0..n-1 in lexicographic order; combinations
+    copies its pool when called, so this defers it to make_graph's first
+    read, after the vertex cap."""
+    yield from combinations(range(n), 2)
+
+
 def complete(n: int) -> Graph:
-    return make_graph(n, combinations(range(n), 2))
+    return make_graph(n, _pairs(n))
 
 
 def path(n: int) -> Graph:
@@ -135,18 +150,18 @@ def path(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInput(f"cycle needs at least 3 vertices, got {n}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def roberts_graph(n: int) -> Graph:
     """Complete graph on 2n vertices minus the perfect matching {2i, 2i+1}."""
     if n < 1:
         raise InvalidInput(f"roberts_graph needs n >= 1, got {n}")
-    edges = [
+    edges = (
         (u, v)
-        for u, v in combinations(range(2 * n), 2)
+        for u, v in _pairs(2 * n)
         if not (u // 2 == v // 2)
-    ]
+    )
     return make_graph(2 * n, edges)
 
 
@@ -159,13 +174,12 @@ def subdivided_complete(n: int) -> Graph:
     """
     if n < 1:
         raise InvalidInput(f"subdivided_complete needs n >= 1, got {n}")
-    base = sorted(combinations(range(n), 2))
-    edges = []
-    for r, (u, v) in enumerate(base):
-        mid = n + r
-        edges.append((u, mid))
-        edges.append((v, mid))
-    return make_graph(n + len(base), edges)
+    edges = (
+        (end, n + r)
+        for r, pair in enumerate(_pairs(n))
+        for end in pair
+    )
+    return make_graph(n + n * (n - 1) // 2, edges)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -173,18 +187,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise InvalidInput(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    edges = (e for e in _pairs(n) if rng.random() < p)
     return make_graph(n, edges)
 
 
-def random_forest(n: int, seed: int, attach_probability: float = 0.8) -> Graph:
+def random_forest(n: int, seed: int) -> Graph:
     """Random forest: each vertex i > 0 attaches to an earlier vertex with
-    the given probability, otherwise starts a new component."""
+    probability 0.8, otherwise starts a new component."""
     rng = random.Random(seed)
-    edges = []
-    for i in range(1, n):
-        if rng.random() < attach_probability:
-            edges.append((rng.randrange(i), i))
+    edges = ((rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8)
     return make_graph(n, edges)
 
 

@@ -81,6 +81,38 @@ def test_gen_negative_size_is_invalid(tmp_path):
     assert main(["gen", "cycle", "-2", "-o", str(tmp_path / "g.json")]) == 2
 
 
+@pytest.mark.parametrize("name", ["missing/g.json", "taken"])
+def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, name):
+    (tmp_path / "taken").mkdir()
+    target = tmp_path / name
+    assert main(["gen", "path", "3", "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and ".boxicity-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())
+
+
+def run_cli(*args: str, cwd) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, stopped after 5 s."""
+    return subprocess.run([sys.executable, "-m", "boxicity", *args], capture_output=True,
+                          text=True, timeout=5, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("n", ["1" + "0" * 30, "9" * 4001], ids=["1e30", "4001-digits"])
+def test_vertex_counts_above_the_cap_exit_2_at_once(tmp_path, n):
+    (tmp_path / "g.json").write_text(f'{{"n": {n}, "edges": []}}')
+    runs = [["exact", "g.json"], ["construct", "forest", "g.json", "-o", "rep.json"],
+            ["poset", "g.json"]]
+    if len(n) < 100:
+        runs.append(["gen", "path", n, "-o", "path.json"])
+    for argv in runs:
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: vertex count exceeds the cap of 1000000 vertices\n"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
 # ---------------------------------------------------------------- exact
 
 
@@ -250,6 +282,22 @@ def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["construct", "figure1", str(g), "--classification", str(c),
                  "-o", str(rep)]) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 7\n"
+
+
+def test_a_wrong_pipeline_result_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """Every certificate has passed by the root's check, so a failure there
+    is the program's fault, not the input's."""
+    g, rep = tmp_path / "g.json", tmp_path / "rep.json"
+    assert main(["gen", "path", "4", "-o", str(g)]) == 0
+    # two layers, k(k-1) for the 2-coloring the path gets, missing every edge
+    wrong = BoxRepresentation([{v: Interval(v, v) for v in range(4)}] * 2)
+    monkeypatch.setattr("boxicity.derivation.acyclic_pipeline", lambda G, colors: wrong)
+    capsys.readouterr()
+    assert main(["construct", "acyclic", str(g), "-o", str(rep)]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError: root: assembled representation disagrees "
+        "on pair (0, 1)\n")
+    assert not rep.exists()
 
 
 def test_construct_acyclic_on_an_empty_graph_exits_2(tmp_path, capsys):

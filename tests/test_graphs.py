@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from boxicity.errors import InvalidInput
 from boxicity.graphs import (
+    MAX_VERTICES,
     Graph,
     check_vertex_set,
     complete,
@@ -45,6 +46,22 @@ def test_make_graph_rejects_bad_input():
         make_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidInput):
         make_graph(-1, [])
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: make_graph(n, []), complete, path, cycle, roberts_graph, subdivided_complete,
+    lambda n: random_graph(n, 0.5, 1), lambda n: random_forest(n, 1),
+], ids=["make_graph", "complete", "path", "cycle", "roberts", "subdivided", "random",
+        "forest"])
+def test_vertex_counts_above_the_cap_are_refused_before_any_edge(make):
+    with pytest.raises(InvalidInput, match="^vertex count exceeds the cap of 1000000 vertices$"):
+        make(10**30)
+
+
+def test_the_vertex_cap_is_inclusive():
+    assert make_graph(MAX_VERTICES, []).n == MAX_VERTICES
+    with pytest.raises(InvalidInput, match="cap"):
+        make_graph(MAX_VERTICES + 1, [])
 
 
 def test_neighbors_and_degrees():
