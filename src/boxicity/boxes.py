@@ -404,14 +404,15 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
 
 def roberts_representation(n: int) -> BoxRepresentation:
     """The n-dimensional representation of the complete graph on 2n vertices
-    minus the matching {2j, 2j+1}; dimension j parks the pair at [0, 1] and
-    [2, 3] and lets everyone else span [0, 3]."""
+    minus the matching {2j, 2j+1}.  Dimension j is the pair gadget of
+    (2j, 2j+1): the pair sits at 0 and 2, and everyone else, adjacent to
+    both, spans [0, 2]."""
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
     layers = []
     for j in range(n):
-        layer = dict.fromkeys(range(2 * n), Interval(0, 3))
-        layer[2 * j], layer[2 * j + 1] = Interval(0, 1), Interval(2, 3)
+        layer = dict.fromkeys(range(2 * n), Interval(0, 2))
+        layer[2 * j], layer[2 * j + 1] = Interval(0, 0), Interval(2, 2)
         layers.append(layer)
     return BoxRepresentation(layers)
 

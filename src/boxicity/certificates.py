@@ -241,16 +241,13 @@ def validate_acyclic_coloring(G: Graph, colors: dict[int, int], ids=None) -> lis
 # JSON forms
 # ---------------------------------------------------------------------------
 
+# A certificate's JSON form is its _asdict() as json writes it; only readers are here.
 
 def int_list(doc, where: str) -> tuple[int, ...]:
     """A JSON list of ints as a tuple; bools and floats are rejected."""
     if not isinstance(doc, list) or not all(is_int(x) for x in doc):
         raise InvalidInput(f"{where} must be a list of ints")
     return tuple(doc)
-
-
-def pair_cover_to_dict(c: PairCover) -> dict:
-    return {"X": list(c.X), "pairs": [list(p) for p in c.pairs]}
 
 
 def pair_cover_from_dict(doc) -> PairCover:
@@ -266,10 +263,6 @@ def pair_cover_from_dict(doc) -> PairCover:
     return PairCover(int_list(doc["X"], "X"), tuple(pairs))
 
 
-def separation_to_dict(s: Separation) -> dict:
-    return {"V1": list(s.V1), "V2": list(s.V2), "X": list(s.X)}
-
-
 def separation_from_dict(doc) -> Separation:
     if not isinstance(doc, dict) or set(doc) != {"V1", "V2", "X"}:
         raise InvalidInput("separation document needs exactly 'V1', 'V2', 'X'")
@@ -278,15 +271,6 @@ def separation_from_dict(doc) -> Separation:
         int_list(doc["V2"], "V2"),
         int_list(doc["X"], "X"),
     )
-
-
-def classification_to_dict(c: CycleClassification) -> dict:
-    return {
-        "cycle": list(c.cycle),
-        "assignments": {
-            str(v): [cls, anchor] for v, (cls, anchor) in sorted(c.assignments.items())
-        },
-    }
 
 
 def classification_from_dict(doc) -> CycleClassification:
@@ -308,10 +292,6 @@ def classification_from_dict(doc) -> CycleClassification:
             raise InvalidInput(f"assignments[{key}] must be [class, anchor]")
         assignments[v] = (val[0], val[1])
     return CycleClassification(int_list(doc["cycle"], "cycle"), assignments)
-
-
-def partition_to_dict(p: ForestStablePartition) -> dict:
-    return {"F": list(p.F), "S": list(p.S)}
 
 
 def partition_from_dict(doc) -> ForestStablePartition:

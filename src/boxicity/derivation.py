@@ -12,7 +12,7 @@ bottom-up and reports the per-step dimension accounting.  Each
 representation is checked once: by the composition that takes it (a sur2bis
 child through its doubling, which keeps every pair outside K) or against G
 at the root.  Each rule is one record of RULES, which the dry run, the
-build, the report and the JSON codec all read; the nine step classes
+build, the report and the script decoder all read; the nine step classes
 (Sur1Step ... BaseOracleStep) are named tuples generated from it, so a
 step's keys and child slots are declared once.
 
@@ -37,11 +37,9 @@ from .boxes import (
     BoxRepresentation,
     acyclic_pipeline,
     box_rep_from_dict,
-    box_rep_to_dict,
-    from_interval_reps,
     girth4_pipeline,
-    pair_gadget,
     relabel_box_representation,
+    roberts_representation,
     sur1_compose,
     sur2_compose,
     sur2bis_double,
@@ -53,16 +51,11 @@ from .certificates import (
     PairCover,
     Separation,
     classification_from_dict,
-    classification_to_dict,
     coloring_from_dict,
-    coloring_to_dict,
     int_list,
     pair_cover_from_dict,
-    pair_cover_to_dict,
     partition_from_dict,
-    partition_to_dict,
     separation_from_dict,
-    separation_to_dict,
     validate_acyclic_coloring,
 )
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
@@ -79,13 +72,13 @@ DerivationReport = namedtuple("DerivationReport", "steps total_dimension verifie
 # --------------------------------------------------------------------------
 # the rule table
 
-# One JSON key of a step, named like the step's attribute, with its codec;
+# One JSON key of a step, named like the step's attribute, with its decoder;
 # an optional field may be absent or null.
-Field = namedtuple("Field", "key encode decode optional", defaults=(False,))
+Field = namedtuple("Field", "key decode optional", defaults=(False,))
 
 
 class Rule(namedtuple("Rule", "name fields slots check build dimension step")):
-    """Everything the walk and the JSON codec know about one rule.
+    """Everything the walk and the script decoder know about one rule.
 
     check(step, level) validates the step's certificate against level.H
     and returns the certificate in level ids plus, per child slot, the
@@ -274,8 +267,10 @@ def _roberts_check(step, lv):
 
 
 def _roberts_build(lv, pairs):
-    B = from_interval_reps([pair_gadget(lv.H, u, v) for u, v in pairs])
-    return B, f"n = {lv.H.n // 2}"
+    """roberts_representation with its pair (2j, 2j+1) moved to pairs[j]."""
+    ends = dict(enumerate(v for pair in pairs for v in pair))
+    B = relabel_box_representation(roberts_representation(len(pairs)), ends)
+    return B, f"n = {len(pairs)}"
 
 
 def _explicit_check(step, lv):
@@ -335,36 +330,34 @@ def _budget_from_dict(doc) -> SearchBudget:
 
 
 # Library functions are called through this module's globals, never stored
-# here (hence the lambdas around the representation codec), so that a tracer
-# that replaces a module attribute sees every call.
+# here (hence the lambda around box_rep_from_dict), so that a tracer that
+# replaces a module attribute sees every call.
 RULES: tuple[Rule, ...] = (
-    Rule("sur1", (Field("cover", pair_cover_to_dict, pair_cover_from_dict),),
+    Rule("sur1", (Field("cover", pair_cover_from_dict),),
          ("sub",), _sur1_check, _sur1_build,
          lambda step, sub: sub + len(step.cover.X) - len(step.cover.pairs)),
-    Rule("sur2", (Field("sep", separation_to_dict, separation_from_dict),),
+    Rule("sur2", (Field("sep", separation_from_dict),),
          ("sub1", "sub2"), _sur2_check, _sur2_build,
          lambda step, sub1, sub2: sub1 + sub2 + 1),
-    Rule("sur2bis", (Field("K", list, lambda doc: int_list(doc, "K")),),
+    Rule("sur2bis", (Field("K", lambda doc: int_list(doc, "K")),),
          ("sub",), _sur2bis_check, _sur2bis_build,
          lambda step, sub: 2 * sub),
-    Rule("figure1", (Field("cls", classification_to_dict, classification_from_dict),),
+    Rule("figure1", (Field("cls", classification_from_dict),),
          ("sub",), _figure1_check, _figure1_build,
          lambda step, sub: sub + 5),
-    Rule("acyclic", (Field("coloring", coloring_to_dict, coloring_from_dict),),
+    Rule("acyclic", (Field("coloring", coloring_from_dict),),
          (), _acyclic_check, _acyclic_build,
          _acyclic_dimension),
-    Rule("girth4", (Field("part", partition_to_dict, partition_from_dict),),
+    Rule("girth4", (Field("part", partition_from_dict),),
          (), _girth4_check, _girth4_build,
          lambda step, *_: 4),
     Rule("roberts", (), (), _roberts_check, _roberts_build,
          lambda step, n: n // 2),
-    Rule("base_explicit",
-         (Field("rep", lambda B: box_rep_to_dict(B), lambda doc: box_rep_from_dict(doc)),),
+    Rule("base_explicit", (Field("rep", lambda doc: box_rep_from_dict(doc)),),
          (), _explicit_check, _explicit_build,
          lambda step, *_: step.rep.d),
-    Rule("base_oracle", (Field("d_max", lambda d: d, _d_max_from_dict, optional=True),
-                         Field("budget", SearchBudget._asdict, _budget_from_dict,
-                               optional=True)),
+    Rule("base_oracle", (Field("d_max", _d_max_from_dict, optional=True),
+                         Field("budget", _budget_from_dict, optional=True)),
          (), _oracle_check, _oracle_build,
          lambda step, *_: None),
 )
@@ -386,7 +379,7 @@ def _rule_of(step) -> Rule:
 # --------------------------------------------------------------------------
 # the walk
 
-# Scripts are decoded, encoded and walked one recursive call per step; real
+# Scripts are decoded and walked one recursive call per step; real
 # derivations are a few steps deep, and this keeps far from Python's limit.
 MAX_SCRIPT_DEPTH = 100
 _TOO_DEEP = f"script is nested more than {MAX_SCRIPT_DEPTH} steps deep"
@@ -492,23 +485,7 @@ def validate_script(G: Graph, script: DerivationStep) -> None:
 
 
 # --------------------------------------------------------------------------
-# JSON
-
-
-def step_to_dict(step: DerivationStep, *, _depth: int = 1) -> dict:
-    if _depth > MAX_SCRIPT_DEPTH:
-        raise ParseError(_TOO_DEEP)
-    rule = _rule_of(step)
-    out: dict = {"rule": rule.name}
-    for field in rule.fields:
-        value = getattr(step, field.key)
-        if value is not None or not field.optional:
-            out[field.key] = field.encode(value)
-    for name in rule.slots:
-        out[name] = step_to_dict(getattr(step, name), _depth=_depth + 1)
-    if step.note is not None:
-        out["note"] = step.note
-    return out
+# JSON: scripts are only read; steps built in Python go straight to assemble
 
 
 def step_from_dict(doc, *, _depth: int = 1) -> DerivationStep:

@@ -311,8 +311,6 @@ class _ClosureSearch:
     def _dims(self, dims_left: int, remaining: int):
         if not remaining:
             return ()
-        if dims_left == 0:
-            return None
         key = (dims_left, remaining)
         if key in self.failed:
             return None
@@ -416,9 +414,10 @@ def exact_boxicity(
     )
 
 
-def _backtrack_coloring(n: int, k: int, allowed) -> dict[int, int] | None:
+def _backtrack_coloring(n: int, k: int, allowed, meter) -> dict[int, int] | None:
     """Color items 0, 1, ..., n - 1 in turn with at most k colors, each color
-    c of item i passing allowed(colors so far, i, c).
+    c of item i passing allowed(colors so far, i, c); every color tried is
+    one tick of meter, so an exhausted budget raises.
 
     Colors are canonical: item 0 gets color 0 and each new color is the
     smallest unused one, which collapses the k! palette symmetries.  The
@@ -435,6 +434,7 @@ def _backtrack_coloring(n: int, k: int, allowed) -> dict[int, int] | None:
         if i == n:
             return colors
         for c in range(start[i], min(k, used[i] + 1)):
+            meter.tick()
             if allowed(colors, i, c):
                 colors[i] = c
                 start[i] = c + 1
@@ -448,15 +448,21 @@ def _backtrack_coloring(n: int, k: int, allowed) -> dict[int, int] | None:
     return None
 
 
-def proper_coloring(G: Graph, k: int) -> dict[int, int] | None:
-    """A proper coloring with at most k colors, or None."""
+def proper_coloring(
+    G: Graph, k: int, budget: SearchBudget | BudgetMeter | None = None
+) -> dict[int, int] | None:
+    """A proper coloring with at most k colors, or None; an exhausted
+    budget raises."""
     return _backtrack_coloring(
-        G.n, k, lambda colors, v, c: all(colors.get(w) != c for w in G.neighbors(v))
+        G.n, k, lambda colors, v, c: all(colors.get(w) != c for w in G.neighbors(v)),
+        (budget or SearchBudget()).meter(),
     )
 
 
-def chromatic_number(G: Graph) -> int:
-    return next(k for k in range(G.n + 1) if proper_coloring(G, k) is not None)
+def chromatic_number(G: Graph, budget: SearchBudget | BudgetMeter | None = None) -> int:
+    """The least k with a proper k-coloring; the budget covers every k."""
+    meter = (budget or SearchBudget()).meter()
+    return next(k for k in range(G.n + 1) if proper_coloring(G, k, meter) is not None)
 
 
 def _joins_two(G: Graph, anchors: int, inside: int) -> bool:
@@ -502,15 +508,23 @@ def _acyclic_ok(G: Graph, colors: dict[int, int], v: int, c: int) -> bool:
     return True
 
 
-def acyclic_coloring(G: Graph, k: int) -> dict[int, int] | None:
-    """A proper coloring with every two classes inducing a forest, or None."""
+def acyclic_coloring(
+    G: Graph, k: int, budget: SearchBudget | BudgetMeter | None = None
+) -> dict[int, int] | None:
+    """A proper coloring with every two classes inducing a forest, or None;
+    an exhausted budget raises."""
     return _backtrack_coloring(
-        G.n, k, lambda colors, v, c: _acyclic_ok(G, colors, v, c)
+        G.n, k, lambda colors, v, c: _acyclic_ok(G, colors, v, c),
+        (budget or SearchBudget()).meter(),
     )
 
 
-def acyclic_chromatic_number(G: Graph) -> int:
-    return next(k for k in range(G.n + 1) if acyclic_coloring(G, k) is not None)
+def acyclic_chromatic_number(
+    G: Graph, budget: SearchBudget | BudgetMeter | None = None
+) -> int:
+    """The least k with an acyclic k-coloring; the budget covers every k."""
+    meter = (budget or SearchBudget()).meter()
+    return next(k for k in range(G.n + 1) if acyclic_coloring(G, k, meter) is not None)
 
 
 def find_pair_cover(G: Graph, X) -> PairCover:

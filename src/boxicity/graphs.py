@@ -18,6 +18,9 @@ from .errors import InvalidInput
 # checks it before reading any edge, and the families pass their edges
 # lazily, so that a huge n fails at once.
 MAX_VERTICES = 10**6
+# The most vertex pairs a family generator may walk; _pairs checks it before
+# the first pair, so that a dense family refuses a large n at once.
+MAX_PAIRS = 10**6
 
 
 class Graph(namedtuple("Graph", "n edges")):
@@ -133,9 +136,12 @@ def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _pairs(n: int):
-    """The pairs u < v of 0..n-1 in lexicographic order; combinations
-    copies its pool when called, so this defers it to make_graph's first
-    read, after the vertex cap."""
+    """The pairs u < v of 0..n-1 in lexicographic order, refused above
+    MAX_PAIRS; combinations copies its pool when called, so this defers it
+    to make_graph's first read, after the vertex cap."""
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_PAIRS:
+        raise InvalidInput(f"{n} vertices make {pairs} pairs, over the cap of {MAX_PAIRS}")
     yield from combinations(range(n), 2)
 
 

@@ -158,7 +158,7 @@ def poset_dimension_at_most(
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
-    tick = (budget or SearchBudget()).meter().tick
+    meter = (budget or SearchBudget()).meter()
     elems = sorted(P.elements)
     n = len(elems)
     index = {x: i for i, x in enumerate(elems)}
@@ -170,7 +170,7 @@ def poset_dimension_at_most(
     # one tick per row, so that the budget bounds the scan too
     critical = []
     for a in range(n):
-        tick()
+        meter.tick()
         critical += [(a, b) for b in range(n)
                      if not (below[a] | above[a]) >> b & 1
                      and below[a] & ~below[b] == 1 << a and above[b] & ~above[a] == 1 << b]
@@ -179,7 +179,6 @@ def poset_dimension_at_most(
         """Class c has no alternating cycle, so a new one runs through
         (a, b) = critical[i]: from a, step to the a2 of every class pair
         (a2, b2) above a reached element, and fail on reaching below b."""
-        tick()
         a, b = critical[i]
         pairs = [critical[j] for j, cj in colors.items() if cj == c]
         reached, grown = 1 << a, True
@@ -193,7 +192,7 @@ def poset_dimension_at_most(
                     grown = True
         return True
 
-    colors = _backtrack_coloring(len(critical), d, allowed)
+    colors = _backtrack_coloring(len(critical), d, allowed, meter)
     if colors is None:
         return None
     realizer = []

@@ -488,6 +488,13 @@ def test_roberts_representation_small():
         roberts_representation(0)
 
 
+def test_roberts_representation_is_the_pair_gadgets_of_the_matching():
+    for n in range(1, 5):
+        G = roberts_graph(n)
+        gadgets = tuple(pair_gadget(G, 2 * j, 2 * j + 1) for j in range(n))
+        assert roberts_representation(n).layers == gadgets
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

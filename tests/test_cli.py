@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,13 +15,7 @@ import pytest
 from boxicity import exact
 
 from boxicity.boxes import BoxRepresentation, box_rep_from_dict, verify_representation
-from boxicity.certificates import (
-    ForestStablePartition,
-    PairCover,
-    Separation,
-    classification_to_dict,
-    partition_to_dict,
-)
+from boxicity.certificates import ForestStablePartition, PairCover, Separation
 from boxicity.cli import main
 from boxicity.derivation import (
     AcyclicStep,
@@ -30,14 +25,13 @@ from boxicity.derivation import (
     Sur1Step,
     Sur2Step,
     Sur2bisStep,
-    step_to_dict,
 )
 from boxicity.exact import SearchBudget
 from boxicity.graphs import graph_from_dict, graph_to_dict, make_graph, roberts_graph
 from boxicity.intervals import Interval
 from boxicity.posets import adjacency_poset, intersect_orders, is_linear_extension, starred_poset
 
-from util import gadget_instance
+from util import gadget_instance, script_doc
 
 
 def write_json(path, doc):
@@ -107,6 +101,34 @@ def test_vertex_counts_above_the_cap_exit_2_at_once(tmp_path, n):
         proc = run_cli(*argv, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (
             2, "error: vertex count exceeds the cap of 1000000 vertices\n"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
+@pytest.mark.parametrize("argv", [["complete", "1000000"],
+                                  ["random", "1000000", "-p", "0", "--seed", "1"]],
+                         ids=["complete", "random"])
+def test_dense_families_above_the_pair_cap_exit_2_at_once(tmp_path, argv):
+    start = time.monotonic()
+    proc = run_cli("gen", *argv, "-o", "g.json", cwd=tmp_path)
+    assert time.monotonic() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: 1000000 vertices make 499999500000 pairs, over the cap of 1000000\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["construct", "acyclic", "g.json", "-o", "out.json"],
+                                  ["poset", "g.json", "-o", "out.json"]],
+                         ids=["construct-acyclic", "poset"])
+def test_coloring_searches_stop_at_the_budget_flags(tmp_path, argv):
+    """Without a coloring file, both commands search for one; --max-nodes
+    caps the chromatic-number search and the coloring after it."""
+    assert main(["gen", "random", "40", "-p", "0.5", "--seed", "1",
+                 "-o", str(tmp_path / "g.json")]) == 0
+    start = time.monotonic()
+    proc = run_cli(*argv, "--max-nodes", "10", cwd=tmp_path)
+    assert time.monotonic() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (
+        3, "budget exhausted: node budget of 10 exceeded\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
@@ -186,8 +208,7 @@ def test_undecodable_json_exits_2(tmp_path, capsys, content, message):
 def test_construct_girth4_with_partition(tmp_path):
     c7, part, rep = tmp_path / "c7.json", tmp_path / "part.json", tmp_path / "rep.json"
     assert main(["gen", "cycle", "7", "-o", str(c7)]) == 0
-    write_json(part, partition_to_dict(
-        ForestStablePartition(F=(0, 2, 3, 4, 5, 6), S=(1,))))
+    write_json(part, ForestStablePartition(F=(0, 2, 3, 4, 5, 6), S=(1,))._asdict())
     assert main(["construct", "girth4", str(c7), "--partition", str(part),
                  "-o", str(rep)]) == 0
     assert main(["verify", str(c7), str(rep)]) == 0
@@ -250,7 +271,7 @@ def test_construct_figure1(tmp_path):
     G, cls = gadget_instance(7)
     g, c, rep = tmp_path / "g.json", tmp_path / "cls.json", tmp_path / "rep.json"
     write_json(g, graph_to_dict(G))
-    write_json(c, classification_to_dict(cls))
+    write_json(c, cls._asdict())
     assert main(["construct", "figure1", str(g), "--classification", str(c),
                  "-o", str(rep)]) == 0
     assert box_rep_from_dict(read_json(rep)).d == 2
@@ -274,7 +295,7 @@ def test_internal_errors_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
     G, cls = gadget_instance(7)
     g, c = tmp_path / "g.json", tmp_path / "cls.json"
     write_json(g, graph_to_dict(G))
-    write_json(c, classification_to_dict(cls))
+    write_json(c, cls._asdict())
     monkeypatch.setattr("boxicity.figure1.figure1_gadget", broken)
     assert main(["construct", "figure1", str(g), "--classification", str(c),
                  "-o", str(rep)]) == 4
@@ -325,7 +346,7 @@ def k8_files(tmp_path):
     write_json(g, graph_to_dict(roberts_graph(4)))
     script = Sur1Step(cover=PairCover(X=(0, 1, 2, 3), pairs=((0, 1), (2, 3))),
                       sub=BaseOracleStep())
-    write_json(s, step_to_dict(script))
+    write_json(s, script_doc(script))
     return g, s
 
 
@@ -354,7 +375,7 @@ def test_derive_bad_script_exit(tmp_path, capsys):
     assert main(["gen", "cycle", "4", "-o", str(c4)]) == 0
     script = Sur2Step(sep=Separation(V1=(0, 1), V2=(2, 3), X=()),
                       sub1=BaseOracleStep(), sub2=BaseOracleStep())
-    write_json(s, step_to_dict(script))
+    write_json(s, script_doc(script))
     assert main(["derive", str(c4), str(s), "-o", str(rep)]) == 2
     assert "joins V1 and V2" in capsys.readouterr().err
     assert not rep.exists()
@@ -443,7 +464,7 @@ def test_vertex_keys_must_be_canonical(tmp_path, capsys):
 def test_derive_budget_exit(tmp_path):
     g, s = tmp_path / "k8.json", tmp_path / "s.json"
     write_json(g, graph_to_dict(roberts_graph(4)))
-    write_json(s, step_to_dict(BaseOracleStep(budget=SearchBudget(max_nodes=5))))
+    write_json(s, script_doc(BaseOracleStep(budget=SearchBudget(max_nodes=5))))
     assert main(["derive", str(g), str(s), "-o", str(tmp_path / "rep.json")]) == 3
 
 
@@ -478,7 +499,7 @@ def nested_files(tmp_path):
     )
     g, s = tmp_path / "nested.json", tmp_path / "script.json"
     write_json(g, graph_to_dict(make_graph(26, edges)))
-    write_json(s, step_to_dict(script))
+    write_json(s, script_doc(script))
     return g, s
 
 

@@ -388,6 +388,22 @@ def test_acyclic_coloring_validates_and_is_minimal():
             assert acyclic_coloring(G, k - 1) is None
 
 
+@pytest.mark.parametrize("number, coloring", [(chromatic_number, proper_coloring),
+                                              (acyclic_chromatic_number, acyclic_coloring)])
+def test_coloring_number_searches_share_one_budget_across_k(number, coloring):
+    """One tick per color tried, counted over every k the search asks."""
+    G = random_graph(9, 0.5, 3)
+    meter = SearchBudget().meter()
+    k = number(G, meter)
+    per_k = SearchBudget().meter()
+    for j in range(k + 1):
+        coloring(G, j, per_k)
+    assert per_k.nodes == meter.nodes > k
+    assert number(G, SearchBudget(max_nodes=meter.nodes)) == k
+    with pytest.raises(BudgetExhausted, match=f"node budget of {meter.nodes - 1} exceeded"):
+        number(G, SearchBudget(max_nodes=meter.nodes - 1))
+
+
 # ------------------------------------------------------------------ finders
 
 

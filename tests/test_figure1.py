@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from boxicity.boxes import BoxRepresentation
-from boxicity.certificates import CycleClassification, classification_to_dict
+from boxicity.certificates import CycleClassification
 from boxicity.cli import main
 from boxicity.errors import CertificateError
 from boxicity.figure1 import figure1_gadget, figure1_problems
@@ -93,7 +93,7 @@ def test_gadget_validates_the_classification(tmp_path, capsys):
         cls.validate(G)
     graph, doc, rep = tmp_path / "c5.json", tmp_path / "cls.json", tmp_path / "rep.json"
     graph.write_text(json.dumps(graph_to_dict(G)))
-    doc.write_text(json.dumps(classification_to_dict(cls)))
+    doc.write_text(json.dumps(cls._asdict()))
     assert main(["construct", "figure1", str(graph), "-o", str(rep),
                  "--classification", str(doc)]) == 2
     assert capsys.readouterr().err == "error: classification: cycle length 5 is below 6\n"

@@ -13,6 +13,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from util import script_doc
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 SOURCES = sorted((ROOT / "src" / "boxicity").glob("*.py"))
@@ -35,20 +37,26 @@ def test_every_traced_layer_function_still_resolves():
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    """A public module-level def or class is used somewhere in src/ (as a
-    name, an attribute or an import alias; the def statement itself names
-    no Name node), or the tracer wraps it."""
+    """A public module-level def or class is used somewhere in src/ outside
+    its own definition (as a name, an attribute or an import alias), or the
+    tracer wraps it; a function that only calls itself has no caller."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     # the names the tracer wraps count as used
     used = {name for targets in load_tracing().WRAPPED.values() for _, name in targets}
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
     unused = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -65,7 +73,7 @@ def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
     through it, so the tracer, which replaces the module's attributes,
     records a span for every layer each job reaches."""
     from boxicity.certificates import PairCover
-    from boxicity.derivation import RobertsStep, Sur1Step, step_to_dict
+    from boxicity.derivation import RobertsStep, Sur1Step
     from boxicity.graphs import cycle, graph_to_dict, path, roberts_graph
 
     def write(name, doc):
@@ -75,7 +83,7 @@ def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
     p6 = write("p6.json", graph_to_dict(path(6)))
     c5 = write("c5.json", graph_to_dict(cycle(5)))
     k6 = write("k6.json", graph_to_dict(roberts_graph(3)))
-    script = write("script.json", step_to_dict(
+    script = write("script.json", script_doc(
         Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)), sub=RobertsStep())))
     rep, out, report = (str(tmp_path / name) for name in ("rep.json", "out.json", "report.json"))
     jobs = [

@@ -1,11 +1,13 @@
 """Helpers shared across test modules."""
 
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, count, permutations
 
 from boxicity.boxes import (
     BoxRepresentation,
+    box_rep_to_dict,
     from_interval_reps,
     singleton_gadget,
     verify_representation,
@@ -14,7 +16,9 @@ from boxicity.certificates import (
     CycleClassification,
     ForestStablePartition,
     acyclic_coloring_problems,
+    coloring_to_dict,
 )
+from boxicity.derivation import RULES
 from boxicity.exact import SearchBudget
 from boxicity.graphs import Graph, make_graph
 from boxicity.intervals import Interval, check_ordering
@@ -324,3 +328,27 @@ def greedy_acyclic_coloring(G: Graph) -> dict[int, int]:
         else:
             raise AssertionError("greedy coloring failed to place a vertex")
     return colors
+
+
+def script_doc(step) -> dict:
+    """A derivation step as the JSON script document step_from_dict reads:
+    the oracle that writes the tests' scripts.  A certificate is its
+    _asdict(), whose tuples json writes as lists and int keys as strings."""
+    return json.loads(json.dumps(_step_fields(step)))
+
+
+def _step_fields(step) -> dict:
+    rule = next(rule for rule in RULES if type(step) is rule.step)
+    doc = {"rule": rule.name}
+    for key, value in step._asdict().items():
+        if key in rule.slots:
+            value = _step_fields(value)
+        elif key == "coloring":
+            value = coloring_to_dict(value)
+        elif key == "rep":
+            value = box_rep_to_dict(value)
+        elif hasattr(value, "_asdict"):
+            value = value._asdict()
+        if value is not None:
+            doc[key] = value
+    return doc
