@@ -99,7 +99,7 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--max-nodes", type=int, default=None,
                      help="cap on explored search nodes")
     sub.add_argument("--time-limit", type=float, default=None,
-                     help="cap in seconds on a single search")
+                     help="cap in seconds on the searches the command runs")
 
 
 # ---------------------------------------------------------------------------
