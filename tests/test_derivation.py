@@ -186,7 +186,7 @@ def test_roberts_leaf_relabels_roberts_representation(monkeypatch):
     B, report = assemble(G, RobertsStep())
     assert_represents(B, G)
     pairs = sorted(tuple(sorted((ids[2 * j], ids[2 * j + 1]))) for j in range(4))
-    ends = {i: v for i, v in enumerate(v for pair in pairs for v in pair)}
+    ends = dict(enumerate(v for pair in pairs for v in pair))
     assert B == relabel_box_representation(roberts_representation(4), ends)
     assert report.steps[0].formula == "n = 4"
 
