@@ -37,8 +37,30 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 
 
+# one interval [[n, d], [n, d]] of a box row, as json.dumps(indent=2) lays it out
+_INTERVAL = ("      [\n        [\n          %d,\n          %d\n        ],\n"
+             "        [\n          %d,\n          %d\n        ]\n      ]")
+
+
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, a newline at the
+    end.  A dict goes through json.dumps.  A BoxRepresentation is written
+    straight from its Intervals, the four ints of each through one %d
+    template, in the bytes json.dumps gives for boxes.box_rep_to_dict(doc):
+    rows keyed in string order ("10" before "2")."""
+    if isinstance(doc, dict):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    layers = doc.layers
+    ints = []
+    for v in sorted(layers[0], key=str):
+        ints.append(v)
+        for layer in layers:
+            lo, hi = layer[v]
+            ints += lo.as_integer_ratio()
+            ints += hi.as_integer_ratio()
+    row = '    "%d": [\n' + ",\n".join([_INTERVAL] * len(layers)) + "\n    ]"
+    rows = ",\n".join([row] * len(layers[0])) % tuple(ints)
+    return '{\n  "d": %d,\n  "vertices": {\n%s\n  }\n}\n' % (len(layers), rows)
 
 
 def _write_atomic(target: str, doc) -> None:
@@ -197,21 +219,19 @@ def _construct_rep(args):
 
 
 def _cmd_construct(args) -> int:
-    from . import boxes
-
     B = _construct_rep(args)
-    _write_atomic(args.output, boxes.box_rep_to_dict(B))
+    _write_atomic(args.output, B)
     print(f"wrote {args.output}: {B.d} dimensions, {len(B.domain())} boxes")
     return EXIT_OK
 
 
 def _cmd_derive(args) -> int:
-    from . import boxes, derivation
+    from . import derivation
 
     G = _load_graph(args.graph)
     script = derivation.step_from_dict(_read_json(args.script))
     B, report = derivation.assemble(G, script)
-    _write_atomic(args.output, boxes.box_rep_to_dict(B))
+    _write_atomic(args.output, B)
     if args.report:
         _write_atomic(args.report, derivation.report_to_dict(report))
     print(f"verified: {report.total_dimension} dimensions "

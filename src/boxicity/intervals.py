@@ -242,16 +242,13 @@ def _fraction_to_pair(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-def _fraction_from_pair(doc, where: str) -> Fraction:
-    if (
-        not isinstance(doc, list)
-        or len(doc) != 2
-        or not all(is_int(x) for x in doc)
-    ):
+def _ratio_from_pair(doc, where: str) -> tuple[int, int]:
+    """The ints (n, d) of a rational [n, d], checked once: d > 0."""
+    if not isinstance(doc, list) or len(doc) != 2 or not (is_int(doc[0]) and is_int(doc[1])):
         raise InvalidInput(f"{where}: rational must be [numerator, denominator]")
     if doc[1] <= 0:
         raise InvalidInput(f"{where}: denominator must be positive, got {doc[1]}")
-    return Fraction(doc[0], doc[1])
+    return doc[0], doc[1]
 
 
 def interval_to_pairs(iv: Interval) -> list[list[int]]:
@@ -259,10 +256,13 @@ def interval_to_pairs(iv: Interval) -> list[list[int]]:
 
 
 def interval_from_pairs(doc, where: str) -> Interval:
+    """Each endpoint is checked and built once.  With both denominators
+    positive, lo <= hi is the integer test n_lo d_hi <= n_hi d_lo, so the
+    tuple is made without Interval's own second check."""
     if not isinstance(doc, list) or len(doc) != 2:
         raise InvalidInput(f"{where}: interval must be [[n, d], [n, d]]")
-    lo = _fraction_from_pair(doc[0], where)
-    hi = _fraction_from_pair(doc[1], where)
-    if _order_key(lo) > _order_key(hi):
+    n_lo, d_lo = _ratio_from_pair(doc[0], where)
+    n_hi, d_hi = _ratio_from_pair(doc[1], where)
+    if n_lo * d_hi > n_hi * d_lo:
         raise InvalidInput(f"{where}: interval has lo > hi")
-    return Interval(lo, hi)
+    return tuple.__new__(Interval, (Fraction(n_lo, d_lo), Fraction(n_hi, d_hi)))

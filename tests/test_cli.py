@@ -6,17 +6,25 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxicity import exact
 
-from boxicity.boxes import BoxRepresentation, box_rep_from_dict, verify_representation
+from boxicity.boxes import (
+    BoxRepresentation,
+    box_rep_from_dict,
+    box_rep_to_dict,
+    verify_representation,
+)
 from boxicity.certificates import ForestStablePartition, PairCover, Separation
-from boxicity.cli import main
+from boxicity.cli import _dump, main
 from boxicity.derivation import (
     AcyclicStep,
     BaseOracleStep,
@@ -551,6 +559,32 @@ def test_witness_gadget_and_pipeline_output_bytes_are_pinned(tmp_path, gen, comm
     assert sha256(out) == out_sha
 
 
+_VERTEX_IDS = st.sampled_from((0, 1, 2, 3, 9, 10, 11, 20, 100, 101)) | st.integers(0, 10**6)
+_ENDPOINTS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 1000))
+_INTERVALS = st.lists(_ENDPOINTS, min_size=2, max_size=2).map(lambda p: Interval(*sorted(p)))
+
+
+@st.composite
+def box_representations(draw):
+    d = draw(st.integers(1, 4))
+    ids = draw(st.sets(_VERTEX_IDS, min_size=1, max_size=12))
+    return BoxRepresentation([{v: draw(_INTERVALS) for v in ids} for _ in range(d)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_representations())
+@example(BoxRepresentation([{2: Interval(-1, Fraction(7, 3)), 10: Interval(0, 0),
+                             100: Interval(Fraction(-13, 4), 12)}]))
+@example(BoxRepresentation([{5: Interval(-20, -3)}] * 3))
+def test_box_text_is_json_dumps_of_the_dict(B):
+    """Box representations are written from their Intervals, in the bytes
+    json.dumps gives for box_rep_to_dict: vertex keys in string order.  The
+    text decodes back to B."""
+    text = _dump(B)
+    assert text == json.dumps(box_rep_to_dict(B), indent=2, sort_keys=True) + "\n"
+    assert box_rep_from_dict(json.loads(text)) == B
+
+
 # --------------------------------------------------------------- verify
 
 
@@ -576,6 +610,43 @@ def test_verify_domain_mismatch_is_input_error(tmp_path):
     c4 = tmp_path / "c4.json"
     assert main(["gen", "cycle", "4", "-o", str(c4)]) == 0
     assert main(["verify", str(c4), str(rep)]) == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ([[5, [1, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
+    ([[[0, 1, 1], [1, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
+    ([[[True, 1], [1, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
+    ([[[0, 1], [1.0, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
+    ([[[0, 0], [1, 1]]], "vertices[0][0]: denominator must be positive, got 0"),
+    ([[[0, -2], [1, 1]]], "vertices[0][0]: denominator must be positive, got -2"),
+    ([[[2, 1], [1, 1]]], "vertices[0][0]: interval has lo > hi"),
+    ([[[1, 3], [33, 100]]], "vertices[0][0]: interval has lo > hi"),
+    ([[[0, 1]]], "vertices[0][0]: interval must be [[n, d], [n, d]]"),
+    ([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], "vertices[0] must list exactly 1 intervals"),
+    ([], "vertices[0] must list exactly 1 intervals"),
+    # the first fault found is reported: lo before hi, each endpoint's
+    # shape before its denominator, both endpoints before their order
+    ([[[0, 0], [True, 1]]], "vertices[0][0]: denominator must be positive, got 0"),
+    ([[[5, 1], [1, 0]]], "vertices[0][0]: denominator must be positive, got 0"),
+    ([[[5, 1], "x"]], "vertices[0][0]: rational must be [numerator, denominator]"),
+])
+def test_verify_reports_the_first_bad_interval(tmp_path, capsys, row, message):
+    g, rep = tmp_path / "g.json", tmp_path / "rep.json"
+    write_json(g, {"n": 1, "edges": []})
+    write_json(rep, {"d": 1, "vertices": {"0": row}})
+    assert main(["verify", str(g), str(rep)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_accepts_unreduced_and_equal_endpoints(tmp_path):
+    g, rep = tmp_path / "g.json", tmp_path / "rep.json"
+    write_json(g, {"n": 2, "edges": [[0, 1]]})
+    write_json(rep, {"d": 1, "vertices": {"0": [[[2, 4], [1, 2]]],
+                                          "1": [[[-3, 6], [50, 100]]]}})
+    assert main(["verify", str(g), str(rep)]) == 0
+    assert box_rep_from_dict(read_json(rep)).layers[0] == {
+        0: Interval(Fraction(1, 2), Fraction(1, 2)),
+        1: Interval(Fraction(-1, 2), Fraction(1, 2))}
 
 
 # ---------------------------------------------------------------- poset
