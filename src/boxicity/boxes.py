@@ -14,10 +14,12 @@ take the certificate as valid: the derivation rule that calls them has
 already validated it (see `certificates`).  What they still check is what
 the certificate does not cover, the child representations: their domains,
 and their agreement with the graph, so that each child is checked once, by
-the composition that takes it.  sur2bis_double is the exception: it takes
-its child as it is, and the doubled result is checked by whatever consumes
-it.  Doubling keeps every pair that is not inside K, so a wrong child still
-fails that check.  The dimensions:
+the composition that takes it; canonical_extension then lifts its layers
+unchecked, since a child that agrees with the graph covers every edge in
+each layer.  sur2bis_double takes its child as it is, and the pipelines
+lift exact forest_two_dim layouts: what consumes these results checks them
+(derivation.assemble at the root).  Doubling keeps every pair outside K,
+so a wrong child still fails that check.  The dimensions:
 
   pair/singleton gadgets      1 dimension, breaks all non-adjacencies at the
                               chosen vertices
@@ -302,33 +304,24 @@ def forest_two_dim(F: Graph) -> BoxRepresentation:
     entry = [0] * F.n
     exit_ = [0] * F.n
     depth = [0] * F.n
-    clock = 1
-    seen = [False] * F.n
+    clock = 0
     for root in range(F.n):
-        if seen[root]:
+        if entry[root]:
             continue
-        seen[root] = True
-        depth[root] = 0
-        stack: list[tuple[int, int, object]] = [(root, -1, None)]
+        clock += 1
+        entry[root] = clock
+        stack = [(root, iter(sorted(F.neighbors(root))))]
         while stack:
-            v, parent, children = stack[-1]
-            if children is None:
-                entry[v] = clock
-                clock += 1
-                children = iter(sorted(F.neighbors(v)))
-                stack[-1] = (v, parent, children)
-            advanced = False
+            v, children = stack[-1]
+            clock += 1
             for w in children:
-                if w == parent:
-                    continue
-                seen[w] = True
-                depth[w] = depth[v] + 1
-                stack.append((w, v, None))
-                advanced = True
-                break
-            if not advanced:
+                if not entry[w]:  # in a forest, only the parent was entered before
+                    entry[w] = clock
+                    depth[w] = depth[v] + 1
+                    stack.append((w, iter(sorted(F.neighbors(w)))))
+                    break
+            else:
                 exit_[v] = clock
-                clock += 1
                 stack.pop()
     return BoxRepresentation((
         {v: Interval(entry[v], exit_[v]) for v in F.vertices()},

@@ -143,13 +143,14 @@ def chord_conflicts(
     With ends[x] the mask of the non_edges that have x as an end, row
     (a, c) is the OR of ends over the common neighbours of a and c, minus
     the OR over every other vertex: the non-edges with both ends common.
-    The table is quadratic in the non-edges, so each row checks the
-    deadline, counting no node.
+    Both the ends masks and the table are quadratic in the non-edges, so
+    each non-edge and each row checks the deadline, counting no node.
     """
     check_deadline = (budget or SearchBudget()).meter().check_deadline
     nbr = G.nbr_masks
     ends = [0] * G.n
     for j, (b, d) in enumerate(non_edges):
+        check_deadline()
         ends[b] |= 1 << j
         ends[d] |= 1 << j
     out = []

@@ -18,8 +18,8 @@ from .errors import InvalidInput
 # checks it before reading any edge, and the families pass their edges
 # lazily, so that a huge n fails at once.
 MAX_VERTICES = 10**6
-# The most vertex pairs a family generator may walk; _pairs checks it before
-# the first pair, so that a dense family refuses a large n at once.
+# The most vertex pairs a family generator may walk, or Graph.non_edges list;
+# each checks it before the first pair, so that a large n fails at once.
 MAX_PAIRS = 10**6
 
 
@@ -54,6 +54,10 @@ class Graph(namedtuple("Graph", "n edges")):
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All unordered non-adjacent pairs, lexicographically sorted."""
+        count = self.n * (self.n - 1) // 2 - len(self.edges)
+        if count > MAX_PAIRS:
+            raise InvalidInput(f"{self.n} vertices and {len(self.edges)} edges leave "
+                               f"{count} non-edges, over the cap of {MAX_PAIRS}")
         return [
             (u, v)
             for u, v in combinations(range(self.n), 2)

@@ -219,16 +219,13 @@ def canonical_extension(layer: dict[int, Interval], G: Graph) -> dict[int, Inter
     """Extend a layer on X subset of V(G) to all of V(G).
 
     Vertices outside X are mapped to the layer's full span, so they meet
-    everything.  Requires a nonempty domain inside V(G) covering every edge
-    of the induced subgraph G[X]; the result's graph is then a supergraph of
-    G that agrees with the layer's graph on pairs inside X.
+    everything, and pairs inside X keep the layer's adjacency.  The domain
+    is checked to be nonempty and inside V(G).  That the layer covers every
+    edge of G[X], which makes the result's graph a supergraph of G, is the
+    caller's duty: the compositions check the whole child first.
     """
     if not check_vertex_set(G, layer):
         raise InvalidInput("canonical extension needs a nonempty domain")
-    nbr = G.nbr_masks
-    missing = next(_disagreeing_pairs(meet_masks(layer), nbr, nbr.__getitem__), None)
-    if missing is not None:
-        raise InvalidInput(f"representation misses edge {missing} of the induced subgraph")
     full = span(layer)
     return {v: layer.get(v, full) for v in G.vertices()}
 
@@ -236,10 +233,6 @@ def canonical_extension(layer: dict[int, Interval], G: Graph) -> dict[int, Inter
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def _fraction_to_pair(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
 
 
 def _ratio_from_pair(doc, where: str) -> tuple[int, int]:
@@ -252,7 +245,7 @@ def _ratio_from_pair(doc, where: str) -> tuple[int, int]:
 
 
 def interval_to_pairs(iv: Interval) -> list[list[int]]:
-    return [_fraction_to_pair(iv.lo), _fraction_to_pair(iv.hi)]
+    return [list(iv.lo.as_integer_ratio()), list(iv.hi.as_integer_ratio())]
 
 
 def interval_from_pairs(doc, where: str) -> Interval:

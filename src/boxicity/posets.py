@@ -17,6 +17,7 @@ the worst case.  The rest is closed-form bound evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
@@ -24,7 +25,7 @@ from math import isqrt
 from .certificates import check_coloring
 from .errors import InvalidInput
 from .exact import SearchBudget, _backtrack_coloring, _bits
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 LinearOrder = tuple[int, ...]
 
@@ -156,8 +157,8 @@ def poset_dimension_at_most(
     exhausted budget raises.  Class c's extension is the
     smallest-first topological sort of P plus b before a for its pairs (a, b).
     """
-    if d < 1:
-        raise InvalidInput("dimension must be at least 1")
+    if not 1 <= d <= MAX_VERTICES:  # the realizer holds d orders
+        raise InvalidInput(f"dimension must be in 1..{MAX_VERTICES}, got {d}")
     meter = (budget or SearchBudget()).meter()
     elems = sorted(P.elements)
     n = len(elems)
@@ -195,8 +196,9 @@ def poset_dimension_at_most(
     colors = _backtrack_coloring(len(critical), d, allowed, meter)
     if colors is None:
         return None
+    # the classes past the used colors are empty and share one extension
     realizer = []
-    for c in range(d):
+    for c in range(min(d, len(set(colors.values())) + 1)):
         preds = [below[x] ^ 1 << x for x in range(n)]
         for j, cj in colors.items():
             if cj == c:
@@ -209,7 +211,7 @@ def poset_dimension_at_most(
         realizer.append(tuple(order))
     if intersect_orders(realizer) != P.relation:
         raise RuntimeError("critical-pair coloring gave no realizer")
-    return tuple(realizer)
+    return tuple(realizer + realizer[-1:] * (d - len(realizer)))
 
 
 # A closed-form bound: its floor, a float reading, and the exact rational
@@ -248,7 +250,11 @@ def bound_calculator(
     if g is not None:
         if g < 1:
             raise InvalidInput("surface bounds require genus at least 1")
-        radicand = 1 + (48 if orientable else 24) * g
+        factor = 48 if orientable else 24
+        radicand = 1 + factor * g
+        if radicand > sys.float_info.max:  # math.sqrt would overflow
+            raise InvalidInput(f"{'genus' if orientable else 'crosscap count'} {g} is too "
+                               f"large: 1 + {factor}g does not fit a float")
         box_bound = 7 if g == 1 and orientable else 5 * g + 3
         chi_bound = _half_plus(7, radicand, 0)
         # 2 box_bound + 4 + (7 + sqrt(radicand)) / 2

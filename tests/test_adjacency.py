@@ -19,7 +19,7 @@ from boxicity.certificates import CycleClassification, PairCover, Separation
 from boxicity.errors import InvalidInput
 from boxicity.figure1 import figure1_gadget, figure1_problems
 from boxicity.graphs import make_graph, roberts_graph
-from boxicity.intervals import Interval, canonical_extension
+from boxicity.intervals import Interval
 
 from util import box_adjacent, boxes_of, gadget_instance
 
@@ -59,17 +59,6 @@ def test_sur2_reports_the_first_failing_pair(b1, b2, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         sur2_compose(SUR2_GRAPH, SUR2_SEP, boxes_of(b1), boxes_of(b2))
     assert sur2_compose(SUR2_GRAPH, SUR2_SEP, boxes_of(SUR2_B1), boxes_of(SUR2_B2)).d == 3
-
-
-def test_canonical_extension_reports_the_first_missing_edge():
-    G = make_graph(6, [(0, 1), (1, 2), (2, 4), (4, 5), (1, 5), (2, 3)])
-    R = {1: Interval(0, 1), 2: Interval(1, 2), 4: Interval(3, 4),
-         5: Interval(Fraction(1, 2), 4)}
-    with pytest.raises(
-        InvalidInput,
-        match=r"^representation misses edge \(2, 4\) of the induced subgraph$",
-    ):
-        canonical_extension(R, G)
 
 
 def test_figure1_problems_lists_every_wrong_pair_in_cycle_order():

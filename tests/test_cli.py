@@ -124,6 +124,16 @@ def test_dense_families_above_the_pair_cap_exit_2_at_once(tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_exact_refuses_a_sparse_graph_above_the_pair_cap_at_once(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 2000, "edges": []}')
+    start = time.monotonic()
+    assert main(["exact", str(g), "--time-limit", "0.5"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: 2000 vertices and 0 edges leave 1999000 non-edges, over the cap of 1000000\n")
+
+
 @pytest.mark.parametrize("argv", [["construct", "acyclic", "g.json", "-o", "out.json"],
                                   ["poset", "g.json", "-o", "out.json"]],
                          ids=["construct-acyclic", "poset"])
@@ -173,7 +183,7 @@ def test_exact_budget_exit(tmp_path, capsys):
 
 def test_exact_exits_3_when_the_deadline_passes_in_the_chord_table(tmp_path, capsys, monkeypatch):
     """The deadline stops the quadratic table before any node is counted;
-    the clock reads 0 when the meter starts and 1 at the table's first row."""
+    the clock reads 0 when the meter starts and 1 at the first non-edge."""
     g, out = tmp_path / "g.json", tmp_path / "out.json"
     assert main(["gen", "random", "30", "-p", "0.5", "--seed", "1", "-o", str(g)]) == 0
     monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=count().__next__))
@@ -677,6 +687,19 @@ def test_poset_dimension_queries(tmp_path, capsys):
                  "--max-nodes", "5"]) == 3
 
 
+def test_check_dimension_pads_with_one_extension_and_refuses_above_the_vertex_cap(
+        tmp_path, capsys):
+    g = tmp_path / "g.json"
+    assert main(["gen", "path", "3", "-o", str(g)]) == 0
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main(["poset", str(g), "--check-dimension", "1000000"]) == 0
+    assert time.monotonic() - start < 2.0  # one sort per class: 12.5 s on a 2-core x86-64 VM
+    assert capsys.readouterr().out == "yes: realized by 1000000 linear orders\n"
+    assert main(["poset", str(g), "--check-dimension", "1000001"]) == 2
+    assert capsys.readouterr().err == "error: dimension must be in 1..1000000, got 1000001\n"
+
+
 # --------------------------------------------------------------- bounds
 
 
@@ -693,6 +716,20 @@ def test_bounds_stdout_and_file(tmp_path, capsys):
 def test_bounds_rejects_bad_flags(capsys):
     assert main(["bounds", "--genus", "0"]) == 2
     assert main(["bounds"]) == 2
+
+
+@pytest.mark.parametrize("flags, what, factor", [([], "genus", 48),
+                                                 (["--nonorientable"], "crosscap count", 24)],
+                         ids=["orientable", "nonorientable"])
+def test_bounds_refuses_a_genus_whose_radicand_overflows_a_float(capsys, flags, what, factor):
+    huge = "1" + "0" * 400
+    assert main(["bounds", "--genus", huge, *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} {huge} is too large: 1 + {factor}g does not fit a float\n")
+    largest = (int(sys.float_info.max) - 1) // factor
+    assert main(["bounds", "--genus", str(largest), *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == largest
+    assert main(["bounds", "--genus", str(largest + 1), *flags]) == 2
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boxicity.boxes import (
     BoxRepresentation,
+    forest_two_dim,
     relabel_box_representation,
     roberts_representation,
     verify_representation,
@@ -47,7 +48,7 @@ from boxicity.derivation import (
 from boxicity.errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
 from boxicity.exact import SearchBudget, acyclic_coloring, exact_boxicity
 from boxicity.graphs import complete, cycle, make_graph, path, roberts_graph
-from boxicity.intervals import Interval
+from boxicity.intervals import Interval, meet_masks
 
 from util import assert_represents, gadget_instance, script_doc, universal_representation
 
@@ -369,6 +370,45 @@ def test_a_wrong_child_of_a_doubling_cannot_escape(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^root: assembled representation disagrees "
                                            r"on pair \(0, 2\)$"):
         assemble(G, script)
+
+
+def test_assembly_calls_the_kernel_once_per_checked_layer(monkeypatch):
+    """One meet_masks call per layer of the child, for sur1's check of it,
+    and one per layer of the result, for the root's; lifting the child's
+    layers by canonical extension makes none."""
+    calls = []
+
+    def counted(layer):
+        calls.append(len(layer))
+        return meet_masks(layer)
+
+    monkeypatch.setattr("boxicity.boxes.meet_masks", counted)
+    monkeypatch.setattr("boxicity.intervals.meet_masks", counted)
+    B, _ = assemble(roberts_graph(3), Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)),
+                                               sub=RobertsStep()))
+    assert B.d == 3
+    assert calls == [4, 4, 6, 6, 6]
+
+
+@pytest.mark.parametrize("G, step, pair", [
+    (path(3), AcyclicStep(coloring={0: 0, 1: 1, 2: 0}), (0, 1)),
+    (cycle(7), Girth4Step(part=ForestStablePartition(F=(0, 2, 3, 4, 5, 6), S=(1,))), (0, 6)),
+], ids=["acyclic", "girth4"])
+def test_a_forest_layout_that_loses_an_edge_fails_at_the_root(monkeypatch, G, step, pair):
+    """The pipelines lift their forest layouts unchecked, so a layout that
+    loses an edge is a program fault, which the root check reports."""
+    assemble(G, step)
+
+    def detached(F):
+        """The layout with forest vertex 0 moved off every window of
+        dimension 1, so that it loses its forest edges."""
+        x, y = forest_two_dim(F).layers
+        return BoxRepresentation(({**x, 0: Interval(-2, -1)}, y))
+
+    monkeypatch.setattr("boxicity.boxes.forest_two_dim", detached)
+    with pytest.raises(RuntimeError, match=r"^root: assembled representation disagrees "
+                                           rf"on pair \({pair[0]}, {pair[1]}\)$"):
+        assemble(G, step)
 
 
 def test_oracle_step_failure_reports_status():

@@ -1,6 +1,7 @@
 """Ordering-search oracle, coloring oracles, and certificate finders."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -293,8 +294,28 @@ def test_chord_conflict_table_checks_the_deadline_once_per_row(monkeypatch):
     meter = SearchBudget(time_limit=3.5).meter()  # reads 0
     with pytest.raises(BudgetExhausted):
         chord_conflicts(cycle(7), cycle(7).non_edges(), meter)
-    # rows 0, 1 and 2 read 1, 2 and 3; row 3 reads 4, past the deadline
+    # non-edges 0, 1 and 2 read 1, 2 and 3; non-edge 3 reads 4, past the deadline
     assert clock.reads == 5 and meter.nodes == 0
+
+
+def test_chord_conflict_masks_check_the_deadline_once_per_non_edge(monkeypatch):
+    clock = StepClock()
+    monkeypatch.setattr(exact, "time", clock)
+    meter = SearchBudget(time_limit=16.5).meter()  # reads 0
+    with pytest.raises(BudgetExhausted):
+        chord_conflicts(cycle(7), cycle(7).non_edges(), meter)
+    # the 14 non-edges read 1..14 and rows 0 and 1 read 15 and 16; row 2
+    # reads 17, past the deadline
+    assert clock.reads == 18 and meter.nodes == 0
+
+
+def test_exact_time_limit_stops_the_conflict_masks_of_a_sparse_graph():
+    """Building the masks of 499,500 non-edges one bit at a time is itself
+    quadratic: about 4 s on a 2-core x86-64 VM without the deadline."""
+    start = time.monotonic()
+    res = exact_boxicity(make_graph(1000, []), budget=SearchBudget(time_limit=0.01))
+    assert time.monotonic() - start < 2.0
+    assert (res.status, res.lower_bound, res.nodes) == ("budget-exhausted", 1, 0)
 
 
 def test_exact_time_limit_covers_the_chord_conflict_table(monkeypatch):

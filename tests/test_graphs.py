@@ -73,6 +73,16 @@ def test_neighbors_and_degrees():
     assert G.nbr_masks == (0b0010, 0b0101, 0b1010, 0b0100)
 
 
+def test_non_edges_are_refused_above_the_pair_cap_before_any_is_listed():
+    # 1415 vertices make 1,000,405 pairs, and 404 edges leave one too many
+    G = make_graph(1415, [(0, v) for v in range(1, 405)])
+    with pytest.raises(InvalidInput, match=r"^1415 vertices and 404 edges leave 1000001 "
+                                           r"non-edges, over the cap of 1000000$"):
+        G.non_edges()
+    with pytest.raises(InvalidInput, match="499999500000 non-edges"):
+        make_graph(MAX_VERTICES, []).non_edges()
+
+
 def test_induced_subgraph_relabels_in_order():
     G = cycle(5)
     H, vmap = induced_subgraph(G, [4, 0, 1])

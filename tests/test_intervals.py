@@ -329,15 +329,16 @@ def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_compariso
     assert fraction_order_comparisons[0] > 0
 
 
-def test_canonical_extension_rejects_missing_edge():
+def test_canonical_extension_checks_only_its_domain():
     G = path(3)
-    R = rep({0: (0, 0), 1: (2, 2)})
-    with pytest.raises(InvalidInput):
-        canonical_extension(R, G)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^canonical extension needs a nonempty domain$"):
         canonical_extension({}, G)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^vertex 7 is not in 0\.\.2$"):
         canonical_extension(rep({7: (0, 1)}), G)
+    # covering the edges of G[X] is the caller's duty: a layer that misses
+    # the edge (0, 1) is extended as it is
+    R = rep({0: (0, 0), 1: (2, 2)})
+    assert canonical_extension(R, G) == {**R, 2: iv(0, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from boxicity.errors import BudgetExhausted, InvalidInput
 from boxicity.exact import SearchBudget, chromatic_number, proper_coloring
-from boxicity.graphs import complete, cycle, make_graph, random_graph
+from boxicity.graphs import MAX_VERTICES, complete, cycle, make_graph, random_graph
 from boxicity.posets import (
     Poset,
     adjacency_poset,
@@ -208,6 +208,17 @@ def test_dimension_search_pads_by_repetition():
     realizer = poset_dimension_at_most(chain(3), 3)
     assert len(realizer) == 3
     assert intersect_orders(realizer) == chain(3).relation
+
+
+def test_dimension_search_computes_the_padding_extension_once():
+    P = adjacency_poset(make_graph(3, [(0, 1), (1, 2)]))
+    small = poset_dimension_at_most(P, 6)
+    big = poset_dimension_at_most(P, MAX_VERTICES)
+    assert len(big) == MAX_VERTICES and big[:6] == small
+    assert len(set(map(id, big[5:]))) == 1
+    for d in (0, MAX_VERTICES + 1):
+        with pytest.raises(InvalidInput, match=rf"^dimension must be in 1\.\.1000000, got {d}$"):
+            poset_dimension_at_most(P, d)
 
 
 def test_dimension_search_budget():
