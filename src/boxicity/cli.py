@@ -7,7 +7,8 @@ Everything on disk is plain JSON with sorted keys, so reruns with the same
 inputs produce byte-identical files and diffs stay readable.
 
 Each subcommand imports the modules it uses, so a run loads only what its
-subcommand needs.
+subcommand needs, and only the invoked subcommand's parser gets its
+arguments.
 
 Exit codes: 0 success, 1 a finished representation failed verification,
 2 invalid input (bad file, flag, certificate, or script), 3 a search
@@ -308,89 +309,93 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is listed with its help line,
+    but only the one argv names (its first word not starting with "-"; the
+    main parser takes no option with a value) gets its arguments, so help
+    and usage errors read as if all were built."""
     parser = argparse.ArgumentParser(
         prog="boxicity",
         description="Build, compose and verify box representations of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
 
-    gen = sub.add_parser("gen", help="write a generated graph")
-    gen.add_argument("family", choices=_FAMILIES)
-    gen.add_argument("n", type=int, help="size parameter of the family")
-    gen.add_argument("-o", "--output", required=True)
-    gen.add_argument("-p", type=float, default=None,
-                     help="edge probability (random only)")
-    gen.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (required for random/forest)")
-    gen.set_defaults(func=_cmd_gen)
+    def add(name, help_line, func):
+        """The subparser of name, if argv invokes it; else None."""
+        subparser = sub.add_parser(name, help=help_line)
+        subparser.set_defaults(func=func)
+        return subparser if name == invoked else None
 
-    exact = sub.add_parser("exact", help="exact boxicity by closure search")
-    exact.add_argument("graph")
-    exact.add_argument("--max-d", type=int, default=None,
-                       help="stop after refuting this many dimensions")
-    exact.add_argument("-o", "--output", default=None,
-                       help="also write the full result with witness")
-    _add_budget_flags(exact)
-    exact.set_defaults(func=_cmd_exact)
+    if gen := add("gen", "write a generated graph", _cmd_gen):
+        gen.add_argument("family", choices=_FAMILIES)
+        gen.add_argument("n", type=int, help="size parameter of the family")
+        gen.add_argument("-o", "--output", required=True)
+        gen.add_argument("-p", type=float, default=None,
+                         help="edge probability (random only)")
+        gen.add_argument("--seed", type=int, default=None,
+                         help="RNG seed (required for random/forest)")
 
-    construct = sub.add_parser(
-        "construct", help="build a verified representation from a certificate"
-    )
-    construct.add_argument("kind", choices=("acyclic", "roberts", "girth4",
-                                            "forest", "figure1"))
-    construct.add_argument("graph")
-    construct.add_argument("-o", "--output", required=True)
-    construct.add_argument("--coloring", default=None,
-                           help="acyclic coloring file (acyclic only)")
-    construct.add_argument("--partition", default=None,
-                           help="forest/stable partition file (girth4 only)")
-    construct.add_argument("--classification", default=None,
-                           help="cycle classification file (figure1 only)")
-    _add_budget_flags(construct)
-    construct.set_defaults(func=_cmd_construct)
+    if exact := add("exact", "exact boxicity by closure search", _cmd_exact):
+        exact.add_argument("graph")
+        exact.add_argument("--max-d", type=int, default=None,
+                           help="stop after refuting this many dimensions")
+        exact.add_argument("-o", "--output", default=None,
+                           help="also write the full result with witness")
+        _add_budget_flags(exact)
 
-    derive = sub.add_parser("derive", help="replay a derivation script")
-    derive.add_argument("graph")
-    derive.add_argument("script")
-    derive.add_argument("-o", "--output", required=True)
-    derive.add_argument("--report", default=None,
-                        help="also write the per-step accounting")
-    derive.set_defaults(func=_cmd_derive)
+    if construct := add("construct", "build a verified representation from a certificate",
+                        _cmd_construct):
+        construct.add_argument("kind", choices=("acyclic", "roberts", "girth4",
+                                                "forest", "figure1"))
+        construct.add_argument("graph")
+        construct.add_argument("-o", "--output", required=True)
+        construct.add_argument("--coloring", default=None,
+                               help="acyclic coloring file (acyclic only)")
+        construct.add_argument("--partition", default=None,
+                               help="forest/stable partition file (girth4 only)")
+        construct.add_argument("--classification", default=None,
+                               help="cycle classification file (figure1 only)")
+        _add_budget_flags(construct)
 
-    verify = sub.add_parser("verify", help="check a representation file")
-    verify.add_argument("graph")
-    verify.add_argument("rep")
-    verify.set_defaults(func=_cmd_verify)
+    if derive := add("derive", "replay a derivation script", _cmd_derive):
+        derive.add_argument("graph")
+        derive.add_argument("script")
+        derive.add_argument("-o", "--output", required=True)
+        derive.add_argument("--report", default=None,
+                            help="also write the per-step accounting")
 
-    poset = sub.add_parser("poset", help="adjacency poset tools")
-    poset.add_argument("graph")
-    poset.add_argument("--coloring", default=None,
-                       help="proper coloring file; computed when omitted")
-    poset.add_argument("-o", "--output", default=None,
-                       help="write the realizer orders")
-    poset.add_argument("--check-dimension", type=int, default=None,
-                       help="search for a realizer of this size instead")
-    _add_budget_flags(poset)
-    poset.set_defaults(func=_cmd_poset)
+    if verify := add("verify", "check a representation file", _cmd_verify):
+        verify.add_argument("graph")
+        verify.add_argument("rep")
 
-    bounds = sub.add_parser("bounds", help="closed-form genus bounds")
-    bounds.add_argument("--genus", type=int, default=None,
-                        help="orientable genus g (crosscaps with --nonorientable); "
-                             "box bound 7 on the torus, else 5g + 3, whose genus "
-                             "convention (Euler or orientable) is unverified")
-    bounds.add_argument("--nonorientable", action="store_true",
-                        help="read --genus as the number of crosscaps")
-    bounds.add_argument("--box", type=int, default=None)
-    bounds.add_argument("--chi", type=int, default=None)
-    bounds.add_argument("-o", "--output", default=None)
-    bounds.set_defaults(func=_cmd_bounds)
+    if poset := add("poset", "adjacency poset tools", _cmd_poset):
+        poset.add_argument("graph")
+        poset.add_argument("--coloring", default=None,
+                           help="proper coloring file; computed when omitted")
+        poset.add_argument("-o", "--output", default=None,
+                           help="write the realizer orders")
+        poset.add_argument("--check-dimension", type=int, default=None,
+                           help="search for a realizer of this size instead")
+        _add_budget_flags(poset)
+
+    if bounds := add("bounds", "closed-form genus bounds", _cmd_bounds):
+        bounds.add_argument("--genus", type=int, default=None,
+                            help="orientable genus g (crosscaps with --nonorientable); "
+                                 "box bound 7 on the torus, else 5g + 3, whose genus "
+                                 "convention (Euler or orientable) is unverified")
+        bounds.add_argument("--nonorientable", action="store_true",
+                            help="read --genus as the number of crosscaps")
+        bounds.add_argument("--box", type=int, default=None)
+        bounds.add_argument("--chi", type=int, default=None)
+        bounds.add_argument("-o", "--output", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExhausted as exc:

@@ -59,8 +59,6 @@ from .certificates import (
     validate_acyclic_coloring,
 )
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
-from .exact import STATUS_BUDGET, SearchBudget, exact_boxicity
-from .figure1 import figure1_gadget
 from .graphs import Graph, induced_subgraph, is_int, make_graph
 
 StepReport = namedtuple(
@@ -208,8 +206,10 @@ def _figure1_check(step, lv):
 
 
 def _figure1_build(lv, cls, B_rest):
+    from . import figure1
+
     attached = tuple(sorted(cls.assignments))
-    doubled = sur2bis_double(figure1_gadget(lv.H, cls), attached)
+    doubled = sur2bis_double(figure1.figure1_gadget(lv.H, cls), attached)
     v2 = tuple(v for v in B_rest.domain() if v not in cls.assignments)
     sep = Separation(V1=tuple(sorted(cls.cycle)), V2=v2, X=attached)
     return sur2_compose(lv.H, sep, doubled, B_rest), f"sub + 5 = {B_rest.d} + 5"
@@ -303,8 +303,10 @@ def _oracle_check(step, lv):
 
 
 def _oracle_build(lv, step):
-    result = exact_boxicity(lv.H, step.d_max, step.budget)
-    if result.status == STATUS_BUDGET:
+    from . import exact
+
+    result = exact.exact_boxicity(lv.H, step.d_max, step.budget)
+    if result.status == exact.STATUS_BUDGET:
         raise BudgetExhausted(
             f"{lv.path}: oracle search stopped early (lower bound {result.lower_bound})"
         )
@@ -322,8 +324,11 @@ def _d_max_from_dict(doc) -> int:
     return doc
 
 
-def _budget_from_dict(doc) -> SearchBudget:
-    """Absent keys take the defaults; SearchBudget checks every value."""
+def _budget_from_dict(doc):
+    """An exact.SearchBudget: absent keys take the defaults, and
+    SearchBudget checks every value."""
+    from .exact import SearchBudget
+
     if not isinstance(doc, dict) or set(doc) - set(SearchBudget._fields):
         raise ParseError("budget must be an object with known keys")
     return SearchBudget(**doc)
@@ -331,7 +336,9 @@ def _budget_from_dict(doc) -> SearchBudget:
 
 # Library functions are called through this module's globals, never stored
 # here (hence the lambda around box_rep_from_dict), so that a tracer that
-# replaces a module attribute sees every call.
+# replaces a module attribute sees every call.  exact and figure1 are
+# imported by the rules that use them, and called through their modules,
+# so a script without those rules never loads them.
 RULES: tuple[Rule, ...] = (
     Rule("sur1", (Field("cover", pair_cover_from_dict),),
          ("sub",), _sur1_check, _sur1_build,

@@ -59,8 +59,8 @@ def _s1_box(i: int, k: int) -> tuple[Interval, Interval]:
     """Point at the center of the anchor's box: interior, so it meets
     nothing else."""
     x, y = _cycle_box(i, k)
-    cx = (x.lo + x.hi) / 2
-    cy = (y.lo + y.hi) / 2
+    cx = Fraction(x.lo + x.hi, 2)
+    cy = Fraction(y.lo + y.hi, 2)
     return _box(cx, cx, cy, cy)
 
 

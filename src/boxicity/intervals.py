@@ -27,64 +27,76 @@ repeatedly adding the forced edge uv whenever p(u) < p(v) < p(w) and uw is
 present.  The test suite re-derives the fixpoint naively with randomized
 rule application and compares.
 
-Orderings are plain tuples of vertex ids; intervals use Fraction endpoints
-(ints are converted, bools and floats refused), so all comparisons are
-exact.  Endpoints are ordered by _order_key, which compares integers and
-floors as plain ints.  The adjacency kernel meet_masks ranks each
-layer's distinct endpoint values once and then works on integer ranks
-and bitmasks: it never scales to a common denominator, which grows with
-the product of distinct denominators, and an all-integer layer makes
-no Fraction comparison at all.
+Orderings are plain tuples of vertex ids.  An interval endpoint is an int,
+or a Fraction when it is not an integer: a Fraction with denominator 1
+becomes its numerator, and bools and floats are refused, so all
+comparisons are exact.  fractions is imported only where a non-integer is
+made (figure1, or a JSON denominator that does not divide its numerator),
+and no type check imports it: nothing can be a Fraction before fractions
+is loaded.  The adjacency kernel meet_masks ranks each layer's distinct
+endpoint values once and then works on integer ranks and bitmasks.  An
+all-integer layer sorts natively; a layer with a Fraction sorts by
+_order_key, which compares integers and floors as plain ints, so it never
+scales to a common denominator, which grows with the product of distinct
+denominators.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 from .errors import InvalidInput
 from .graphs import Graph, check_vertex_set, is_int
 
 
-def _endpoint(x, name: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+@cache
+def _fraction_class():
+    """fractions.Fraction, imported by the first call only."""
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _endpoint(x, name: str):
+    """x as an endpoint: an int, or a Fraction that is not an integer."""
     if is_int(x):
-        return Fraction(x)
+        return int(x)
+    if "fractions" in sys.modules and isinstance(x, _fraction_class()):
+        return x.numerator if x.denominator == 1 else x
     raise InvalidInput(f"interval {name} must be a Fraction or an int, got {x!r}")
 
 
-def _order_key(q: Fraction):
-    """Exact sort key of a rational: (n,) for an integer n, and
-    (floor, q) otherwise.  Integers and floors compare as plain ints, so a
-    Fraction is compared only with another non-integer of the same floor.
+def _order_key(q):
+    """Exact sort key of an endpoint: (q,) for an int q, and (floor, q)
+    for a Fraction.  Integers and floors compare as plain ints, so a
+    Fraction is compared only with another Fraction of the same floor.
     """
-    n, d = q.as_integer_ratio()
-    return (n,) if d == 1 else (n // d, q)
+    return (q,) if type(q) is int else (q.numerator // q.denominator, q)
 
 
 class Interval(namedtuple("Interval", "lo hi")):
-    """Closed interval [lo, hi] with Fraction endpoints; ints are converted,
-    anything else (bool, float) is refused."""
+    """Closed interval [lo, hi]; an endpoint is an int, or a Fraction that
+    is not an integer (a whole Fraction becomes an int), and anything
+    else (bool, float) is refused."""
 
     __slots__ = ()
 
     def __new__(cls, lo, hi):
-        lo, hi = _endpoint(lo, "lo"), _endpoint(hi, "hi")
-        if _order_key(lo) > _order_key(hi):
+        if type(lo) is not int or type(hi) is not int:
+            lo, hi = _endpoint(lo, "lo"), _endpoint(hi, "hi")
+        if lo > hi:
             raise InvalidInput(f"interval has lo > hi: [{lo}, {hi}]")
-        return super().__new__(cls, lo, hi)
+        return tuple.__new__(cls, (lo, hi))
 
 
 def span(layer: dict[int, Interval]) -> Interval:
     """Smallest interval containing every interval of the layer."""
     if not layer:
         raise InvalidInput("span of an empty representation")
-    return Interval(
-        min((iv.lo for iv in layer.values()), key=_order_key),
-        max((iv.hi for iv in layer.values()), key=_order_key),
-    )
+    return Interval(min(iv.lo for iv in layer.values()), max(iv.hi for iv in layer.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +108,27 @@ def meet_masks(layer: dict[int, Interval]) -> dict[int, int]:
     """Per vertex id v, the bitmask of the ids whose closed intervals meet
     v's interval (bit w for vertex w; v's own bit is set).
 
-    The endpoints are ranked: the distinct values (told apart by
-    as_integer_ratio) are sorted once by _order_key, which is the only
-    comparison of endpoints.  OR-ing the vertex bits by the rank of their
-    left endpoints, from the bottom, gives at rank r the w with
+    The endpoints are ranked: the distinct values are sorted once,
+    natively in an all-integer layer and by _order_key otherwise, which is
+    the only comparison of endpoints.  OR-ing the vertex bits by the rank
+    of their left endpoints, from the bottom, gives at rank r the w with
     lo_w <= value r; OR-ing by right endpoints from the top gives the w
     with hi_w >= value r.  Their AND at the ranks of hi_v and lo_v is the
     set meeting v, touching intervals included.
     """
-    values: dict[tuple[int, int], Fraction] = {}
-    ends = []
-    for v, iv in layer.items():
-        lo, hi = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-        values[lo] = iv.lo
-        values[hi] = iv.hi
-        ends.append((v, lo, hi))
-    ranked = sorted(values.values(), key=_order_key)
-    rank = {q.as_integer_ratio(): r for r, q in enumerate(ranked)}
+    values = {q for iv in layer.values() for q in iv}
+    # no value can be a Fraction before fractions is loaded
+    ints = "fractions" not in sys.modules or all(type(q) is int for q in values)
+    ranked = sorted(values, key=None if ints else _order_key)
+    rank = dict(zip(ranked, range(len(ranked))))
     lo_prefix = [0] * len(ranked)
     hi_suffix = [0] * len(ranked)
-    for v, lo, hi in ends:
+    for v, (lo, hi) in layer.items():
         lo_prefix[rank[lo]] |= 1 << v
         hi_suffix[rank[hi]] |= 1 << v
     lo_prefix[:] = accumulate(lo_prefix, _or_unless_empty)
     hi_suffix[::-1] = accumulate(reversed(hi_suffix), _or_unless_empty)
-    return {v: lo_prefix[rank[hi]] & hi_suffix[rank[lo]] for v, lo, hi in ends}
+    return {v: lo_prefix[rank[hi]] & hi_suffix[rank[lo]] for v, (lo, hi) in layer.items()}
 
 
 def _or_unless_empty(acc: int, bits: int) -> int:
@@ -235,13 +243,15 @@ def canonical_extension(layer: dict[int, Interval], G: Graph) -> dict[int, Inter
 # ---------------------------------------------------------------------------
 
 
-def _ratio_from_pair(doc, where: str) -> tuple[int, int]:
-    """The ints (n, d) of a rational [n, d], checked once: d > 0."""
+def _rational_from_pair(doc, where: str):
+    """The rational [n, d], checked once (d > 0), as the int n / d when d
+    divides n and as a Fraction otherwise."""
     if not isinstance(doc, list) or len(doc) != 2 or not (is_int(doc[0]) and is_int(doc[1])):
         raise InvalidInput(f"{where}: rational must be [numerator, denominator]")
-    if doc[1] <= 0:
-        raise InvalidInput(f"{where}: denominator must be positive, got {doc[1]}")
-    return doc[0], doc[1]
+    n, d = doc
+    if d <= 0:
+        raise InvalidInput(f"{where}: denominator must be positive, got {d}")
+    return n // d if n % d == 0 else _fraction_class()(n, d)
 
 
 def interval_to_pairs(iv: Interval) -> list[list[int]]:
@@ -249,13 +259,11 @@ def interval_to_pairs(iv: Interval) -> list[list[int]]:
 
 
 def interval_from_pairs(doc, where: str) -> Interval:
-    """Each endpoint is checked and built once.  With both denominators
-    positive, lo <= hi is the integer test n_lo d_hi <= n_hi d_lo, so the
-    tuple is made without Interval's own second check."""
+    """Each endpoint is checked and built once, and so is their order, so
+    the tuple is made without Interval's own second check."""
     if not isinstance(doc, list) or len(doc) != 2:
         raise InvalidInput(f"{where}: interval must be [[n, d], [n, d]]")
-    n_lo, d_lo = _ratio_from_pair(doc[0], where)
-    n_hi, d_hi = _ratio_from_pair(doc[1], where)
-    if n_lo * d_hi > n_hi * d_lo:
+    lo, hi = _rational_from_pair(doc[0], where), _rational_from_pair(doc[1], where)
+    if lo > hi:
         raise InvalidInput(f"{where}: interval has lo > hi")
-    return tuple.__new__(Interval, (Fraction(n_lo, d_lo), Fraction(n_hi, d_hi)))
+    return tuple.__new__(Interval, (lo, hi))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from math import isqrt
 
 from .certificates import check_coloring
@@ -214,8 +213,8 @@ def poset_dimension_at_most(
     return tuple(realizer + realizer[-1:] * (d - len(realizer)))
 
 
-# A closed-form bound: its floor, a float reading, and the exact rational
-# (None unless the radical collapses).
+# A closed-form bound: its floor, a float reading, and the exact value, an
+# int (None unless the radical collapses).
 BoundValue = namedtuple("BoundValue", "floor approx exact")
 BoundReport = namedtuple(
     "BoundReport", "genus orientable box_bound chi_bound dim_bound dim_from_box_chi"
@@ -224,12 +223,13 @@ BoundReport = namedtuple(
 
 def _half_plus(base: int, radicand: int, offset: int) -> BoundValue:
     """offset + (base + sqrt(radicand)) / 2, floored without rounding
-    error: floor((base + sqrt(D)) / 2) == (base + isqrt(D)) // 2."""
+    error: floor((base + sqrt(D)) / 2) == (base + isqrt(D)) // 2.  base and
+    radicand are odd at every call, so a square radicand has an odd root,
+    base + root is even and the exact value is the floor, an int."""
     root = isqrt(radicand)
     floor = offset + (base + root) // 2
     approx = offset + (base + math.sqrt(radicand)) / 2
-    exact = Fraction(base + root, 2) + offset if root * root == radicand else None
-    return BoundValue(floor, approx, exact)
+    return BoundValue(floor, approx, floor if root * root == radicand else None)
 
 
 def bound_calculator(

@@ -25,21 +25,13 @@ from boxicity.boxes import (
 )
 from boxicity.certificates import ForestStablePartition, PairCover, Separation
 from boxicity.cli import _dump, main
-from boxicity.derivation import (
-    AcyclicStep,
-    BaseOracleStep,
-    Figure1Step,
-    RobertsStep,
-    Sur1Step,
-    Sur2Step,
-    Sur2bisStep,
-)
+from boxicity.derivation import BaseOracleStep, RobertsStep, Sur1Step, Sur2Step
 from boxicity.exact import SearchBudget
-from boxicity.graphs import graph_from_dict, graph_to_dict, make_graph, roberts_graph
+from boxicity.graphs import graph_from_dict, graph_to_dict, roberts_graph
 from boxicity.intervals import Interval
 from boxicity.posets import adjacency_poset, intersect_orders, is_linear_extension, starred_poset
 
-from util import gadget_instance, script_doc
+from util import gadget_instance, nested_instance, script_doc
 
 
 def write_json(path, doc):
@@ -94,11 +86,12 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, nam
     assert not any((tmp_path / "taken").iterdir())
 
 
-def run_cli(*args: str, cwd) -> subprocess.CompletedProcess:
-    """The CLI in a new interpreter, stopped after 5 s."""
+def run_cli(*args: str, cwd, **env: str) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, with env added to its environment,
+    stopped after 5 s."""
     return subprocess.run([sys.executable, "-m", "boxicity", *args], capture_output=True,
                           text=True, timeout=5, cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env})
 
 
 @pytest.mark.parametrize("n", ["1" + "0" * 30, "9" * 4001], ids=["1e30", "4001-digits"])
@@ -504,19 +497,9 @@ def test_derive_refuses_an_oversized_script_before_building(tmp_path, capsys):
 
 
 def nested_files(tmp_path):
-    """A figure-1 block over sur2bis over an acyclic leaf, beside a sur1
-    over a roberts leaf, joined by sur2: 26 vertices, 13 dimensions."""
-    base, cls = gadget_instance(6, classes=("S2", "S3"))
-    edges = sorted(base.edges) + [(6, 18), (18, 19), (6, 19)]
-    edges += [(u + 20, v + 20) for u, v in roberts_graph(3).edges]
-    script = Sur2Step(
-        sep=Separation(V1=tuple(range(20)), V2=tuple(range(20, 26)), X=()),
-        sub1=Figure1Step(cls=cls, sub=Sur2bisStep(
-            K=(6, 18, 19), sub=AcyclicStep(coloring={v: v % 2 for v in range(6, 20)}))),
-        sub2=Sur1Step(cover=PairCover(X=(20, 21), pairs=((20, 21),)), sub=RobertsStep()),
-    )
     g, s = tmp_path / "nested.json", tmp_path / "script.json"
-    write_json(g, graph_to_dict(make_graph(26, edges)))
+    G, script = nested_instance()
+    write_json(g, graph_to_dict(G))
     write_json(s, script_doc(script))
     return g, s
 
@@ -567,6 +550,52 @@ def test_witness_gadget_and_pipeline_output_bytes_are_pinned(tmp_path, gen, comm
     assert main(["gen", *gen, "-o", str(g)]) == 0
     assert main([*command, str(g), "-o", str(out)]) == 0
     assert sha256(out) == out_sha
+
+
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+
+
+HELP_PINS = [
+    (["--help"], 0,
+     "1b2c63b359e528b3c1f08b981eb63d9c4fb18409cb028394928b3842803d530f", EMPTY_SHA),
+    (["gen", "--help"], 0,
+     "21a73aac13ab3ad9aa17868584bcfd159ddcff12df50274326ed27c3e503292a", EMPTY_SHA),
+    (["exact", "--help"], 0,
+     "912744d55c52b8c06cf8b7d21497e3a9b0377e6f7bd48eb063c5fce3262c345c", EMPTY_SHA),
+    (["construct", "--help"], 0,
+     "1bd15eb9edb8b6f20b91ecf44c9b1c64e4554842cb775be7c93a80230f96e109", EMPTY_SHA),
+    (["derive", "--help"], 0,
+     "01f18c661b6a963617b7cc2db689f9a4142e50c6306997fac3aabd704a2b50c2", EMPTY_SHA),
+    (["verify", "--help"], 0,
+     "04ada2a77f6e02281872b477ae0493f4da67302136c1ab4def938a49cd89f3b4", EMPTY_SHA),
+    (["poset", "--help"], 0,
+     "f4276b5a58ac0e9ad8d17a1b5e69678d50adfd4fb1f1f35e955199e0c70835f8", EMPTY_SHA),
+    (["bounds", "--help"], 0,
+     "c6f4e1be55f0127870f8dafb06782aa02cfc39886422c9a4d54203e8f17993d5", EMPTY_SHA),
+    ([], 2, EMPTY_SHA,
+     "7554b08d35630aa2506a94ba5f55b96e8e7e27a22c8a48dc9492c58b02007f58"),
+    (["frobnicate"], 2, EMPTY_SHA,
+     "00bdadf7ceb3d2514cf99327bc2c6c9df52199c6ba4b6d1324e260f523acd769"),
+    (["verify", "g.json"], 2, EMPTY_SHA,
+     "a10e28502a660ba9988f94253efec867fd4656ea4f8b7886e8dbb86086836eeb"),
+    (["gen", "cycle", "x", "-o", "g.json"], 2, EMPTY_SHA,
+     "04f867cee7ca6f2de2c59a40c82575756f708ed7187f88f74f6ae9984735bffb"),
+    (["construct", "bogus", "g.json", "-o", "r.json"], 2, EMPTY_SHA,
+     "db52e72aefafe2bc4438c685d130455ded5b0a58e9f07eec84a075e1dcd35d3d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", HELP_PINS,
+                         ids=[" ".join(argv) or "no-arguments" for argv, *_ in HELP_PINS])
+def test_help_and_usage_error_bytes_are_pinned(tmp_path, argv, code, out_sha, err_sha):
+    """--help of the program and of every subcommand, no subcommand, an
+    unknown one, a missing positional, a bad int and a bad choice, at a
+    terminal width of 80 columns.  argparse's layout differs between
+    Python versions; these bytes are those of Python 3.11."""
+    proc = run_cli(*argv, cwd=tmp_path, COLUMNS="80")
+    digest = [hashlib.sha256(stream.encode()).hexdigest() for stream in (proc.stdout, proc.stderr)]
+    assert [proc.returncode, *digest] == [code, out_sha, err_sha]
+    assert not any(tmp_path.iterdir())
 
 
 _VERTEX_IDS = st.sampled_from((0, 1, 2, 3, 9, 10, 11, 20, 100, 101)) | st.integers(0, 10**6)
@@ -760,11 +789,40 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert "boxicity.cli" in loaded and "dataclasses" not in loaded
 
 
-def test_verify_loads_no_search_derivation_or_poset_module(tmp_path):
+def forest_files(tmp_path):
+    """A 5-vertex path and its forest layout."""
     g, rep = tmp_path / "g.json", tmp_path / "rep.json"
     assert main(["gen", "path", "5", "-o", str(g)]) == 0
     assert main(["construct", "forest", str(g), "-o", str(rep)]) == 0
-    loaded = loaded_modules("import sys; from boxicity.cli import main; "
-                            "assert main(sys.argv[1:]) == 0", "verify", str(g), str(rep))
-    assert "boxicity.boxes" in loaded
-    assert not {"boxicity.derivation", "boxicity.exact", "boxicity.posets"} & set(loaded)
+    return g, rep
+
+
+def sur1_roberts_files(tmp_path):
+    """roberts(3) by a pair cover over the matched-complement rule."""
+    g, s = tmp_path / "g.json", tmp_path / "script.json"
+    write_json(g, graph_to_dict(roberts_graph(3)))
+    write_json(s, script_doc(Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)),
+                                      sub=RobertsStep())))
+    return g, s
+
+
+# the search, the figure-1 gadget and the exact rationals, which only the
+# jobs that use them load
+RARE = {"boxicity.exact", "boxicity.figure1", "fractions", "decimal"}
+DERIVE = ["derive", "{0}", "{1}", "-o", "{out}"]
+
+
+@pytest.mark.parametrize("files, command, loads, skips", [
+    (forest_files, ["verify", "{0}", "{1}"], {"boxicity.boxes"},
+     RARE | {"boxicity.derivation", "boxicity.posets"}),
+    (forest_files, ["construct", "forest", "{0}", "-o", "{out}"], {"boxicity.boxes"},
+     RARE | {"boxicity.derivation", "boxicity.posets"}),
+    (sur1_roberts_files, DERIVE, {"boxicity.derivation"}, RARE | {"boxicity.posets"}),
+    (k8_files, DERIVE, {"boxicity.exact"}, {"boxicity.figure1", "fractions", "decimal"}),
+    (nested_files, DERIVE, {"boxicity.figure1", "fractions"}, {"boxicity.exact"}),
+], ids=["verify", "construct-forest", "derive", "derive-oracle", "derive-figure1"])
+def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, skips):
+    argv = [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]
+    loaded = set(loaded_modules("import sys; from boxicity.cli import main; "
+                                "assert main(sys.argv[1:]) == 0", *argv))
+    assert loads <= loaded and not skips & loaded

@@ -4,10 +4,20 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from boxicity.boxes import forest_two_dim, verify_representation
+from boxicity.boxes import (
+    acyclic_pipeline,
+    forest_two_dim,
+    girth4_pipeline,
+    roberts_representation,
+    verify_representation,
+)
+from boxicity.derivation import assemble
 from boxicity.errors import InvalidInput
-from boxicity.exact import boxicity_at_most
+from boxicity.exact import boxicity_at_most, find_forest_stable_partition
+from boxicity.figure1 import figure1_gadget
 from boxicity.graphs import (
     Graph,
     complete,
@@ -17,6 +27,7 @@ from boxicity.graphs import (
     random_forest,
     random_graph,
     roberts_graph,
+    subdivided_complete,
 )
 from boxicity.intervals import (
     Interval,
@@ -29,7 +40,16 @@ from boxicity.intervals import (
     umbrella_closure,
 )
 
-from util import assert_represents, interval_adjacent, interval_graph_of, is_umbrella_free
+from util import (
+    assert_represents,
+    gadget_instance,
+    greedy_acyclic_coloring,
+    interval_adjacent,
+    interval_graph_of,
+    is_umbrella_free,
+    nested_instance,
+    universal_representation,
+)
 
 
 def iv(lo, hi):
@@ -88,9 +108,53 @@ def test_meet_masks_match_the_pairwise_oracle(seed):
         assert span(R) == iv(min(x.lo for x in ivs), max(x.hi for x in ivs))
 
 
-def test_interval_coerces_ints_to_fractions():
+def test_interval_keeps_ints_and_makes_whole_fractions_ints():
     a = Interval(0, 1)
-    assert a.lo == Fraction(0) and isinstance(a.lo, Fraction)
+    assert type(a.lo) is int and a.lo == 0
+    b = Interval(Fraction(4, 2), 3)
+    assert type(b.lo) is int and b.lo == 2
+    c = Interval(Fraction(1, 2), Fraction(3, 1))
+    assert type(c.lo) is Fraction and c.lo == Fraction(1, 2) and type(c.hi) is int
+
+
+def assert_normal(q):
+    """An endpoint is an int, or a Fraction that is not an integer; never
+    a bool or a float."""
+    assert type(q) is int or (type(q) is Fraction and q.denominator > 1), repr(q)
+
+
+BUILDERS = {
+    "forest_two_dim": lambda: forest_two_dim(random_forest(80, 2)),
+    "roberts_representation": lambda: roberts_representation(5),
+    "acyclic_pipeline": lambda: acyclic_pipeline(
+        subdivided_complete(4), greedy_acyclic_coloring(subdivided_complete(4))),
+    "girth4_pipeline": lambda: girth4_pipeline(
+        subdivided_complete(4), find_forest_stable_partition(subdivided_complete(4))),
+    # pair and singleton gadgets, stacked
+    "gadgets": lambda: universal_representation(cycle(6)),
+    # figure-1, sur2bis, acyclic, sur1 and roberts under sur2
+    "compositions": lambda: assemble(*nested_instance())[0],
+    **{f"figure1_gadget_{k}": lambda k=k: figure1_gadget(*gadget_instance(k))
+       for k in range(6, 13)},
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_every_built_endpoint_is_normal(build):
+    for layer in build().layers:
+        for iv in layer.values():
+            assert_normal(iv.lo)
+            assert_normal(iv.hi)
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 12)), min_size=2, max_size=2))
+@example([(4, 2), (3, 1)])  # decodes to the ints (2, 3)
+def test_every_decoded_endpoint_is_normal(pairs):
+    doc = [list(pair) for pair in sorted(pairs, key=lambda p: Fraction(*p))]
+    x = interval_from_pairs(doc, "x")
+    assert x == iv(Fraction(*doc[0]), Fraction(*doc[1]))
+    assert_normal(x.lo)
+    assert_normal(x.hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.1, 1), (0, 1.0), (True, 2), (0, True), ("0", 1), (None, 1)])

@@ -15,12 +15,22 @@ from boxicity.boxes import (
 from boxicity.certificates import (
     CycleClassification,
     ForestStablePartition,
+    PairCover,
+    Separation,
     acyclic_coloring_problems,
     coloring_to_dict,
 )
-from boxicity.derivation import RULES
+from boxicity.derivation import (
+    RULES,
+    AcyclicStep,
+    Figure1Step,
+    RobertsStep,
+    Sur1Step,
+    Sur2Step,
+    Sur2bisStep,
+)
 from boxicity.exact import SearchBudget
-from boxicity.graphs import Graph, make_graph
+from boxicity.graphs import Graph, make_graph, roberts_graph
 from boxicity.intervals import Interval, check_ordering
 
 
@@ -285,6 +295,22 @@ def gadget_instance(
     G = make_graph(nxt, edges)
     cls = CycleClassification(cycle=tuple(range(k)), assignments=assignments)
     return G, cls
+
+
+def nested_instance():
+    """A figure-1 block over sur2bis over an acyclic leaf, beside a sur1
+    over a roberts leaf, joined by sur2: 26 vertices, 13 dimensions.
+    Returns the graph and the script."""
+    base, cls = gadget_instance(6, classes=("S2", "S3"))
+    edges = sorted(base.edges) + [(6, 18), (18, 19), (6, 19)]
+    edges += [(u + 20, v + 20) for u, v in roberts_graph(3).edges]
+    script = Sur2Step(
+        sep=Separation(V1=tuple(range(20)), V2=tuple(range(20, 26)), X=()),
+        sub1=Figure1Step(cls=cls, sub=Sur2bisStep(
+            K=(6, 18, 19), sub=AcyclicStep(coloring={v: v % 2 for v in range(6, 20)}))),
+        sub2=Sur1Step(cover=PairCover(X=(20, 21), pairs=((20, 21),)), sub=RobertsStep()),
+    )
+    return make_graph(26, edges), script
 
 
 def universal_representation(G: Graph) -> BoxRepresentation:
