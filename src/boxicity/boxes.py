@@ -206,7 +206,7 @@ def sur1_compose(
             f"V minus X = {list(rest)}"
         )
     _check_agrees(B_sub, G, "sub-representation")
-    dims = [canonical_extension(layer, G) for layer in B_sub.layers]
+    dims = canonical_extension(B_sub.layers, G)
     for a, b in cover.pairs:
         dims.append(pair_gadget(G, a, b))
     for v in cover.uncovered():
@@ -250,7 +250,7 @@ def sur2_compose(
             raise InvalidInput(f"B1 misses the edge {bad}")
         raise InvalidInput(f"B1 adds the non-edge {bad} outside X")
     _check_agrees(B2, G, "B2")
-    dims = [canonical_extension(layer, G) for layer in B1.layers + B2.layers]
+    dims = canonical_extension(B1.layers, G) + canonical_extension(B2.layers, G)
     split = {}
     for v in sep.V1:
         split[v] = Interval(0, 0)
@@ -348,7 +348,7 @@ def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
         lifted = relabel_box_representation(
             two, {new: old for new, old in enumerate(vmap)}
         )
-        dims += (canonical_extension(layer, G) for layer in lifted.layers)
+        dims += canonical_extension(lifted.layers, G)
     return from_interval_reps(dims)
 
 
@@ -373,7 +373,7 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
         two = relabel_box_representation(
             forest_two_dim(sub), {new: old for new, old in enumerate(vmap)}
         )
-        dims = [canonical_extension(layer, G) for layer in two.layers]
+        dims = canonical_extension(two.layers, G)
     else:
         # no forest side: the stable dimensions already separate everything
         dims = [dict.fromkeys(G.vertices(), Interval(0, 1))] * 2

@@ -201,9 +201,7 @@ def _construct_rep(args):
         if args.coloring:
             colors = certificates.coloring_from_dict(_read_json(args.coloring))
         else:
-            meter = _budget_from_args(args).meter()  # one count for k and the coloring
-            k = exact.acyclic_chromatic_number(G, meter)
-            colors = exact.acyclic_coloring(G, k, meter)
+            colors = exact.least_coloring(exact.acyclic_coloring, G, _budget_from_args(args))
         step = derivation.AcyclicStep(coloring=colors)
     else:  # girth4, the last choice the parser allows
         if args.partition:
@@ -272,8 +270,7 @@ def _cmd_poset(args) -> int:
     if args.coloring:
         colors = certificates.coloring_from_dict(_read_json(args.coloring))
     else:
-        meter = _budget_from_args(args).meter()  # one count for k and the coloring
-        colors = exact.proper_coloring(G, exact.chromatic_number(G, meter), meter)
+        colors = exact.least_coloring(exact.proper_coloring, G, _budget_from_args(args))
     orders = posets.chi_realizer_extensions(G, colors)
     P, star = posets.adjacency_poset(G), posets.starred_poset(G)
     recovered = posets.intersect_orders(orders) & star.relation if orders else None

@@ -51,7 +51,7 @@ from .boxes import (
 )
 from .certificates import ForestStablePartition, PairCover
 from .errors import BudgetExhausted, InvalidInput
-from .graphs import Graph, check_vertex_set, is_int, within_two
+from .graphs import Graph, _bits, check_vertex_set, is_int, within_two
 from .intervals import representation_from_ordering, umbrella_closure
 
 STATUS_EXACT = "exact"
@@ -123,14 +123,6 @@ class BoxicityResult(namedtuple(
     __slots__ = ()
 
 
-def _bits(mask: int):
-    """The indices of mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def chord_conflicts(
     G: Graph, non_edges, budget: SearchBudget | BudgetMeter | None = None
 ) -> list[int]:
@@ -188,20 +180,19 @@ def clique_number(adj: list[int], meter: BudgetMeter) -> int:
 
 class _ClosureSearch:
     """Sets of non-edges are int masks over the indices of self.non_edges,
-    sets of vertices int masks over the vertices."""
+    sets of vertices int masks over the vertices.  Nothing depends on d."""
 
     def __init__(self, G: Graph, meter: BudgetMeter):
         self.G = G
-        self.n = G.n
         self.meter = meter
         self.non_edges = G.non_edges()
         self.conflicts = chord_conflicts(G, self.non_edges, meter)
         # index[u][v]: the index of non-edge (u, v), in either order
-        self.index = [[-1] * self.n for _ in range(self.n)]
+        self.index = [[-1] * G.n for _ in range(G.n)]
         for i, (u, v) in enumerate(self.non_edges):
             self.index[u][v] = self.index[v][u] = i
         # survivors[x][partners]: _survivors(x, partners), filled as met
-        self.survivors: list[dict[int, tuple[int, int]]] = [{} for _ in range(self.n)]
+        self.survivors: list[dict[int, tuple[int, int]]] = [{} for _ in range(G.n)]
 
     def _survivors(self, x: int, partners: int) -> tuple[int, int]:
         """The non-edges from x to the vertex mask partners, and the union of
@@ -236,7 +227,7 @@ class _ClosureSearch:
         it for good.  With one dimension left nothing may survive; with two,
         the survivors must be pairwise free of chord conflicts.
         """
-        n = self.n
+        n = self.G.n
         nbr = self.G.nbr_masks
         memo = self.survivors
         tick = self.meter.tick
@@ -304,16 +295,14 @@ class _ClosureSearch:
 
         return extend(0, 0, 0, remaining.bit_count())
 
-    def search(self, dims: int):
-        return self._dims(dims, (1 << len(self.non_edges)) - 1)
-
-    def _dims(self, dims_left: int, remaining: int):
+    def search(self, dims_left: int, remaining: int):
+        """At most dims_left orderings excluding the mask remaining, or None."""
         if not remaining:
             return ()
         target = self._pick_target(remaining) if dims_left > 1 else None
 
         def complete(sigma, surviving):
-            rest = self._dims(dims_left - 1, surviving)
+            rest = self.search(dims_left - 1, surviving)
             return None if rest is None else (sigma,) + rest
 
         return self._orderings(remaining, dims_left, target, complete)
@@ -337,16 +326,20 @@ def boxicity_at_most(
     representation.  On exhaustive failure the status stays "exact" with no
     value; an interrupted search reports "budget-exhausted" instead, never
     a silent no.  Given a running meter, the search continues its count;
-    the result's nodes are this call's.
+    given exact_boxicity's running search of G, it also reuses that
+    search's chord-conflict table and survivor memo.  The result's nodes
+    are this call's.
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
     if G.n == 0:
         raise InvalidInput("boxicity needs at least one vertex")
-    meter = (budget or SearchBudget()).meter()
+    search = budget if isinstance(budget, _ClosureSearch) else None
+    meter = search.meter if search else (budget or SearchBudget()).meter()
     start = meter.nodes
     try:
-        found = _ClosureSearch(G, meter).search(d)
+        search = search or _ClosureSearch(G, meter)
+        found = search.search(d, (1 << len(search.non_edges)) - 1)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes - start)
     nodes = meter.nodes - start
@@ -372,8 +365,9 @@ def exact_boxicity(
     The search starts at the clique number of the chord-conflict graph,
     which bounds box(G) from below.  d_max defaults to floor(n/2) (n >= 2),
     which always suffices, so the default search cannot end undetermined
-    except by budget.  The budget caps the whole call: the clique search
-    and every d share one node count and one deadline.
+    except by budget.  One search, built once, serves the clique bound and
+    every d, so the budget caps the whole call with one node count and one
+    deadline; a call the node cap stops reports max_nodes + 1 nodes.
     """
     if G.n == 0:
         raise InvalidInput("boxicity needs at least one vertex")
@@ -381,29 +375,19 @@ def exact_boxicity(
         d_max = max(1, G.n // 2)
     if d_max < 1:
         raise InvalidInput("d_max must be at least 1")
-    budget = budget or SearchBudget()
-    meter = budget.meter()
+    meter = (budget or SearchBudget()).meter()
     try:
-        bound = clique_number(chord_conflicts(G, G.non_edges(), meter), meter)
+        search = _ClosureSearch(G, meter)
+        bound = clique_number(search.conflicts, meter)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
-    if bound > d_max:
-        return BoxicityResult(
-            None, None, STATUS_LOWER_BOUND, lower_bound=bound, nodes=meter.nodes
-        )
     for d in range(max(1, bound), d_max + 1):
-        if meter.nodes >= budget.max_nodes or time.monotonic() >= meter.deadline:
-            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=meter.nodes)
-        step = boxicity_at_most(G, d, meter)
-        if step.status == STATUS_BUDGET:
-            return BoxicityResult(None, None, STATUS_BUDGET, lower_bound=d, nodes=meter.nodes)
-        if step.value is not None:
-            return BoxicityResult(
-                d, step.witness, STATUS_EXACT,
-                orderings=step.orderings, lower_bound=d, nodes=meter.nodes,
-            )
+        step = boxicity_at_most(G, d, search)
+        if step.status == STATUS_BUDGET or step.value is not None:
+            return step._replace(lower_bound=d, nodes=meter.nodes)
+    # no d up to d_max was tried (the bound passes it) or none sufficed
     return BoxicityResult(
-        None, None, STATUS_LOWER_BOUND, lower_bound=d_max + 1, nodes=meter.nodes
+        None, None, STATUS_LOWER_BOUND, lower_bound=max(bound, d_max + 1), nodes=meter.nodes
     )
 
 
@@ -452,10 +436,18 @@ def proper_coloring(
     )
 
 
+def least_coloring(
+    find, G: Graph, budget: SearchBudget | BudgetMeter | None = None
+) -> dict[int, int]:
+    """find(G, k, meter)'s coloring at the least k that has one, which uses
+    exactly k colors; the budget covers every k."""
+    meter = (budget or SearchBudget()).meter()
+    return next(c for k in range(G.n + 1) if (c := find(G, k, meter)) is not None)
+
+
 def chromatic_number(G: Graph, budget: SearchBudget | BudgetMeter | None = None) -> int:
     """The least k with a proper k-coloring; the budget covers every k."""
-    meter = (budget or SearchBudget()).meter()
-    return next(k for k in range(G.n + 1) if proper_coloring(G, k, meter) is not None)
+    return len(set(least_coloring(proper_coloring, G, budget).values()))
 
 
 def _joins_two(G: Graph, anchors: int, inside: int) -> bool:
@@ -516,8 +508,7 @@ def acyclic_chromatic_number(
     G: Graph, budget: SearchBudget | BudgetMeter | None = None
 ) -> int:
     """The least k with an acyclic k-coloring; the budget covers every k."""
-    meter = (budget or SearchBudget()).meter()
-    return next(k for k in range(G.n + 1) if acyclic_coloring(G, k, meter) is not None)
+    return len(set(least_coloring(acyclic_coloring, G, budget).values()))
 
 
 def find_pair_cover(G: Graph, X) -> PairCover:

@@ -70,6 +70,14 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def int_key(key: str, what: str) -> int:
     """A JSON object key naming a vertex, accepted only as the canonical
     decimal text of an int, so that no two keys name one vertex."""

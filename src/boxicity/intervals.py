@@ -223,19 +223,19 @@ def representation_from_ordering(G: Graph, sigma) -> dict[int, Interval]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_extension(layer: dict[int, Interval], G: Graph) -> dict[int, Interval]:
-    """Extend a layer on X subset of V(G) to all of V(G).
+def canonical_extension(layers, G: Graph) -> list[dict[int, Interval]]:
+    """Extend the layers of one representation, on X subset of V(G), to V(G).
 
     Vertices outside X are mapped to the layer's full span, so they meet
-    everything, and pairs inside X keep the layer's adjacency.  The domain
-    is checked to be nonempty and inside V(G).  That the layer covers every
-    edge of G[X], which makes the result's graph a supergraph of G, is the
-    caller's duty: the compositions check the whole child first.
+    everything, and pairs inside X keep the layer's adjacency.  The shared
+    domain is checked once, to be nonempty and inside V(G).  That a layer
+    covers every edge of G[X], which makes the result's graph a supergraph
+    of G, is the caller's duty: the compositions check the whole child first.
     """
-    if not check_vertex_set(G, layer):
+    if not layers or not check_vertex_set(G, layers[0]):
         raise InvalidInput("canonical extension needs a nonempty domain")
-    full = span(layer)
-    return {v: layer.get(v, full) for v in G.vertices()}
+    return [{v: layer.get(v, full) for v in G.vertices()}
+            for layer, full in zip(layers, map(span, layers))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ the starred relation back down to the plain adjacency poset.
 P has dimension at most d exactly when its critical pairs can be colored
 with d colors so that one linear extension reverses each class (Trotter,
 Dimension Theory, 1992); the search for that coloring is exponential in
-the worst case.  The rest is closed-form bound evaluation.
+the worst case.  The rest is closed-form bound evaluation, which does
+not load exact: only the dimension search imports it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from math import isqrt
 
 from .certificates import check_coloring
 from .errors import InvalidInput
-from .exact import SearchBudget, _backtrack_coloring, _bits
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, _bits
 
 LinearOrder = tuple[int, ...]
 
@@ -156,6 +156,8 @@ def poset_dimension_at_most(
     exhausted budget raises.  Class c's extension is the
     smallest-first topological sort of P plus b before a for its pairs (a, b).
     """
+    from .exact import SearchBudget, _backtrack_coloring
+
     if not 1 <= d <= MAX_VERTICES:  # the realizer holds d orders
         raise InvalidInput(f"dimension must be in 1..{MAX_VERTICES}, got {d}")
     meter = (budget or SearchBudget()).meter()

@@ -132,7 +132,7 @@ def test_exact_refuses_a_sparse_graph_above_the_pair_cap_at_once(tmp_path, capsy
                          ids=["construct-acyclic", "poset"])
 def test_coloring_searches_stop_at_the_budget_flags(tmp_path, argv):
     """Without a coloring file, both commands search for one; --max-nodes
-    caps the chromatic-number search and the coloring after it."""
+    caps the search for the least number of colors, which yields it."""
     assert main(["gen", "random", "40", "-p", "0.5", "--seed", "1",
                  "-o", str(tmp_path / "g.json")]) == 0
     start = time.monotonic()
@@ -141,6 +141,21 @@ def test_coloring_searches_stop_at_the_budget_flags(tmp_path, argv):
     assert (proc.returncode, proc.stderr) == (
         3, "budget exhausted: node budget of 10 exceeded\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
+@pytest.mark.parametrize("command", [["construct", "acyclic"], ["poset"]],
+                         ids=["construct-acyclic", "poset"])
+def test_the_least_coloring_is_searched_once(tmp_path, command):
+    """The coloring is the one the search for the least number of colors
+    found, not searched again: the 27 nodes that search takes on C7 are
+    enough for the command, and it writes what an uncapped run writes."""
+    g = tmp_path / "g.json"
+    assert main(["gen", "cycle", "7", "-o", str(g)]) == 0
+    for name, flags, code in (("free", [], 0), ("27", ["--max-nodes", "27"], 0),
+                              ("26", ["--max-nodes", "26"], 3)):
+        assert main([*command, str(g), "-o", str(tmp_path / name), *flags]) == code, name
+    assert (tmp_path / "27").read_bytes() == (tmp_path / "free").read_bytes()
+    assert not (tmp_path / "26").exists()
 
 
 # ---------------------------------------------------------------- exact
@@ -812,6 +827,10 @@ RARE = {"boxicity.exact", "boxicity.figure1", "fractions", "decimal"}
 DERIVE = ["derive", "{0}", "{1}", "-o", "{out}"]
 
 
+def no_files(tmp_path):
+    return ()
+
+
 @pytest.mark.parametrize("files, command, loads, skips", [
     (forest_files, ["verify", "{0}", "{1}"], {"boxicity.boxes"},
      RARE | {"boxicity.derivation", "boxicity.posets"}),
@@ -820,7 +839,9 @@ DERIVE = ["derive", "{0}", "{1}", "-o", "{out}"]
     (sur1_roberts_files, DERIVE, {"boxicity.derivation"}, RARE | {"boxicity.posets"}),
     (k8_files, DERIVE, {"boxicity.exact"}, {"boxicity.figure1", "fractions", "decimal"}),
     (nested_files, DERIVE, {"boxicity.figure1", "fractions"}, {"boxicity.exact"}),
-], ids=["verify", "construct-forest", "derive", "derive-oracle", "derive-figure1"])
+    (no_files, ["bounds", "--genus", "1", "-o", "{out}"], {"boxicity.posets"},
+     RARE | {"boxicity.boxes", "boxicity.intervals", "boxicity.derivation"}),
+], ids=["verify", "construct-forest", "derive", "derive-oracle", "derive-figure1", "bounds"])
 def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, skips):
     argv = [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]
     loaded = set(loaded_modules("import sys; from boxicity.cli import main; "

@@ -351,9 +351,35 @@ def test_budget_caps_the_whole_call():
     for cap in (1, 2, 3, 5, 20, 100, 1000, 20_000):
         for G in graphs:
             res = exact_boxicity(G, budget=SearchBudget(max_nodes=cap))
-            assert res.nodes <= cap + 1
-            if res.status == "budget-exhausted":
-                assert res.nodes >= cap  # a search stops on the tick past the cap
+            # a search stops on the tick past the cap
+            assert res.nodes == cap + 1 if res.status == "budget-exhausted" else res.nodes <= cap
+
+
+@pytest.mark.parametrize("G, value, nodes", [
+    (cycle(9), 2, 203), (roberts_graph(5), 5, 75), (random_graph(10, 0.5, 7), 3, 3843)])
+def test_one_chord_conflict_table_per_call(monkeypatch, G, value, nodes):
+    """The clique bound and every d share one closure search, so the table
+    is built once per call however many d are tried."""
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return chord_conflicts(*args)
+
+    monkeypatch.setattr(exact, "chord_conflicts", counted)
+    res = exact_boxicity(G)
+    assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
+    assert len(builds) == 1
+
+
+def test_a_call_capped_between_two_d_counts_the_tick_past_the_cap():
+    """C5's clique bound and its refuted d = 1 take exactly 44 nodes; d = 2
+    goes on with the same search and stops on its first tick, so the call
+    reports max_nodes + 1 nodes like every other capped call."""
+    res = exact_boxicity(cycle(5), budget=SearchBudget(max_nodes=44))
+    assert (res.status, res.lower_bound, res.nodes) == ("budget-exhausted", 2, 45)
+    res = exact_boxicity(cycle(5), budget=SearchBudget(max_nodes=45))
+    assert (res.status, res.lower_bound, res.nodes) == ("budget-exhausted", 2, 46)
 
 
 def test_conflict_bound_above_d_max_is_reported_without_search():

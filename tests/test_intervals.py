@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from boxicity import intervals
 from boxicity.boxes import (
     acyclic_pipeline,
     forest_two_dim,
@@ -325,8 +326,8 @@ def test_interval_recognition_round_trip_from_random_representations():
 def test_canonical_extension_example():
     G = path(3)
     R = rep({0: (0, 1), 1: (1, 2)})
-    ext = canonical_extension(R, G)
-    assert ext == {0: iv(0, 1), 1: iv(1, 2), 2: iv(0, 2)}
+    ext = canonical_extension([R], G)
+    assert ext == [{0: iv(0, 1), 1: iv(1, 2), 2: iv(0, 2)}]
 
 
 def test_canonical_extension_properties():
@@ -349,7 +350,7 @@ def test_canonical_extension_properties():
         rng.shuffle(sigma)
         closed = umbrella_closure(H, sigma)
         R = {X[i]: x for i, x in representation_from_ordering(closed, sigma).items()}
-        ext = canonical_extension(R, G)
+        [ext] = canonical_extension([R], G)
         assert set(ext) == set(range(n))
         for u, v in combinations(range(n), 2):
             if u in R and v in R:
@@ -386,7 +387,7 @@ def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_compariso
     R = {v: Interval(v, v + 1) for v in range(0, 400, 2)}
     fraction_order_comparisons[0] = 0
     assert verify_representation(B, F).equal
-    assert canonical_extension(R, G)[1] == Interval(0, 399)
+    assert canonical_extension([R], G)[0][1] == Interval(0, 399)
     assert fraction_order_comparisons[0] == 0
     # the counter does see comparisons of non-integer endpoints
     meet_masks(rep({0: (Fraction(1, 3), Fraction(1, 2)), 1: (Fraction(1, 4), 1)}))
@@ -396,13 +397,33 @@ def test_integer_endpoints_make_no_fraction_comparisons(fraction_order_compariso
 def test_canonical_extension_checks_only_its_domain():
     G = path(3)
     with pytest.raises(InvalidInput, match="^canonical extension needs a nonempty domain$"):
-        canonical_extension({}, G)
+        canonical_extension([{}], G)
     with pytest.raises(InvalidInput, match=r"^vertex 7 is not in 0\.\.2$"):
-        canonical_extension(rep({7: (0, 1)}), G)
+        canonical_extension([rep({7: (0, 1)})], G)
     # covering the edges of G[X] is the caller's duty: a layer that misses
     # the edge (0, 1) is extended as it is
     R = rep({0: (0, 0), 1: (2, 2)})
-    assert canonical_extension(R, G) == {**R, 2: iv(0, 2)}
+    assert canonical_extension([R], G) == [{**R, 2: iv(0, 2)}]
+    with pytest.raises(InvalidInput, match="^canonical extension needs a nonempty domain$"):
+        canonical_extension([], G)
+
+
+def test_canonical_extension_checks_the_shared_domain_once(monkeypatch):
+    """The layers of one representation share their domain, so it is
+    checked once however many layers there are; each layer is lifted to
+    its own span."""
+    calls = []
+    check = intervals.check_vertex_set
+
+    def counted(G, S):
+        calls.append(sorted(S))
+        return check(G, S)
+
+    monkeypatch.setattr(intervals, "check_vertex_set", counted)
+    layers = [rep({0: (0, 1), 1: (1, 2)}), rep({0: (5, 5), 1: (3, 4)})]
+    assert canonical_extension(layers, path(3)) == [
+        {**layers[0], 2: iv(0, 2)}, {**layers[1], 2: iv(3, 5)}]
+    assert calls == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------

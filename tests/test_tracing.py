@@ -4,8 +4,9 @@ perfbench/tracing.py wraps `(module, name)` pairs and certificate classes
 by attribute; a renamed or deleted function would make `--trace 1` fail or
 time nothing.  The file is imported by path and left as it is.
 
-The same names bound the package's public surface: every other public
-function or class in src/ must have a caller in src/.
+The same names bound the package's public surface: every public function
+or class in src/ must have a caller in src/, except the few pinned ones
+that only the tracer keeps.
 """
 
 import ast
@@ -36,13 +37,19 @@ def test_every_traced_layer_function_still_resolves():
         assert callable(getattr(tracing.certificates, cls_name).validate), cls_name
 
 
+# public functions whose only callers are the tests and the tracer, which
+# times them as layers
+TRACER_ONLY = ["derivation.validate_script", "exact.acyclic_chromatic_number",
+               "exact.chromatic_number", "exact.find_pair_cover"]
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     """A public module-level def or class is used somewhere in src/ outside
-    its own definition (as a name, an attribute or an import alias), or the
-    tracer wraps it; a function that only calls itself has no caller."""
+    its own definition (as a name, an attribute or an import alias); a
+    function that only calls itself has no caller.  The names the tracer
+    alone keeps are pinned, so a new one shows here too."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    # the names the tracer wraps count as used
-    used = {name for targets in load_tracing().WRAPPED.values() for _, name in targets}
+    used = set()
     for tree in trees.values():
         for top in tree.body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
@@ -65,7 +72,9 @@ def test_every_public_name_has_a_caller_in_the_package():
         and not node.name.startswith("_")
         and node.name not in used
     ]
-    assert unused == []
+    traced = {name for targets in load_tracing().WRAPPED.values() for _, name in targets}
+    assert sorted(unused) == TRACER_ONLY
+    assert {name.split(".")[1] for name in unused} <= traced
 
 
 def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
