@@ -39,8 +39,16 @@ from functools import reduce
 from itertools import combinations
 
 from .certificates import ForestStablePartition, PairCover, Separation, check_coloring
-from .errors import InvalidInput
-from .graphs import Graph, check_vertex_set, find_cycle, induced_subgraph, int_key, is_int
+from .errors import InvalidInput, ParseError
+from .graphs import (
+    Graph,
+    check_vertex_set,
+    fields,
+    find_cycle,
+    induced_subgraph,
+    is_int,
+    vertex_map,
+)
 from .intervals import (
     Interval,
     canonical_extension,
@@ -426,22 +434,20 @@ def box_rep_to_dict(B: BoxRepresentation) -> dict:
 
 
 def box_rep_from_dict(doc) -> BoxRepresentation:
-    if not isinstance(doc, dict) or set(doc) != {"d", "vertices"}:
-        raise InvalidInput("box representation document needs exactly 'd' and 'vertices'")
-    d = doc["d"]
+    d, rows = fields(doc, "box representation", ("d", "vertices"))
     if not is_int(d) or d < 1:
-        raise InvalidInput(f"'d' must be a positive int, got {d!r}")
-    if not isinstance(doc["vertices"], dict):
-        raise InvalidInput("'vertices' must map vertex ids to interval lists")
-    layers = None  # made at the first row, once its length has matched d
-    for key, val in doc["vertices"].items():
-        v = int_key(key, "vertex")
-        if not isinstance(val, list) or len(val) != d:
-            raise InvalidInput(
-                f"vertices[{key}] must list exactly {d} intervals"
-            )
-        layers = layers or [{} for _ in val]
-        for i, (layer, iv) in enumerate(zip(layers, val)):
-            layer[v] = interval_from_pairs(iv, f"vertices[{key}][{i}]")
+        raise ParseError(f"'d' must be a positive int, got {d!r}")
+    layers = []  # made at the first row, once its length has matched d
+
+    def fill(v, row, where):
+        """Row v's d intervals, each put straight into its layer."""
+        if not isinstance(row, list) or len(row) != d:
+            raise ParseError(f"{where} must list exactly {d} intervals")
+        if not layers:
+            layers.extend({} for _ in row)
+        for i, (layer, iv) in enumerate(zip(layers, row)):
+            layer[v] = interval_from_pairs(iv, f"{where}[{i}]")
+
+    vertex_map(rows, "vertices", "vertex", fill)
     # no rows: one empty layer, which the constructor refuses as empty
     return BoxRepresentation(layers or [{}])

@@ -12,14 +12,16 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .errors import CertificateError, InvalidInput
+from .errors import CertificateError, InvalidInput, ParseError
 from .graphs import (
     Graph,
+    check_coloring,
     check_vertex_set,
+    fields,
     find_cycle,
     induced_subgraph,
-    int_key,
     is_int,
+    vertex_map,
     within_two,
 )
 
@@ -199,15 +201,6 @@ class ForestStablePartition(namedtuple("ForestStablePartition", "F S")):
 # ---------------------------------------------------------------------------
 
 
-def check_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
-    """Normalize a vertex->color map to a dense list with colors 0..k-1."""
-    if set(colors) != set(range(G.n)):
-        raise InvalidInput("coloring must assign a color to every vertex")
-    palette = sorted(set(colors.values()))
-    index = {c: i for i, c in enumerate(palette)}
-    return [index[colors[v]] for v in range(G.n)]
-
-
 def acyclic_coloring_problems(G: Graph, colors: dict[int, int], ids=None) -> list[str]:
     """The first finding against a proper coloring whose class pairs induce
     forests, as a one-item list; empty when the coloring is one."""
@@ -246,73 +239,53 @@ def validate_acyclic_coloring(G: Graph, colors: dict[int, int], ids=None) -> lis
 def int_list(doc, where: str) -> tuple[int, ...]:
     """A JSON list of ints as a tuple; bools and floats are rejected."""
     if not isinstance(doc, list) or not all(is_int(x) for x in doc):
-        raise InvalidInput(f"{where} must be a list of ints")
+        raise ParseError(f"{where} must be a list of ints")
     return tuple(doc)
 
 
 def pair_cover_from_dict(doc) -> PairCover:
-    if not isinstance(doc, dict) or set(doc) != {"X", "pairs"}:
-        raise InvalidInput("pair cover document needs exactly 'X' and 'pairs'")
-    if not isinstance(doc["pairs"], list):
-        raise InvalidInput("'pairs' must be a list of [a, b] pairs")
-    pairs = []
-    for i, p in enumerate(doc["pairs"]):
+    X, pairs = fields(doc, "pair cover", ("X", "pairs"))
+    if not isinstance(pairs, list):
+        raise ParseError("'pairs' must be a list of [a, b] pairs")
+    for i, p in enumerate(pairs):
         if len(int_list(p, f"pairs[{i}]")) != 2:
-            raise InvalidInput(f"pairs[{i}] must be a [a, b] pair")
-        pairs.append(tuple(p))
-    return PairCover(int_list(doc["X"], "X"), tuple(pairs))
+            raise ParseError(f"pairs[{i}] must be a [a, b] pair")
+    return PairCover(int_list(X, "X"), tuple(map(tuple, pairs)))
 
 
 def separation_from_dict(doc) -> Separation:
-    if not isinstance(doc, dict) or set(doc) != {"V1", "V2", "X"}:
-        raise InvalidInput("separation document needs exactly 'V1', 'V2', 'X'")
-    return Separation(
-        int_list(doc["V1"], "V1"),
-        int_list(doc["V2"], "V2"),
-        int_list(doc["X"], "X"),
-    )
+    parts = fields(doc, "separation", Separation._fields)
+    return Separation(*map(int_list, parts, Separation._fields))
+
+
+def _assignment(v, val, where):
+    if not (isinstance(val, list) and len(val) == 2 and isinstance(val[0], str)
+            and is_int(val[1])):
+        raise ParseError(f"{where} must be [class, anchor]")
+    return (val[0], val[1])
 
 
 def classification_from_dict(doc) -> CycleClassification:
-    if not isinstance(doc, dict) or set(doc) != {"cycle", "assignments"}:
-        raise InvalidInput(
-            "classification document needs exactly 'cycle' and 'assignments'"
-        )
-    if not isinstance(doc["assignments"], dict):
-        raise InvalidInput("'assignments' must be an object")
-    assignments = {}
-    for key, val in doc["assignments"].items():
-        v = int_key(key, "assignment")
-        if (
-            not isinstance(val, list)
-            or len(val) != 2
-            or not isinstance(val[0], str)
-            or not is_int(val[1])
-        ):
-            raise InvalidInput(f"assignments[{key}] must be [class, anchor]")
-        assignments[v] = (val[0], val[1])
-    return CycleClassification(int_list(doc["cycle"], "cycle"), assignments)
+    cycle, assignments = fields(doc, "classification", ("cycle", "assignments"))
+    assignments = vertex_map(assignments, "assignments", "assignment", _assignment)
+    return CycleClassification(int_list(cycle, "cycle"), assignments)
 
 
 def partition_from_dict(doc) -> ForestStablePartition:
-    if not isinstance(doc, dict) or set(doc) != {"F", "S"}:
-        raise InvalidInput("partition document needs exactly 'F' and 'S'")
-    return ForestStablePartition(int_list(doc["F"], "F"), int_list(doc["S"], "S"))
+    parts = fields(doc, "partition", ForestStablePartition._fields)
+    return ForestStablePartition(*map(int_list, parts, ForestStablePartition._fields))
 
 
 def coloring_to_dict(colors: dict[int, int]) -> dict:
     return {"colors": {str(v): c for v, c in sorted(colors.items())}}
 
 
+def _color(v, val, where):
+    if not is_int(val):
+        raise ParseError(f"{where} must be an int")
+    return val
+
+
 def coloring_from_dict(doc) -> dict[int, int]:
-    if not isinstance(doc, dict) or set(doc) != {"colors"}:
-        raise InvalidInput("coloring document needs exactly 'colors'")
-    if not isinstance(doc["colors"], dict):
-        raise InvalidInput("'colors' must map vertex ids to ints")
-    out = {}
-    for key, val in doc["colors"].items():
-        v = int_key(key, "color")
-        if not is_int(val):
-            raise InvalidInput(f"colors[{key}] must be an int")
-        out[v] = val
-    return out
+    (colors,) = fields(doc, "coloring", ("colors",))
+    return vertex_map(colors, "colors", "color", _color)

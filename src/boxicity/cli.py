@@ -110,12 +110,9 @@ def _load_graph(path: str):
 def _budget_from_args(args):
     from . import exact
 
-    fields = {}
-    if args.max_nodes is not None:
-        fields["max_nodes"] = args.max_nodes
-    if args.time_limit is not None:
-        fields["time_limit"] = args.time_limit
-    return exact.SearchBudget(**fields)
+    # the budget flags are named like SearchBudget's fields; absent ones take the defaults
+    flags = {name: getattr(args, name) for name in exact.SearchBudget._fields}
+    return exact.SearchBudget(**{name: v for name, v in flags.items() if v is not None})
 
 
 def _add_budget_flags(sub) -> None:

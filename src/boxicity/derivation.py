@@ -59,7 +59,7 @@ from .certificates import (
     validate_acyclic_coloring,
 )
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
-from .graphs import Graph, induced_subgraph, is_int, make_graph
+from .graphs import Graph, fields, induced_subgraph, is_int, make_graph
 
 StepReport = namedtuple(
     "StepReport", "path rule vertices formula claimed achieved verified note"
@@ -318,7 +318,7 @@ def _oracle_build(lv, step):
     return result.witness, f"box(G) by search = {result.value}"
 
 
-def _d_max_from_dict(doc) -> int:
+def _d_max(doc) -> int:
     if not is_int(doc):
         raise ParseError(f"d_max must be an int, got {doc!r}")
     return doc
@@ -329,8 +329,7 @@ def _budget_from_dict(doc):
     SearchBudget checks every value."""
     from .exact import SearchBudget
 
-    if not isinstance(doc, dict) or set(doc) - set(SearchBudget._fields):
-        raise ParseError("budget must be an object with known keys")
+    fields(doc, "budget", (), SearchBudget._fields)
     return SearchBudget(**doc)
 
 
@@ -363,7 +362,7 @@ RULES: tuple[Rule, ...] = (
     Rule("base_explicit", (Field("rep", lambda doc: box_rep_from_dict(doc)),),
          (), _explicit_check, _explicit_build,
          lambda step, *_: step.rep.d),
-    Rule("base_oracle", (Field("d_max", _d_max_from_dict, optional=True),
+    Rule("base_oracle", (Field("d_max", _d_max, optional=True),
                          Field("budget", _budget_from_dict, optional=True)),
          (), _oracle_check, _oracle_build,
          lambda step, *_: None),
@@ -498,30 +497,25 @@ def validate_script(G: Graph, script: DerivationStep) -> None:
 def step_from_dict(doc, *, _depth: int = 1) -> DerivationStep:
     if _depth > MAX_SCRIPT_DEPTH:
         raise ParseError(_TOO_DEEP)
-    if not isinstance(doc, dict) or "rule" not in doc:
-        raise ParseError("each step must be an object with a 'rule'")
-    note = doc.get("note")
-    if note is not None and not isinstance(note, str):
-        raise ParseError("a step note must be a string")
-    name = doc["rule"]
+    # the rule names the step's other keys; without one, fields names the fault
+    name = doc.get("rule") if isinstance(doc, dict) else None
     rule = _BY_NAME.get(name) if isinstance(name, str) else None
     if rule is None:
+        fields(doc, "step", ("rule",), doc)  # any key may stand beside the rule here
         raise ParseError(f"unknown rule {name!r}")
     # the step's attributes are its keys; those without a default are required
-    missing = set(rule.step._fields) - set(rule.step._field_defaults) - set(doc)
-    extra = set(doc) - set(rule.step._fields) - {"rule"}
-    if missing:
-        raise ParseError(f"{name} step is missing {sorted(missing)}")
-    if extra:
-        raise ParseError(f"{name} step has unknown keys {sorted(extra)}")
-    kwargs = {
-        field.key: field.decode(doc[field.key])
-        for field in rule.fields
-        if doc.get(field.key) is not None or not field.optional
-    }
+    keys = rule.step._fields
+    required = len(keys) - len(rule.step._field_defaults)
+    _, *values = fields(doc, f"{name} step", ("rule",) + keys[:required], keys[required:])
+    kwargs = dict(zip(keys, values))
+    if kwargs["note"] is not None and not isinstance(kwargs["note"], str):
+        raise ParseError("a step note must be a string")
+    for field in rule.fields:
+        if kwargs[field.key] is not None or not field.optional:
+            kwargs[field.key] = field.decode(kwargs[field.key])
     for slot in rule.slots:
-        kwargs[slot] = step_from_dict(doc[slot], _depth=_depth + 1)
-    return rule.step(note=note, **kwargs)
+        kwargs[slot] = step_from_dict(kwargs[slot], _depth=_depth + 1)
+    return rule.step(**kwargs)
 
 
 def report_to_dict(report: DerivationReport) -> dict:

@@ -13,7 +13,7 @@ class InvalidInput(ValueError):
 
 
 class ParseError(InvalidInput):
-    """A serialized document could not be decoded; message carries position."""
+    """A JSON document whose shape or values do not match its format."""
 
 
 class CertificateError(InvalidInput):

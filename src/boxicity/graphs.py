@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ParseError
 
 # The most vertices a graph may have, as many as a one-dimensional derivation
 # step can build on under derivation.MAX_PREDICTED_INTERVALS.  make_graph
@@ -78,15 +78,42 @@ def _bits(mask: int):
         mask ^= low
 
 
-def int_key(key: str, what: str) -> int:
-    """A JSON object key naming a vertex, accepted only as the canonical
-    decimal text of an int, so that no two keys name one vertex."""
+def fields(doc, what: str, keys, optional=()) -> list:
+    """The values of a JSON object's keys, in the order given, an absent
+    optional key as None.  Every decoder, in any module, reads its document
+    through here: anything but an object with all of keys, and no key
+    outside keys and optional, raises ParseError naming what."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be an object")
     try:
-        if key == str(int(key)):
-            return int(key)
-    except ValueError:
-        pass
-    raise InvalidInput(f"{what} key {key!r} is not a canonical integer")
+        values = [doc[key] for key in keys]
+    except KeyError:
+        raise ParseError(f"{what} is missing {sorted(set(keys) - doc.keys())}") from None
+    # with every key of keys present, only a longer doc can hold another
+    if len(doc) > len(keys):
+        unknown = (doc.keys() - keys).difference(optional)
+        if unknown:
+            raise ParseError(f"{what} has unknown keys {sorted(unknown)}")
+    return values + [doc.get(key) for key in optional]
+
+
+def vertex_map(doc, where: str, noun: str, decode) -> dict:
+    """A JSON object keyed by vertex ids as a dict from each id v to
+    decode(v, value, f"{where}[{key}]").  A key is read only as the
+    canonical decimal text of an int, so that no two keys name one vertex;
+    any other raises ParseError naming noun."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be an object")
+    out = {}
+    for key, value in doc.items():
+        try:
+            v = int(key)
+        except ValueError:
+            v = None
+        if v is None or key != str(v):
+            raise ParseError(f"{noun} key {key!r} is not a canonical integer")
+        out[v] = decode(v, value, f"{where}[{key}]")
+    return out
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -126,6 +153,15 @@ def check_vertex_set(G: Graph, S, name=None) -> tuple[int, ...]:
         raise InvalidInput(f"vertex set {list(map(name, out)) if name else list(out)} "
                            "has repeated entries")
     return out
+
+
+def check_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
+    """Normalize a vertex->color map to a dense list with colors 0..k-1."""
+    if set(colors) != set(range(G.n)):
+        raise InvalidInput("coloring must assign a color to every vertex")
+    palette = sorted(set(colors.values()))
+    index = {c: i for i, c in enumerate(palette)}
+    return [index[colors[v]] for v in range(G.n)]
 
 
 def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
@@ -277,19 +313,12 @@ def graph_to_dict(G: Graph) -> dict:
 
 
 def graph_from_dict(doc) -> Graph:
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"graph document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - {"n", "edges"}
-    if unknown:
-        raise InvalidInput(f"unknown graph keys: {sorted(unknown)}")
-    if "n" not in doc or "edges" not in doc:
-        raise InvalidInput("graph document needs 'n' and 'edges'")
-    edges = doc["edges"]
+    n, edges = fields(doc, "graph", ("n", "edges"))
     if not isinstance(edges, list):
-        raise InvalidInput("'edges' must be a list of [u, v] pairs")
+        raise ParseError("'edges' must be a list of [u, v] pairs")
     pairs = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
-            raise InvalidInput(f"edges[{i}] must be a [u, v] pair, got {e!r}")
+            raise ParseError(f"edges[{i}] must be a [u, v] pair, got {e!r}")
         pairs.append((e[0], e[1]))
-    return make_graph(doc["n"], pairs)
+    return make_graph(n, pairs)

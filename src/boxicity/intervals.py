@@ -48,7 +48,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ParseError
 from .graphs import Graph, check_vertex_set, is_int
 
 
@@ -247,10 +247,10 @@ def _rational_from_pair(doc, where: str):
     """The rational [n, d], checked once (d > 0), as the int n / d when d
     divides n and as a Fraction otherwise."""
     if not isinstance(doc, list) or len(doc) != 2 or not (is_int(doc[0]) and is_int(doc[1])):
-        raise InvalidInput(f"{where}: rational must be [numerator, denominator]")
+        raise ParseError(f"{where}: rational must be [numerator, denominator]")
     n, d = doc
     if d <= 0:
-        raise InvalidInput(f"{where}: denominator must be positive, got {d}")
+        raise ParseError(f"{where}: denominator must be positive, got {d}")
     return n // d if n % d == 0 else _fraction_class()(n, d)
 
 
@@ -262,8 +262,8 @@ def interval_from_pairs(doc, where: str) -> Interval:
     """Each endpoint is checked and built once, and so is their order, so
     the tuple is made without Interval's own second check."""
     if not isinstance(doc, list) or len(doc) != 2:
-        raise InvalidInput(f"{where}: interval must be [[n, d], [n, d]]")
+        raise ParseError(f"{where}: interval must be [[n, d], [n, d]]")
     lo, hi = _rational_from_pair(doc[0], where), _rational_from_pair(doc[1], where)
     if lo > hi:
-        raise InvalidInput(f"{where}: interval has lo > hi")
+        raise ParseError(f"{where}: interval has lo > hi")
     return tuple.__new__(Interval, (lo, hi))

@@ -22,9 +22,8 @@ import sys
 from collections import namedtuple
 from math import isqrt
 
-from .certificates import check_coloring
 from .errors import InvalidInput
-from .graphs import MAX_VERTICES, Graph, _bits
+from .graphs import MAX_VERTICES, Graph, _bits, check_coloring
 
 LinearOrder = tuple[int, ...]
 
@@ -279,9 +278,7 @@ def bound_calculator(
 def _bound_value_to_obj(b: BoundValue | None):
     if b is None:
         return None
-    exact = None
-    if b.exact is not None:
-        exact = [b.exact.numerator, b.exact.denominator]
+    exact = None if b.exact is None else [b.exact, 1]
     return {"floor": b.floor, "approx": b.approx, "exact": exact}
 
 

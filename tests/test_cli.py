@@ -433,6 +433,68 @@ def test_derive_rejects_malformed_script_fields(tmp_path, capsys, script, field)
     assert not rep.exists()
 
 
+VERIFY_GRAPH = ["verify", "{doc}", "{doc}"]
+VERIFY_REP = ["verify", "{g}", "{doc}"]
+ACYCLIC = ["construct", "acyclic", "{g}", "--coloring", "{doc}", "-o", "{out}"]
+GIRTH4 = ["construct", "girth4", "{g}", "--partition", "{doc}", "-o", "{out}"]
+FIGURE1 = ["construct", "figure1", "{g}", "--classification", "{doc}", "-o", "{out}"]
+DERIVE_DOC = ["derive", "{g}", "{doc}", "-o", "{out}"]
+ROW = '[[[0, 1], [1, 1]]]'
+CERT = '{"rule": "sur2", "sep": %s, "sub1": {"rule": "roberts"}, "sub2": {"rule": "roberts"}}'
+ORACLE = '{"rule": "base_oracle", "budget": %s}'
+
+
+SHAPE_FAULTS = [
+    (VERIFY_GRAPH, '[]', "graph must be an object"),
+    (VERIFY_GRAPH, '{"n": 1}', "graph is missing ['edges']"),
+    (VERIFY_GRAPH, '{"n": 1, "edges": [], "m": 0}', "graph has unknown keys ['m']"),
+    (VERIFY_REP, '"rep"', "box representation must be an object"),
+    (VERIFY_REP, '{}', "box representation is missing ['d', 'vertices']"),
+    (VERIFY_REP, '{"d": 1, "vertices": {"0": %s}, "n": 1, "e": 0}' % ROW,
+     "box representation has unknown keys ['e', 'n']"),
+    (VERIFY_REP, '{"d": 1, "vertices": [%s]}' % ROW, "vertices must be an object"),
+    (ACYCLIC, '5', "coloring must be an object"),
+    (ACYCLIC, '{}', "coloring is missing ['colors']"),
+    (ACYCLIC, '{"colors": {}, "k": 2}', "coloring has unknown keys ['k']"),
+    (ACYCLIC, '{"colors": [0, 1]}', "colors must be an object"),
+    (GIRTH4, 'null', "partition must be an object"),
+    (GIRTH4, '{"F": [0, 1, 2, 3, 4, 5]}', "partition is missing ['S']"),
+    (GIRTH4, '{"F": [], "S": [], "X": []}', "partition has unknown keys ['X']"),
+    (FIGURE1, '[0, 1, 2, 3, 4, 5]', "classification must be an object"),
+    (FIGURE1, '{"cycle": [0, 1, 2, 3, 4, 5]}', "classification is missing ['assignments']"),
+    (FIGURE1, '{"cycle": [], "assignments": {}, "k": 6}',
+     "classification has unknown keys ['k']"),
+    (FIGURE1, '{"cycle": [], "assignments": []}', "assignments must be an object"),
+    (DERIVE_DOC, '["roberts"]', "step must be an object"),
+    (DERIVE_DOC, '{"K": [0, 1]}', "step is missing ['rule']"),
+    (DERIVE_DOC, '{"rule": "sur1", "cover": {"X": [0, 1], "pairs": [[0, 1]]}}',
+     "sur1 step is missing ['sub']"),
+    (DERIVE_DOC, '{"rule": "roberts", "K": [1]}', "roberts step has unknown keys ['K']"),
+    (DERIVE_DOC, CERT % '[[0], [1], []]', "separation must be an object"),
+    (DERIVE_DOC, CERT % '{"V1": [0], "V2": [1]}', "separation is missing ['X']"),
+    (DERIVE_DOC, CERT % '{"V1": [0], "V2": [1], "X": [], "V3": []}',
+     "separation has unknown keys ['V3']"),
+    (DERIVE_DOC, ORACLE % '1000', "budget must be an object"),
+    (DERIVE_DOC, ORACLE % '{"max_nodes": 9, "symmetry_pruning": false}',
+     "budget has unknown keys ['symmetry_pruning']"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", SHAPE_FAULTS,
+                         ids=[message for _, _, message in SHAPE_FAULTS])
+def test_every_document_names_its_shape_fault(tmp_path, capsys, command, doc, message):
+    """Each document kind read through graphs.fields: not an object, a
+    missing key, an unknown key (a budget has no required key), and a
+    vertex map that is not an object."""
+    g, d, out = tmp_path / "g.json", tmp_path / "doc.json", tmp_path / "out.json"
+    assert main(["gen", "cycle", "6", "-o", str(g)]) == 0
+    d.write_text(doc)
+    capsys.readouterr()
+    assert main([arg.format(g=g, doc=d, out=out) for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_numbers_in_other_inputs_exit_2(tmp_path, capsys):
     g, bad_g = tmp_path / "g.json", tmp_path / "bad_g.json"
     rep, colors = tmp_path / "rep.json", tmp_path / "colors.json"
@@ -840,7 +902,8 @@ def no_files(tmp_path):
     (k8_files, DERIVE, {"boxicity.exact"}, {"boxicity.figure1", "fractions", "decimal"}),
     (nested_files, DERIVE, {"boxicity.figure1", "fractions"}, {"boxicity.exact"}),
     (no_files, ["bounds", "--genus", "1", "-o", "{out}"], {"boxicity.posets"},
-     RARE | {"boxicity.boxes", "boxicity.intervals", "boxicity.derivation"}),
+     RARE | {"boxicity.boxes", "boxicity.intervals", "boxicity.derivation",
+             "boxicity.certificates"}),
 ], ids=["verify", "construct-forest", "derive", "derive-oracle", "derive-figure1", "bounds"])
 def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, skips):
     argv = [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boxicity.boxes import (
     BoxRepresentation,
+    box_rep_from_dict,
     forest_two_dim,
     relabel_box_representation,
     roberts_representation,
@@ -24,6 +25,9 @@ from boxicity.certificates import (
     Separation,
     classification_from_dict,
     coloring_from_dict,
+    pair_cover_from_dict,
+    partition_from_dict,
+    separation_from_dict,
 )
 from boxicity.derivation import (
     MAX_PREDICTED_INTERVALS,
@@ -39,6 +43,7 @@ from boxicity.derivation import (
     Sur1Step,
     Sur2Step,
     Sur2bisStep,
+    _budget_from_dict,
     assemble,
     bound_formula,
     report_to_dict,
@@ -47,7 +52,7 @@ from boxicity.derivation import (
 )
 from boxicity.errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
 from boxicity.exact import SearchBudget, acyclic_coloring, exact_boxicity
-from boxicity.graphs import complete, cycle, make_graph, path, roberts_graph
+from boxicity.graphs import complete, cycle, graph_from_dict, make_graph, path, roberts_graph
 from boxicity.intervals import Interval, meet_masks
 
 from util import assert_represents, gadget_instance, script_doc, universal_representation
@@ -710,11 +715,18 @@ def _places(doc):
         yield from _places(value)
 
 
+# every reader of a JSON document, each through graphs.fields
+DECODERS = [graph_from_dict, box_rep_from_dict, pair_cover_from_dict, separation_from_dict,
+            classification_from_dict, partition_from_dict, coloring_from_dict,
+            step_from_dict, _budget_from_dict]
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda decode: decode.__name__)
 @settings(deadline=None)
 @given(_json)
-def test_step_from_dict_on_arbitrary_json_raises_only_invalid_input(doc):
+def test_every_decoder_on_arbitrary_json_raises_only_invalid_input(decode, doc):
     try:
-        step_from_dict(doc)
+        decode(doc)
     except InvalidInput:
         pass
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxicity.errors import InvalidInput
+from boxicity.errors import InvalidInput, ParseError
 from boxicity.graphs import (
     MAX_VERTICES,
     Graph,
     check_vertex_set,
     complete,
     cycle,
+    fields,
     find_cycle,
     graph_from_dict,
     graph_to_dict,
@@ -210,6 +211,17 @@ def test_parse_rejects_schema_violations():
                 {"n": 2.0, "edges": []}):
         with pytest.raises(InvalidInput):
             graph_from_dict(doc)
+
+
+def test_fields_reads_keys_in_order_and_names_the_first_shape_fault():
+    doc = {"b": 1, "a": 2, "c": None}
+    assert fields(doc, "x", ("a", "b"), ("c", "d")) == [2, 1, None, None]
+    for doc, message in (([], "x must be an object"),
+                         ({"z": 0}, "x is missing ['a', 'b']"),  # before the unknown key
+                         ({"b": 0, "a": 0, "z": 0, "y": 0}, "x has unknown keys ['y', 'z']")):
+        with pytest.raises(ParseError) as caught:
+            fields(doc, "x", ("b", "a"), ("c",))
+        assert str(caught.value) == message
 
 
 def test_graph_is_hashable_and_comparable():

@@ -6,7 +6,8 @@ time nothing.  The file is imported by path and left as it is.
 
 The same names bound the package's public surface: every public function
 or class in src/ must have a caller in src/, except the few pinned ones
-that only the tracer keeps.
+that only the tracer keeps.  Every *_from_dict decoder, timed by the
+tracer or not, reads its document through graphs.fields.
 """
 
 import ast
@@ -75,6 +76,20 @@ def test_every_public_name_has_a_caller_in_the_package():
     traced = {name for targets in load_tracing().WRAPPED.values() for _, name in targets}
     assert sorted(unused) == TRACER_ONLY
     assert {name.split(".")[1] for name in unused} <= traced
+
+
+def test_every_decoder_reads_its_document_through_fields():
+    """A module-level *_from_dict checks its document's keys only by
+    calling graphs.fields, so no decoder keeps a key check of its own."""
+    decoders = {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.FunctionDef) and top.name.endswith("_from_dict"):
+                calls = {node.func.id for node in ast.walk(top)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                decoders[f"{path.stem}.{top.name}"] = "fields" in calls
+    assert len(decoders) >= 9  # the nine in graphs, boxes, certificates and derivation
+    assert [name for name, ok in decoders.items() if not ok] == []
 
 
 def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
