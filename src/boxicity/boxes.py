@@ -446,7 +446,10 @@ def box_rep_from_dict(doc) -> BoxRepresentation:
         if not layers:
             layers.extend({} for _ in row)
         for i, (layer, iv) in enumerate(zip(layers, row)):
-            layer[v] = interval_from_pairs(iv, f"{where}[{i}]")
+            try:
+                layer[v] = interval_from_pairs(iv)
+            except ParseError as exc:  # the position is spelt out only for a fault
+                raise ParseError(f"{where}[{i}]: {exc}") from None
 
     vertex_map(rows, "vertices", "vertex", fill)
     # no rows: one empty layer, which the constructor refuses as empty

@@ -401,7 +401,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: keep it apart from the codes above
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

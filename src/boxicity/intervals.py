@@ -243,14 +243,14 @@ def canonical_extension(layers, G: Graph) -> list[dict[int, Interval]]:
 # ---------------------------------------------------------------------------
 
 
-def _rational_from_pair(doc, where: str):
+def _rational_from_pair(doc):
     """The rational [n, d], checked once (d > 0), as the int n / d when d
     divides n and as a Fraction otherwise."""
     if not isinstance(doc, list) or len(doc) != 2 or not (is_int(doc[0]) and is_int(doc[1])):
-        raise ParseError(f"{where}: rational must be [numerator, denominator]")
+        raise ParseError("rational must be [numerator, denominator]")
     n, d = doc
     if d <= 0:
-        raise ParseError(f"{where}: denominator must be positive, got {d}")
+        raise ParseError(f"denominator must be positive, got {d}")
     return n // d if n % d == 0 else _fraction_class()(n, d)
 
 
@@ -258,12 +258,14 @@ def interval_to_pairs(iv: Interval) -> list[list[int]]:
     return [list(iv.lo.as_integer_ratio()), list(iv.hi.as_integer_ratio())]
 
 
-def interval_from_pairs(doc, where: str) -> Interval:
+def interval_from_pairs(doc) -> Interval:
     """Each endpoint is checked and built once, and so is their order, so
-    the tuple is made without Interval's own second check."""
+    the tuple is made without Interval's own second check.  A fault's
+    message does not say where the interval sits: the caller, which knows,
+    puts that in front."""
     if not isinstance(doc, list) or len(doc) != 2:
-        raise ParseError(f"{where}: interval must be [[n, d], [n, d]]")
-    lo, hi = _rational_from_pair(doc[0], where), _rational_from_pair(doc[1], where)
+        raise ParseError("interval must be [[n, d], [n, d]]")
+    lo, hi = _rational_from_pair(doc[0]), _rational_from_pair(doc[1])
     if lo > hi:
-        raise ParseError(f"{where}: interval has lo > hi")
+        raise ParseError("interval has lo > hi")
     return tuple.__new__(Interval, (lo, hi))

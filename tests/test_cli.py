@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line interface through main()."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boxicity.__main__ as entry
 from boxicity import exact
 
 from boxicity.boxes import (
@@ -86,12 +89,17 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, nam
     assert not any((tmp_path / "taken").iterdir())
 
 
-def run_cli(*args: str, cwd, **env: str) -> subprocess.CompletedProcess:
-    """The CLI in a new interpreter, with env added to its environment,
-    stopped after 5 s."""
-    return subprocess.run([sys.executable, "-m", "boxicity", *args], capture_output=True,
-                          text=True, timeout=5, cwd=cwd,
+def run_python(*words: str, cwd, **env: str) -> subprocess.CompletedProcess:
+    """A new interpreter on the command line words, with the package on its
+    path and env added to its environment, stopped after 5 s."""
+    return subprocess.run([sys.executable, *words], capture_output=True, text=True,
+                          timeout=5, cwd=cwd, stdin=subprocess.DEVNULL,
                           env={**os.environ, "PYTHONPATH": str(SRC), **env})
+
+
+def run_cli(*args: str, cwd, **env: str) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, as `python -m boxicity`."""
+    return run_python("-m", "boxicity", *args, cwd=cwd, **env)
 
 
 @pytest.mark.parametrize("n", ["1" + "0" * 30, "9" * 4001], ids=["1e30", "4001-digits"])
@@ -754,6 +762,17 @@ def test_verify_reports_the_first_bad_interval(tmp_path, capsys, row, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_verify_names_the_row_and_dimension_of_a_bad_interval(tmp_path, capsys):
+    g, rep = tmp_path / "g.json", tmp_path / "rep.json"
+    write_json(g, {"n": 11, "edges": []})
+    good = [[0, 1], [1, 1]]
+    rows = {str(v): [good, good, good] for v in range(11)}
+    rows["10"][2] = [[1, 1], [0, 1]]
+    write_json(rep, {"d": 3, "vertices": rows})
+    assert main(["verify", str(g), str(rep)]) == 2
+    assert capsys.readouterr().err == "error: vertices[10][2]: interval has lo > hi\n"
+
+
 def test_verify_accepts_unreduced_and_equal_endpoints(tmp_path):
     g, rep = tmp_path / "g.json", tmp_path / "rep.json"
     write_json(g, {"n": 2, "edges": [[0, 1]]})
@@ -910,3 +929,231 @@ def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, s
     loaded = set(loaded_modules("import sys; from boxicity.cli import main; "
                                 "assert main(sys.argv[1:]) == 0", *argv))
     assert loads <= loaded and not skips & loaded
+
+
+# ------------------------------------------------------ process entry point
+
+
+def entry_inputs(root):
+    """A path, a cycle, roberts(3), the path's forest layout, that layout
+    with vertex 4's boxes swapped for vertex 0's, and a file of bad JSON."""
+    for name, argv in (("p5", ["path", "5"]), ("c5", ["cycle", "5"]), ("r3", ["roberts", "3"])):
+        assert main(["gen", *argv, "-o", str(root / f"{name}.json")]) == 0
+    rep = root / "rep.json"
+    assert main(["construct", "forest", str(root / "p5.json"), "-o", str(rep)]) == 0
+    doc = read_json(rep)
+    doc["vertices"]["4"] = doc["vertices"]["0"]
+    write_json(root / "corrupt.json", doc)
+    (root / "bad.json").write_text("{")
+
+
+ENTRY_JOBS = {  # one job of every exit code, with that code
+    "gen": (0, ["gen", "path", "3", "-o", "out.json"]),
+    "verify": (0, ["verify", "p5.json", "rep.json"]),
+    "verify-corrupt": (1, ["verify", "p5.json", "corrupt.json"]),
+    "bad-file": (2, ["verify", "p5.json", "bad.json"]),
+    "capped-exact": (3, ["exact", "r3.json", "--max-nodes", "10", "-o", "out.json"]),
+}
+
+
+def console_script(root):
+    """The console script an installer writes for the package's entry
+    function."""
+    script = root / "bin" / "boxicity"
+    script.parent.mkdir()
+    script.write_text("import sys\nfrom boxicity.__main__ import run\n"
+                      "if __name__ == '__main__':\n    sys.exit(run())\n")
+    return [str(script)]
+
+
+def module_launcher(root):
+    return ["-m", "boxicity"]
+
+
+def files_of(root):
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+@pytest.mark.parametrize("launcher", [module_launcher, console_script])
+@pytest.mark.parametrize("code, job", ENTRY_JOBS.values(), ids=ENTRY_JOBS)
+def test_the_entry_point_gives_what_main_gives(tmp_path, capsys, monkeypatch, launcher,
+                                               code, job):
+    """Exit code, stdout, stderr and every file are those of in-process
+    main on the same inputs."""
+    here, there = tmp_path / "main", tmp_path / "child"
+    for root in (here, there):
+        root.mkdir()
+        entry_inputs(root)
+    capsys.readouterr()
+    monkeypatch.chdir(here)
+    assert main(job) == code
+    expected = (code, *capsys.readouterr(), files_of(here))
+    proc = run_python(*launcher(tmp_path), *job, cwd=there)
+    assert (proc.returncode, proc.stdout, proc.stderr, files_of(there)) == expected
+
+
+PROBE_HOOKS = {
+    "": "",
+    # a trace function whose globals are not the module's, so it frees it
+    "settrace": "import sys\nsys.settrace(eval('lambda *event: None', {}))\n",
+    "setprofile": "import sys\nsys.setprofile(eval('lambda *event: None', {}))\n",
+    "thread": "import threading\nthreading.Timer(0.2, note, ['thread']).start()\n",
+}
+
+
+def probe_site(root, hook):
+    """A sitecustomize that logs "atexit" from an atexit callback and
+    "teardown" when the interpreter frees its module, after running the
+    code PROBE_HOOKS names by hook."""
+    (root / "site").mkdir()
+    (root / "site" / "sitecustomize.py").write_text(
+        "import atexit\n"
+        "def note(word, log=%r, open=open):\n"
+        "    with open(log, 'a') as handle:\n"
+        "        handle.write(word + '\\n')\n"
+        "atexit.register(note, 'atexit')\n"
+        "class Probe:\n"
+        "    def __del__(self, note=note):\n"
+        "        note('teardown')\n"
+        "probe = Probe()\n" % str(root / "log") + PROBE_HOOKS[hook])
+    return {"PYTHONPATH": f"{root / 'site'}{os.pathsep}{SRC}"}
+
+
+@pytest.mark.parametrize("launcher, hook, log", [
+    (module_launcher, "", "atexit\n"),
+    (lambda root: ["-X", "importtime", "-bB", "-m", "boxicity"], "", "atexit\n"),
+    (console_script, "", "atexit\n"),
+    # a wrapper, a tracer, a profiler, a prompt or a thread waits for control
+    (lambda root: ["-m", "cProfile", "-m", "boxicity"], "", "atexit\nteardown\n"),
+    (lambda root: ["-m", "trace", "--listfuncs", "--module", "boxicity"], "",
+     "atexit\nteardown\n"),
+    (module_launcher, "settrace", "atexit\nteardown\n"),
+    (module_launcher, "setprofile", "atexit\nteardown\n"),
+    (lambda root: ["-i", "-m", "boxicity"], "", "atexit\nteardown\n"),
+    (module_launcher, "thread", "thread\natexit\nteardown\n"),
+], ids=["module", "flags", "console-script", "cProfile", "trace", "settrace", "setprofile",
+        "inspect", "thread"])
+def test_the_fast_exit_runs_atexit_once_and_skips_only_teardown(tmp_path, launcher, hook, log):
+    proc = run_python(*launcher(tmp_path), "gen", "path", "3", "-o", "g.json",
+                      cwd=tmp_path, **probe_site(tmp_path, hook))
+    assert proc.returncode == 0 and "wrote g.json: 3 vertices" in proc.stdout
+    assert (tmp_path / "log").read_text() == log
+
+
+def test_a_profiled_job_still_prints_its_profile(tmp_path):
+    proc = run_python("-m", "cProfile", "-m", "boxicity", "gen", "path", "3", "-o", "g.json",
+                      cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    job, _, profile = proc.stdout.partition("\n")
+    assert job == "wrote g.json: 3 vertices, 2 edges"
+    assert "function calls" in profile and "Ordered by:" in profile
+
+
+def test_run_module_returns_control_with_the_job_code(tmp_path):
+    entry_inputs(tmp_path)
+    code = ("import runpy, sys\n"
+            "sys.argv[1:] = ['exact', 'r3.json', '--max-nodes', '10']\n"
+            "try:\n"
+            "    runpy.run_module('boxicity', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('returned', exc.code)\n")
+    proc = run_python("-c", code, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "returned 3\n", "budget-exhausted: boxicity is at least 3\n")
+
+
+class Stream:
+    """A stream whose flush is logged and, if told so, fails."""
+
+    def __init__(self, name, log, fails):
+        self.name, self.log, self.fails = name, log, fails
+
+    def flush(self):
+        self.log.append(self.name)
+        if self.fails:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails, log", [
+    (False, ["atexit", "stdout", "stderr", "_exit 3"]),
+    (True, ["atexit", "stdout", "SystemExit 3"]),
+], ids=["flushed", "flush-fails"])
+def test_the_process_ends_at_once_unless_a_flush_fails(monkeypatch, fails, log):
+    """A failed flush raises SystemExit, so the interpreter's own
+    finalisation flushes again and reports the fault."""
+    seen = []
+
+    def _exit(code):  # os._exit does not return
+        seen.append(f"_exit {code}")
+        raise GeneratorExit
+
+    monkeypatch.setattr(entry, "main", lambda: 3)
+    monkeypatch.setattr(entry, "_owns_the_process", lambda: True)
+    monkeypatch.setattr(entry, "atexit", SimpleNamespace(_run_exitfuncs=lambda: seen.append("atexit")))
+    monkeypatch.setattr(entry, "os", SimpleNamespace(_exit=_exit))
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", seen, fails))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", seen, False))
+    try:
+        entry.run()
+    except SystemExit as exc:
+        seen.append(f"SystemExit {exc.code}")
+    except GeneratorExit:
+        pass
+    assert seen == log
+
+
+@pytest.mark.parametrize("unbuffered, code, err", [
+    # print itself fails, and main reports it
+    ("1", 4, "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"),
+    # the final flush fails, and the interpreter reports it
+    (None, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_is_reported_once(tmp_path, unbuffered, code, err):
+    entry_inputs(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONIOENCODING": "utf-8"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "boxicity", "exact", "c5.json"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=5,
+                              cwd=tmp_path, env={k: v for k, v in env.items() if v is not None})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("line, argv, started", [
+    (["py", "-m", "boxicity", "gen"], ["/src/boxicity/__main__.py", "gen"], True),
+    (["py", "-m", "boxicity"], ["/src/boxicity/__main__.py"], True),
+    (["py", "-S", "-X", "importtime", "-Wignore", "-OO", "-m", "boxicity", "a", "b"],
+     ["m.py", "a", "b"], True),
+    (["py", "/venv/bin/boxicity", "gen"], ["/venv/bin/boxicity", "gen"], True),
+    (["py", "-I", "/venv/bin/boxicity"], ["/venv/bin/boxicity"], True),
+    # the interpreter ran something else first: a profiler, a debugger, -c
+    (["py", "-m", "cProfile", "-m", "boxicity", "gen"], ["boxicity", "gen"], False),
+    (["py", "-mcProfile", "-m", "boxicity", "gen"], ["/src/boxicity/__main__.py", "gen"], False),
+    (["py", "-Sm", "pdb", "/venv/bin/boxicity", "gen"], ["/venv/bin/boxicity", "gen"], False),
+    (["py", "-c", "...", "-m", "boxicity", "gen"], ["-c", "-m", "boxicity", "gen"], False),
+    (["py", "wrap.py", "-m", "boxicity", "gen"], ["/src/boxicity/__main__.py", "gen"], False),
+    (["py", "wrap.py", "/venv/bin/boxicity"], ["/venv/bin/boxicity"], False),
+    (["py", "--check-hash-based-pycs", "always", "-m", "boxicity"], ["m.py"], False),
+    # arguments that are not the job's, or a script of another name
+    (["py", "-m", "boxicity", "gen"], ["m.py", "verify"], False),
+    (["py", "-m", "boxicity", "gen"], ["m.py", "-m", "boxicity", "gen"], False),
+    (["py", "/venv/bin/other", "gen"], ["/venv/bin/other", "gen"], False),
+    (["py", "-c", "..."], ["-c"], False),
+], ids=lambda words: " ".join(words) if isinstance(words, list) else None)
+def test_only_a_command_line_started_for_the_cli_owns_the_process(line, argv, started):
+    assert entry.started_for_the_cli(line, argv) is started
+
+
+def test_the_console_script_is_the_function_the_module_runs():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["boxicity"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.run
+    guard = ast.parse(Path(entry.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"

@@ -152,7 +152,7 @@ def test_every_built_endpoint_is_normal(build):
 @example([(4, 2), (3, 1)])  # decodes to the ints (2, 3)
 def test_every_decoded_endpoint_is_normal(pairs):
     doc = [list(pair) for pair in sorted(pairs, key=lambda p: Fraction(*p))]
-    x = interval_from_pairs(doc, "x")
+    x = interval_from_pairs(doc)
     assert x == iv(Fraction(*doc[0]), Fraction(*doc[1]))
     assert_normal(x.lo)
     assert_normal(x.hi)
@@ -434,4 +434,4 @@ def test_canonical_extension_checks_the_shared_domain_once(monkeypatch):
 def test_interval_pairs_round_trip():
     for x in (iv(0, 1), iv(Fraction(1, 2), Fraction(5, 2)), iv(-3, Fraction(-1, 3))):
         doc = json.loads(json.dumps(interval_to_pairs(x)))
-        assert interval_from_pairs(doc, "x") == x
+        assert interval_from_pairs(doc) == x
