@@ -6,9 +6,12 @@ representations, emit chi-realizers, and evaluate the closed-form bounds.
 Everything on disk is plain JSON with sorted keys, so reruns with the same
 inputs produce byte-identical files and diffs stay readable.
 
-Each subcommand imports the modules it uses, so a run loads only what its
-subcommand needs, and only the invoked subcommand's parser gets its
-arguments.
+Every subcommand and its arguments are declared once, in one table.  A
+well-formed command line is read from that table directly; argparse is
+imported and built from it only for help, usage errors and the forms of
+argument only it reads (abbreviations, --opt=value and the like), so the
+two always agree.  Each subcommand imports the modules it uses, so a run
+loads only what its subcommand needs.
 
 Exit codes: 0 success, 1 a finished representation failed verification,
 2 invalid input (bad file, flag, certificate, or script), 3 a search
@@ -18,11 +21,9 @@ one stderr line).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .errors import BudgetExhausted, InvalidInput
 
@@ -68,6 +69,8 @@ def _write_atomic(target: str, doc) -> None:
     """Write canonical JSON via a temp file in the same directory, then
     rename, so readers never observe a half-written file.  A path that
     cannot be written is an input error naming that path."""
+    import tempfile
+
     path = os.path.abspath(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".boxicity-")
@@ -115,13 +118,6 @@ def _budget_from_args(args):
     return exact.SearchBudget(**{name: v for name, v in flags.items() if v is not None})
 
 
-def _add_budget_flags(sub) -> None:
-    sub.add_argument("--max-nodes", type=int, default=None,
-                     help="cap on explored search nodes")
-    sub.add_argument("--time-limit", type=float, default=None,
-                     help="cap in seconds on the searches the command runs")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -156,7 +152,7 @@ def _cmd_exact(args) -> int:
 
     G = _load_graph(args.graph)
     result = exact.exact_boxicity(G, d_max=args.max_d, budget=_budget_from_args(args))
-    if args.output:
+    if args.output is not None:
         _write_atomic(args.output, exact.boxicity_result_to_dict(result))
     if result.status == exact.STATUS_EXACT:
         print(result.value)
@@ -195,13 +191,13 @@ def _construct_rep(args):
     if kind == "roberts":
         step = derivation.RobertsStep()
     elif kind == "acyclic":
-        if args.coloring:
+        if args.coloring is not None:
             colors = certificates.coloring_from_dict(_read_json(args.coloring))
         else:
             colors = exact.least_coloring(exact.acyclic_coloring, G, _budget_from_args(args))
         step = derivation.AcyclicStep(coloring=colors)
     else:  # girth4, the last choice the parser allows
-        if args.partition:
+        if args.partition is not None:
             part = certificates.partition_from_dict(_read_json(args.partition))
         else:
             part = exact.find_forest_stable_partition(G, _budget_from_args(args))
@@ -228,7 +224,7 @@ def _cmd_derive(args) -> int:
     script = derivation.step_from_dict(_read_json(args.script))
     B, report = derivation.assemble(G, script)
     _write_atomic(args.output, B)
-    if args.report:
+    if args.report is not None:
         _write_atomic(args.report, derivation.report_to_dict(report))
     print(f"verified: {report.total_dimension} dimensions "
           f"over {len(report.steps)} steps")
@@ -264,7 +260,7 @@ def _cmd_poset(args) -> int:
         else:
             print(f"yes: realized by {len(orders)} linear orders")
         return EXIT_OK
-    if args.coloring:
+    if args.coloring is not None:
         colors = certificates.coloring_from_dict(_read_json(args.coloring))
     else:
         colors = exact.least_coloring(exact.proper_coloring, G, _budget_from_args(args))
@@ -278,7 +274,7 @@ def _cmd_poset(args) -> int:
         "colors": certificates.coloring_to_dict(colors),
         "orders": [list(L) for L in orders],
     }
-    if args.output:
+    if args.output is not None:
         _write_atomic(args.output, doc)
     print(f"chi-realizer: {len(orders)} orders over {2 * G.n} elements")
     return EXIT_OK
@@ -291,7 +287,7 @@ def _cmd_bounds(args) -> int:
                                      orientable=not args.nonorientable,
                                      box=args.box, chi=args.chi)
     doc = posets.bound_report_to_dict(report)
-    if args.output:
+    if args.output is not None:
         _write_atomic(args.output, doc)
     else:
         print(_dump(doc), end="")
@@ -299,98 +295,170 @@ def _cmd_bounds(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command lines
 # ---------------------------------------------------------------------------
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv.  Every subcommand is listed with its help line,
-    but only the one argv names (its first word not starting with "-"; the
-    main parser takes no option with a value) gets its arguments, so help
-    and usage errors read as if all were built."""
+def _arg(*flags, **settings):
+    """One argument of a subcommand: its flags, or the name of a positional,
+    and the keywords argparse's add_argument takes for it."""
+    return flags, settings
+
+
+_BUDGET = (
+    _arg("--max-nodes", type=int, help="cap on explored search nodes"),
+    _arg("--time-limit", type=float,
+         help="cap in seconds on the searches the command runs"),
+)
+
+# Every subcommand, in the order help lists them: its help line, its
+# handler and its arguments.  Both readers below are built from it.
+_COMMANDS = {
+    "gen": ("write a generated graph", _cmd_gen, (
+        _arg("family", choices=_FAMILIES),
+        _arg("n", type=int, help="size parameter of the family"),
+        _arg("-o", "--output", required=True),
+        _arg("-p", type=float, help="edge probability (random only)"),
+        _arg("--seed", type=int, help="RNG seed (required for random/forest)"),
+    )),
+    "exact": ("exact boxicity by closure search", _cmd_exact, (
+        _arg("graph"),
+        _arg("--max-d", type=int, help="stop after refuting this many dimensions"),
+        _arg("-o", "--output", help="also write the full result with witness"),
+        *_BUDGET,
+    )),
+    "construct": ("build a verified representation from a certificate", _cmd_construct, (
+        _arg("kind", choices=("acyclic", "roberts", "girth4", "forest", "figure1")),
+        _arg("graph"),
+        _arg("-o", "--output", required=True),
+        _arg("--coloring", help="acyclic coloring file (acyclic only)"),
+        _arg("--partition", help="forest/stable partition file (girth4 only)"),
+        _arg("--classification", help="cycle classification file (figure1 only)"),
+        *_BUDGET,
+    )),
+    "derive": ("replay a derivation script", _cmd_derive, (
+        _arg("graph"),
+        _arg("script"),
+        _arg("-o", "--output", required=True),
+        _arg("--report", help="also write the per-step accounting"),
+    )),
+    "verify": ("check a representation file", _cmd_verify, (
+        _arg("graph"),
+        _arg("rep"),
+    )),
+    "poset": ("adjacency poset tools", _cmd_poset, (
+        _arg("graph"),
+        _arg("--coloring", help="proper coloring file; computed when omitted"),
+        _arg("-o", "--output", help="write the realizer orders"),
+        _arg("--check-dimension", type=int,
+             help="search for a realizer of this size instead"),
+        *_BUDGET,
+    )),
+    "bounds": ("closed-form genus bounds", _cmd_bounds, (
+        _arg("--genus", type=int,
+             help="orientable genus g (crosscaps with --nonorientable); box bound 7 "
+                  "on the torus, else 5g + 3, whose genus convention (Euler or "
+                  "orientable) is unverified"),
+        _arg("--nonorientable", action="store_true",
+             help="read --genus as the number of crosscaps"),
+        _arg("--box", type=int),
+        _arg("--chi", type=int),
+        _arg("-o", "--output"),
+    )),
+}
+
+def _dest(flags) -> str:
+    """The attribute argparse sets for an argument: the name of its first
+    long flag, else of its first flag, with "-" read as "_"."""
+    name = next((flag for flag in flags if flag.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def _read_args(argv):
+    """What argparse reads from argv, read from the table alone; None
+    unless argv is in the forms both read alike.  Those are: a subcommand,
+    then its positionals and its options in any order.  Each option is
+    spelled exactly and given at most once, each value is a word of its
+    own, and no positional or value starts with "-".  Every value converts
+    by its type and lies in its choices, and every required option is
+    there.  Abbreviations, --opt=value, -ovalue, "--", negative numbers,
+    repeats, help and every usage error are left to argparse."""
+    from types import SimpleNamespace
+
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flags, settings in arguments:
+        dest = _dest(flags)
+        if not flags[0].startswith("-"):
+            positionals.append((dest, settings))
+            continue
+        options.update(dict.fromkeys(flags, (dest, settings)))
+        switch = settings.get("action") == "store_true"
+        values[dest] = settings.get("default", False if switch else None)
+        if settings.get("required"):
+            required.add(dest)
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            dest, settings = positionals.pop(0)
+        else:
+            dest, settings = options.get(word, (None, None))
+            if dest is None or dest in given:
+                return None
+            given.add(dest)
+            if settings.get("action") == "store_true":
+                values[dest] = True
+                continue
+            word = next(words, "-")  # a missing value reads like a flag
+            if word.startswith("-"):
+                return None
+        try:
+            values[dest] = settings.get("type", str)(word)
+        except ValueError:
+            return None
+        if "choices" in settings and values[dest] not in settings["choices"]:
+            return None
+    if positionals or not required <= given:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser(argv):
+    """argparse's reader of the table, for help, usage errors and the
+    command lines _read_args leaves to it.  Every subcommand is listed with
+    its help line, but only the one argv names (its first word not starting
+    with "-"; the main parser takes no option with a value) gets its
+    arguments, so help and usage errors read as if all were built."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="boxicity",
         description="Build, compose and verify box representations of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-
-    def add(name, help_line, func):
-        """The subparser of name, if argv invokes it; else None."""
+    for name, (help_line, func, arguments) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
         subparser.set_defaults(func=func)
-        return subparser if name == invoked else None
-
-    if gen := add("gen", "write a generated graph", _cmd_gen):
-        gen.add_argument("family", choices=_FAMILIES)
-        gen.add_argument("n", type=int, help="size parameter of the family")
-        gen.add_argument("-o", "--output", required=True)
-        gen.add_argument("-p", type=float, default=None,
-                         help="edge probability (random only)")
-        gen.add_argument("--seed", type=int, default=None,
-                         help="RNG seed (required for random/forest)")
-
-    if exact := add("exact", "exact boxicity by closure search", _cmd_exact):
-        exact.add_argument("graph")
-        exact.add_argument("--max-d", type=int, default=None,
-                           help="stop after refuting this many dimensions")
-        exact.add_argument("-o", "--output", default=None,
-                           help="also write the full result with witness")
-        _add_budget_flags(exact)
-
-    if construct := add("construct", "build a verified representation from a certificate",
-                        _cmd_construct):
-        construct.add_argument("kind", choices=("acyclic", "roberts", "girth4",
-                                                "forest", "figure1"))
-        construct.add_argument("graph")
-        construct.add_argument("-o", "--output", required=True)
-        construct.add_argument("--coloring", default=None,
-                               help="acyclic coloring file (acyclic only)")
-        construct.add_argument("--partition", default=None,
-                               help="forest/stable partition file (girth4 only)")
-        construct.add_argument("--classification", default=None,
-                               help="cycle classification file (figure1 only)")
-        _add_budget_flags(construct)
-
-    if derive := add("derive", "replay a derivation script", _cmd_derive):
-        derive.add_argument("graph")
-        derive.add_argument("script")
-        derive.add_argument("-o", "--output", required=True)
-        derive.add_argument("--report", default=None,
-                            help="also write the per-step accounting")
-
-    if verify := add("verify", "check a representation file", _cmd_verify):
-        verify.add_argument("graph")
-        verify.add_argument("rep")
-
-    if poset := add("poset", "adjacency poset tools", _cmd_poset):
-        poset.add_argument("graph")
-        poset.add_argument("--coloring", default=None,
-                           help="proper coloring file; computed when omitted")
-        poset.add_argument("-o", "--output", default=None,
-                           help="write the realizer orders")
-        poset.add_argument("--check-dimension", type=int, default=None,
-                           help="search for a realizer of this size instead")
-        _add_budget_flags(poset)
-
-    if bounds := add("bounds", "closed-form genus bounds", _cmd_bounds):
-        bounds.add_argument("--genus", type=int, default=None,
-                            help="orientable genus g (crosscaps with --nonorientable); "
-                                 "box bound 7 on the torus, else 5g + 3, whose genus "
-                                 "convention (Euler or orientable) is unverified")
-        bounds.add_argument("--nonorientable", action="store_true",
-                            help="read --genus as the number of crosscaps")
-        bounds.add_argument("--box", type=int, default=None)
-        bounds.add_argument("--chi", type=int, default=None)
-        bounds.add_argument("-o", "--output", default=None)
-
+        if name == invoked:
+            for flags, settings in arguments:
+                subparser.add_argument(*flags, **settings)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_args(argv) or _build_parser(argv).parse_args(argv)
     try:
+        for dest in ("output", "report"):  # the files a job writes
+            if getattr(args, dest, None) == "":
+                raise InvalidInput(f"--{dest} names an empty path")
         return args.func(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """End-to-end runs of the command-line interface through main()."""
 
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxicity.__main__ as entry
-from boxicity import exact
+from boxicity import cli, exact
 
 from boxicity.boxes import (
     BoxRepresentation,
@@ -87,6 +89,43 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, nam
     assert err.startswith(f"error: cannot write {target}: ") and ".boxicity-" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert not any((tmp_path / "taken").iterdir())
+
+
+EMPTY_OUTPUTS = [
+    ["gen", "path", "3", "-o", ""],
+    ["exact", "{g}", "-o", ""],
+    ["construct", "forest", "{g}", "-o", ""],
+    ["derive", "{g}", "{s}", "-o", ""],
+    ["derive", "{g}", "{s}", "-o", "{out}", "--report", ""],
+    ["poset", "{g}", "-o", ""],
+    ["bounds", "--genus", "1", "-o", ""],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_OUTPUTS, ids=[" ".join(argv[:1] + argv[-2:-1])
+                                                     for argv in EMPTY_OUTPUTS])
+def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    g, s = sur1_roberts_files(tmp_path)
+    monkeypatch.chdir(tmp_path)  # os.path.abspath("") is the working directory
+    inputs = sorted(tmp_path.iterdir())
+    assert main([arg.format(g=g, s=s, out=tmp_path / "out.json") for arg in argv]) == 2
+    flag = "--report" if "--report" in argv else "--output"
+    assert capsys.readouterr() == ("", f"error: {flag} names an empty path\n")
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "acyclic", "{g}", "-o", "{out}", "--coloring", ""],
+    ["construct", "girth4", "{g}", "-o", "{out}", "--partition", ""],
+    ["poset", "{g}", "--coloring", ""],
+], ids=["construct-acyclic", "construct-girth4", "poset"])
+def test_an_empty_certificate_path_is_read_not_skipped(tmp_path, capsys, argv):
+    g = tmp_path / "g.json"
+    assert main(["gen", "path", "4", "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert main([arg.format(g=g, out=tmp_path / "out.json") for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read : ")
+    assert not (tmp_path / "out.json").exists()
 
 
 def run_python(*words: str, cwd, **env: str) -> subprocess.CompletedProcess:
@@ -683,6 +722,125 @@ def test_help_and_usage_error_bytes_are_pinned(tmp_path, argv, code, out_sha, er
     assert not any(tmp_path.iterdir())
 
 
+# ------------------------------------------------- the two command-line readers
+
+
+def argparse_reading(argv):
+    """vars() of what argparse reads from argv, or the code it exits with."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser(argv).parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+VALUES = {int: ("0", "3", "12", "007"), float: ("0.5", "1000", "2e-3"),
+          None: ("g.json", "out/r.json", "with space.json", "", "x=y.json", "\u00e9.json")}
+BAD_VALUES = {int: ("x", "1.5", "-3"), float: ("x", "-0.5"), None: ("-g.json", "-")}
+ODD_WORDS = ("--", "-h", "--help", "-1", "-x", "--bogus", "extra.json", "")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well_formed): a command line of one subcommand drawn from its
+    table entry, with its options anywhere after the subcommand.  Now and
+    then a value is bad (not an int, not a choice, a negative number), a
+    flag is abbreviated or joined to its value (--flag=value, -ovalue), or
+    an option, required or not, is left out.  Then up to two words are
+    inserted ("--", help, an odd flag or value, a flag of the subcommand),
+    deleted, or an option is repeated.  well_formed: none of this
+    happened, only exact flags, good values and every required option."""
+    changed = False
+
+    def pick(good, bad):
+        nonlocal changed
+        if draw(st.integers(0, 4)):
+            return draw(st.sampled_from(good))
+        changed = True
+        return draw(st.sampled_from(bad))
+
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    chunks, options, odd = [[name]], [], list(ODD_WORDS)
+    for flags, setting in cli._COMMANDS[name][2]:
+        kind = setting.get("type")
+        value = (pick(setting["choices"], ("bogus",)) if "choices" in setting
+                 else pick(VALUES[kind], BAD_VALUES[kind]))
+        if not flags[0].startswith("-"):
+            chunks.append([value])
+            continue
+        odd += flags
+        if not draw(st.booleans()):
+            changed |= bool(setting.get("required"))
+            continue
+        switch = setting.get("action") == "store_true"
+        joined = [flag + "=" + ("1" if switch else value) for flag in flags]
+        joined += [flag + value for flag in flags if not flag.startswith("--") and value]
+        flag = pick(flags, joined + [flag[:k] for flag in flags if flag.startswith("--")
+                                     for k in range(3, len(flag))])
+        options.append([flag] if switch or flag in joined else [flag, value])
+    for option in options:
+        chunks.insert(draw(st.integers(1, len(chunks))), option)
+    words = sum(chunks, [])
+    changes = draw(st.integers(0, 2))
+    for _ in range(changes):
+        at = draw(st.integers(0, len(words)))
+        change = draw(st.sampled_from(("insert", "delete", "repeat")))
+        if change == "delete" and at < len(words):
+            del words[at]
+        else:
+            words[at:at] = (draw(st.sampled_from(options)) if change == "repeat" and options
+                            else [draw(st.sampled_from(odd))])
+    return words, not changed and changes == 0
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example((["gen", "bogus", "3", "-o", "g.json"], False))
+@example((["construct", "forest", "g.json"], False))
+@example((["bounds", "--box", "-3"], False))
+def test_the_table_reader_reads_as_argparse_does(line):
+    """Whenever the table reader takes a command line, argparse reads it
+    alike; it takes every line left as drawn from the table."""
+    argv, well_formed = line
+    fast = cli._read_args(argv)
+    assert fast is not None or not well_formed
+    if fast is not None:
+        assert vars(fast) == argparse_reading(argv)
+
+
+# every shape of command line the benchmark's cli_argv (perfbench/run.py) emits
+BENCH_LINES = [
+    ["construct", "forest", "p0/f.graph.json", "-o", "p0/f.rep.json"],
+    ["construct", "acyclic", "p0/a.graph.json", "-o", "p0/a.rep.json",
+     "--coloring", "p0/a.coloring.json"],
+    ["construct", "girth4", "p0/g.graph.json", "-o", "p0/g.rep.json",
+     "--partition", "p0/g.partition.json"],
+    ["construct", "figure1", "p0/t.graph.json", "-o", "p0/t.rep.json",
+     "--classification", "p0/t.classification.json"],
+    ["construct", "girth4", "p0/g.graph.json", "-o", "p0/g.rep.json",
+     "--max-nodes", "250000", "--time-limit", "1000"],
+    ["construct", "acyclic", "p0/a.graph.json", "-o", "p0/a.rep.json",
+     "--coloring", "p0/a.coloring.json", "--max-nodes", "250000", "--time-limit", "1000"],
+    ["verify", "p0/f.graph.json", "p0/f.rep.json"],
+    ["derive", "p0/d.graph.json", "p0/d.script.json", "-o", "p0/d.rep.json",
+     "--report", "p0/d.report.json"],
+    ["exact", "p0/c9.graph.json", "-o", "p0/c9.result.json"],
+    ["exact", "p0/c9.graph.json", "-o", "p0/c9.result.json",
+     "--max-nodes", "250000", "--time-limit", "1000"],
+    ["poset", "p0/c5.graph.json", "--check-dimension", "3"],
+    ["poset", "p0/c5.graph.json", "--check-dimension", "3",
+     "--max-nodes", "250000", "--time-limit", "1000"],
+    ["poset", "p0/c5.graph.json", "-o", "p0/c5.realizer.json"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCH_LINES,
+                         ids=[" ".join(w for w in argv if "/" not in w) for argv in BENCH_LINES])
+def test_the_benchmarked_lines_are_read_from_the_table(argv):
+    fast = cli._read_args(argv)
+    assert fast is not None and vars(fast) == argparse_reading(argv)
+
+
 _VERTEX_IDS = st.sampled_from((0, 1, 2, 3, 9, 10, 11, 20, 100, 101)) | st.integers(0, 10**6)
 _ENDPOINTS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 1000))
 _INTERVALS = st.lists(_ENDPOINTS, min_size=2, max_size=2).map(lambda p: Interval(*sorted(p)))
@@ -874,7 +1032,7 @@ SRC = Path(exact.__file__).resolve().parents[1]  # the package's parent director
 def loaded_modules(code: str, *args: str) -> list[str]:
     """The names in sys.modules after code runs in a new interpreter
     without site packages, with the package on its path."""
-    code += "; import json; print(json.dumps(sorted(sys.modules)))"
+    code += "\nimport json; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     return json.loads(proc.stdout.splitlines()[-1])
@@ -906,6 +1064,9 @@ def sur1_roberts_files(tmp_path):
 # jobs that use them load
 RARE = {"boxicity.exact", "boxicity.figure1", "fractions", "decimal"}
 DERIVE = ["derive", "{0}", "{1}", "-o", "{out}"]
+# argparse, and what building its first parser loads, which a well-formed
+# command line never needs
+PARSER = {"argparse", "gettext", "locale"}
 
 
 def no_files(tmp_path):
@@ -928,7 +1089,16 @@ def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, s
     argv = [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]
     loaded = set(loaded_modules("import sys; from boxicity.cli import main; "
                                 "assert main(sys.argv[1:]) == 0", *argv))
-    assert loads <= loaded and not skips & loaded
+    assert loads <= loaded and not (skips | PARSER) & loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["exact", "g.json", "--max-d", "x"]],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_still_load_argparse(argv):
+    loaded = set(loaded_modules("import sys\nfrom boxicity.cli import main\n"
+                                "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass",
+                                *argv))
+    assert PARSER <= loaded
 
 
 # ------------------------------------------------------ process entry point
