@@ -65,27 +65,36 @@ def _dump(doc) -> str:
     return '{\n  "d": %d,\n  "vertices": {\n%s\n  }\n}\n' % (len(layers), rows)
 
 
-def _write_atomic(target: str, doc) -> None:
-    """Write canonical JSON via a temp file in the same directory, then
-    rename, so readers never observe a half-written file.  A path that
-    cannot be written is an input error naming that path."""
+def _write_atomic(*outputs) -> None:
+    """Write each (target, doc) of outputs as canonical JSON to a temp file
+    in the target's directory, then rename them all, so readers never
+    observe a half-written file and none is renamed unless every temp file
+    was written.  A path that cannot be written is an input error naming
+    that path."""
+    import errno
     import tempfile
 
-    path = os.path.abspath(target)
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".boxicity-")
-        try:
+        for target, doc in outputs:
+            if os.path.isdir(target):  # refused before any rename, not after
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
+                                       prefix=".boxicity-")
+            temps.append(tmp)
             with os.fdopen(fd, "w") as handle:
                 handle.write(_dump(doc))
-            os.replace(tmp, path)
-        except BaseException:
+        for target, _ in outputs:
+            os.replace(temps[0], os.path.abspath(target))
+            temps.pop(0)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {target}: {exc.strerror}") from exc
+    finally:
+        for tmp in temps:  # not renamed: a write or a rename failed
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-            raise
-    except OSError as exc:
-        raise InvalidInput(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _read_json(path: str):
@@ -142,7 +151,7 @@ def _cmd_gen(args) -> int:
                  "roberts": graphs.roberts_graph,
                  "subdivided": graphs.subdivided_complete}[args.family]
         G = maker(args.n)
-    _write_atomic(args.output, graphs.graph_to_dict(G))
+    _write_atomic((args.output, graphs.graph_to_dict(G)))
     print(f"wrote {args.output}: {G.n} vertices, {len(G.edges)} edges")
     return EXIT_OK
 
@@ -153,7 +162,7 @@ def _cmd_exact(args) -> int:
     G = _load_graph(args.graph)
     result = exact.exact_boxicity(G, d_max=args.max_d, budget=_budget_from_args(args))
     if args.output is not None:
-        _write_atomic(args.output, exact.boxicity_result_to_dict(result))
+        _write_atomic((args.output, exact.boxicity_result_to_dict(result)))
     if result.status == exact.STATUS_EXACT:
         print(result.value)
         return EXIT_OK
@@ -212,7 +221,7 @@ def _construct_rep(args):
 
 def _cmd_construct(args) -> int:
     B = _construct_rep(args)
-    _write_atomic(args.output, B)
+    _write_atomic((args.output, B))
     print(f"wrote {args.output}: {B.d} dimensions, {len(B.domain())} boxes")
     return EXIT_OK
 
@@ -223,9 +232,10 @@ def _cmd_derive(args) -> int:
     G = _load_graph(args.graph)
     script = derivation.step_from_dict(_read_json(args.script))
     B, report = derivation.assemble(G, script)
-    _write_atomic(args.output, B)
+    outputs = [(args.output, B)]
     if args.report is not None:
-        _write_atomic(args.report, derivation.report_to_dict(report))
+        outputs.append((args.report, derivation.report_to_dict(report)))
+    _write_atomic(*outputs)
     print(f"verified: {report.total_dimension} dimensions "
           f"over {len(report.steps)} steps")
     return EXIT_OK
@@ -275,7 +285,7 @@ def _cmd_poset(args) -> int:
         "orders": [list(L) for L in orders],
     }
     if args.output is not None:
-        _write_atomic(args.output, doc)
+        _write_atomic((args.output, doc))
     print(f"chi-realizer: {len(orders)} orders over {2 * G.n} elements")
     return EXIT_OK
 
@@ -288,7 +298,7 @@ def _cmd_bounds(args) -> int:
                                      box=args.box, chi=args.chi)
     doc = posets.bound_report_to_dict(report)
     if args.output is not None:
-        _write_atomic(args.output, doc)
+        _write_atomic((args.output, doc))
     else:
         print(_dump(doc), end="")
     return EXIT_OK

@@ -28,13 +28,16 @@ state it failed to complete and skips it when another prefix reaches it
 again; the memo lives for one walk, since the tracked set, the dimensions
 left and the target differ between walks.  It holds at most one entry per
 node: at the default cap of 2,000,000 nodes on G(16, 1/2) seed 1 it
-measured +31 MB of peak RSS under Python 3.11, and +4 MB at 250,000
+measured +16 MB of peak RSS under Python 3.11, and +1.5 MB at 250,000
 nodes.  Colorings (proper, acyclic, and the critical-pair colorings behind
 poset dimension) share one backtracker.
 
 Everything here is exponential in the worst case and intended for small
 inputs; budgets cap nodes and wall time rather than letting a search run
-away.
+away.  A node of the boxicity search is one unplaced vertex tried at a
+state of an ordering walk, counted in a batch when the walk expands a
+vertex or leaves the state; the clique bound counts one per branch and the
+colorings one per color tried.
 """
 
 from __future__ import annotations
@@ -97,12 +100,17 @@ class BudgetMeter:
         node count and deadline."""
         return self
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExhausted(f"node budget of {self.budget.max_nodes} exceeded")
-        if self.nodes % 256 == 0:
-            self.check_deadline()
+    def tick(self, k: int = 1) -> None:
+        """Count k nodes as k single ticks would: read the clock at each
+        multiple of 256 up to the cap, then raise past the cap."""
+        start, cap = self.nodes, self.budget.max_nodes
+        self.nodes = end = start + k
+        if end > cap or end >> 8 != start >> 8:
+            for self.nodes in range(start // 256 * 256 + 256, min(end, cap) + 1, 256):
+                self.check_deadline()
+            self.nodes = min(end, cap + 1)
+            if end > cap:
+                raise BudgetExhausted(f"node budget of {cap} exceeded")
 
     def check_deadline(self) -> None:
         """Raise BudgetExhausted if the deadline has passed; counts no node."""
@@ -191,6 +199,8 @@ class _ClosureSearch:
         self.index = [[-1] * G.n for _ in range(G.n)]
         for i, (u, v) in enumerate(self.non_edges):
             self.index[u][v] = self.index[v][u] = i
+        # closed[x]: x and its neighbors
+        self.closed = [m | 1 << x for x, m in enumerate(G.nbr_masks)]
         # survivors[x][partners]: _survivors(x, partners), filled as met
         self.survivors: list[dict[int, tuple[int, int]]] = [{} for _ in range(G.n)]
 
@@ -224,14 +234,23 @@ class _ClosureSearch:
         placed.  The closure adds the pair (the non-edge survives,
         unexcluded) iff the earlier endpoint is open, that is, still has an
         unplaced neighbor at that moment; otherwise this dimension excludes
-        it for good.  With one dimension left nothing may survive; with two,
-        the survivors must be pairwise free of chord conflicts.
+        it for good.  With two dimensions left, the survivors must be
+        pairwise free of chord conflicts.  With one, nothing may survive:
+        a state is its placed set alone, and every vertex with a tracked
+        partner among the open ones is cut at once.
+
+        A node is one unplaced vertex tried at a state, cut or expanded.
+        The walk counts them when it expands a vertex and when a state's
+        loop ends: the unplaced vertices passed since the last count.  A
+        cut vertex does nothing but fill the survivor memo, so a cap
+        crossed among cut vertices stops the search with the same outcome
+        and the same max_nodes + 1 nodes as counting each one.
         """
         n = self.G.n
-        nbr = self.G.nbr_masks
+        nbr, closed = self.G.nbr_masks, self.closed
         memo = self.survivors
         tick = self.meter.tick
-        must_break_all = dims_left == 1
+        full = (1 << n) - 1
         pairwise = dims_left == 2
         # rem_nbr[x]: the vertices that share a tracked non-edge with x
         rem_nbr = [0] * n
@@ -239,31 +258,70 @@ class _ClosureSearch:
             u, v = self.non_edges[i]
             rem_nbr[u] |= 1 << v
             rem_nbr[v] |= 1 << u
+        # every tracked pair is decided once all these ends are placed
+        ends = sum(1 << x for x, partners in enumerate(rem_nbr) if partners)
         # guard[x]: placing x lets the target survive if this vertex is open
         guard = [0] * n
         if target is not None:
             u, v = self.non_edges[target]
             guard[u], guard[v] = 1 << v, 1 << u
         order: list[int] = []
-        # (placed, surviving) states already extended without success
-        dead: set[tuple[int, int]] = set()
+        # states already extended without success: surviving << n | placed
+        dead: set[int] = set()
 
-        def extend(placed: int, open_: int, surviving: int, undecided: int):
-            if undecided == 0:
+        def opened(x: int, now: int, open_: int) -> int:
+            # the open vertices once x is placed: only x and its neighbors
+            # can have lost their last unplaced neighbor
+            still_open = open_ | 1 << x
+            check = still_open & closed[x]
+            while check:
+                low = check & -check
+                if not nbr[low.bit_length() - 1] & ~now:
+                    still_open ^= low
+                check ^= low
+            return still_open
+
+        def last(placed: int, open_: int):
+            uncounted = cand = full & ~placed
+            if not cand & ends:
+                return complete(tuple(order) + tuple(_bits(cand)), 0)
+            check = open_
+            while check:
+                low = check & -check
+                cand &= ~rem_nbr[low.bit_length() - 1]
+                check ^= low
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                now = placed | low
+                if now in dead:
+                    continue
+                tick((uncounted & (low << 1) - 1).bit_count())
+                uncounted &= -(low << 1)
+                x = low.bit_length() - 1
+                order.append(x)
+                found = last(now, opened(x, now, open_))
+                order.pop()
+                if found is not None:
+                    return found
+                dead.add(now)
+            if uncounted:
+                tick(uncounted.bit_count())
+            return None
+
+        def extend(placed: int, open_: int, surviving: int):
+            uncounted = full & ~placed
+            if not uncounted & ends:
                 # every tracked pair is decided; one completion suffices,
                 # any other gives the same surviving set
-                rest = tuple(x for x in range(n) if not placed >> x & 1)
-                return complete(tuple(order) + rest, surviving)
-            for x in range(n):
-                if placed >> x & 1:
-                    continue
-                tick()
+                return complete(tuple(order) + tuple(_bits(uncounted)), surviving)
+            for x in _bits(uncounted):
                 # the closure reaches past x from every open partner (open
                 # vertices are placed)
                 newly = rem_nbr[x] & open_
                 after = surviving
                 if newly:
-                    if must_break_all or newly & guard[x]:
+                    if newly & guard[x]:
                         continue
                     hit = memo[x].get(newly)
                     if hit is None:
@@ -273,27 +331,21 @@ class _ClosureSearch:
                     if pairwise and clash & after:
                         continue  # two survivors are the chords of one C4
                 now = placed | 1 << x
-                if (now, after) in dead:
+                key = after << n | now
+                if key in dead:
                     continue
-                # only x and its neighbors can have lost their last
-                # unplaced neighbor
-                still_open = open_ | 1 << x
-                check = still_open & (nbr[x] | 1 << x)
-                while check:
-                    low = check & -check
-                    if not nbr[low.bit_length() - 1] & ~now:
-                        still_open ^= low
-                    check ^= low
+                tick((uncounted & (2 << x) - 1).bit_count())
+                uncounted &= -2 << x
                 order.append(x)
-                found = extend(now, still_open, after,
-                               undecided - (rem_nbr[x] & placed).bit_count())
+                found = extend(now, opened(x, now, open_), after)
                 order.pop()
                 if found is not None:
                     return found
-                dead.add((now, after))
+                dead.add(key)
+            tick(uncounted.bit_count())
             return None
 
-        return extend(0, 0, 0, remaining.bit_count())
+        return last(0, 0) if dims_left == 1 else extend(0, 0, 0)
 
     def search(self, dims_left: int, remaining: int):
         """At most dims_left orderings excluding the mask remaining, or None."""

@@ -443,6 +443,20 @@ def test_derive_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing/r.json", "No such file or directory"), ("taken", "Is a directory")])
+def test_derive_with_an_unwritable_report_writes_neither_file(tmp_path, capsys, name, reason):
+    g, s = k8_files(tmp_path)
+    (tmp_path / "taken").mkdir()
+    inputs = sorted(tmp_path.iterdir())
+    report = tmp_path / name
+    assert main(["derive", str(g), str(s), "-o", str(tmp_path / "rep.json"),
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {report}: {reason}\n")
+    assert sorted(tmp_path.iterdir()) == inputs
+    assert not any((tmp_path / "taken").iterdir())
+
+
 def test_derive_bad_script_exit(tmp_path, capsys):
     c4, s, rep = tmp_path / "c4.json", tmp_path / "s.json", tmp_path / "rep.json"
     assert main(["gen", "cycle", "4", "-o", str(c4)]) == 0

@@ -3,8 +3,11 @@
 import random
 import time
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxicity import exact
 from boxicity.certificates import acyclic_coloring_problems, check_coloring
@@ -41,6 +44,7 @@ from util import (
     chord_conflicts_by_scan,
     find_forest_stable_partition_reference,
     interval_adjacent,
+    orderings_one_tick_per_candidate,
     star,
 )
 
@@ -220,6 +224,49 @@ def test_recurring_dead_prefixes_are_cut(n, seed, value):
     assert res.nodes < 10_000
 
 
+def outcome(res):
+    return res.status, res.value, res.lower_bound, res.nodes, res.orderings
+
+
+@st.composite
+def capped_graphs(draw):
+    n = draw(st.integers(1, 9))
+    flips = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    edges = [e for e, keep in zip(combinations(range(n), 2), flips) if keep]
+    # most of these searches take under a hundred nodes, so small caps are
+    # drawn as often as any
+    cap = draw(st.integers(1, 100) | st.integers(1, 5000))
+    return make_graph(n, edges), SearchBudget(max_nodes=cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_graphs())
+def test_the_walk_matches_the_one_tick_per_candidate_reference(case):
+    """The bit-mask walk counts a state's nodes in batches, but walks the
+    same tree: the same outcomes, orderings and node counts, capped or not."""
+    G, budget = case
+
+    def calls():
+        return [outcome(exact_boxicity(G, budget=budget))] + [
+            outcome(boxicity_at_most(G, d, budget)) for d in (1, 2, 3)]
+
+    walked = calls()
+    with mock.patch.object(exact._ClosureSearch, "_orderings",
+                           orderings_one_tick_per_candidate):
+        assert walked == calls()
+
+
+@pytest.mark.parametrize("n, seed, status, value, nodes", [
+    (11, 3, "exact", 2, 48_409),
+    (12, 1, "exact", 3, 33_351),
+    (12, 2, "budget-exhausted", None, 250_001),
+])
+def test_search_workload_graphs_keep_their_node_counts(n, seed, status, value, nodes):
+    res = exact_boxicity(random_graph(n, 0.5, seed), budget=SearchBudget(max_nodes=250_000))
+    assert (res.status, res.value, res.nodes) == (status, value, nodes)
+
+
 def test_monotone_under_induced_subgraphs():
     rng = random.Random(77)
     for _ in range(10):
@@ -286,6 +333,39 @@ class StepClock:
     def monotonic(self):
         self.reads += 1
         return self.reads - 1
+
+
+def run_ticks(monkeypatch, budget, ks):
+    """The meter's node count, the clock reads and the error after
+    tick(k) for each k in ks, on a StepClock."""
+    clock = StepClock()
+    monkeypatch.setattr(exact, "time", clock)
+    meter = budget.meter()  # reads 0
+    try:
+        for k in ks:
+            meter.tick(k)
+    except BudgetExhausted as exc:
+        return meter.nodes, clock.reads, str(exc)
+    return meter.nodes, clock.reads, None
+
+
+@pytest.mark.parametrize("max_nodes, time_limit, ks, want", [
+    # 256 reads 1; the batch of 600 crosses 512, reading 2, and 768, reading 3:
+    # past the deadline
+    (10_000, 2.5, [255, 2, 600], (768, 4, "time limit of 2.5s exceeded")),
+    # 256 reads the clock, then the cap falls inside the same batch
+    (300, 10.0, [250, 100], (301, 2, "node budget of 300 exceeded")),
+    # both inside one batch, the deadline passed at 256: the deadline raises first
+    (300, 0.5, [400], (256, 2, "time limit of 0.5s exceeded")),
+    # a cap on a multiple of 256 reads the clock there before raising
+    (256, 10.0, [1000], (257, 2, "node budget of 256 exceeded")),
+    (1000, 10.0, [100, 0, 156, 1], (257, 2, None)),
+])
+def test_a_batch_of_ticks_counts_as_single_ticks_do(monkeypatch, max_nodes, time_limit,
+                                                    ks, want):
+    budget = SearchBudget(max_nodes, time_limit)
+    assert run_ticks(monkeypatch, budget, ks) == want
+    assert run_ticks(monkeypatch, budget, [1] * sum(ks)) == want
 
 
 def test_chord_conflict_table_checks_the_deadline_once_per_row(monkeypatch):

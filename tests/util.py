@@ -30,7 +30,7 @@ from boxicity.derivation import (
     Sur2bisStep,
 )
 from boxicity.exact import SearchBudget
-from boxicity.graphs import Graph, make_graph, roberts_graph
+from boxicity.graphs import Graph, _bits, make_graph, roberts_graph
 from boxicity.intervals import Interval, check_ordering
 
 
@@ -266,6 +266,72 @@ def boxicity_by_orderings(G: Graph) -> int:
         if any(frozenset().union(*sets) == non_edges
                for sets in combinations(maximal, d)):
             return d
+
+
+def orderings_one_tick_per_candidate(self, remaining, dims_left, target, complete):
+    """The ordering walk of exact._ClosureSearch._orderings as first
+    written: every vertex over range(n), one meter tick per unplaced vertex
+    tried, a (placed, surviving) tuple per dead state and one loop for every
+    dimension.  Set on _ClosureSearch in place of _orderings, it is the
+    reference the bit-mask walk must match node for node."""
+    n = self.G.n
+    nbr = self.G.nbr_masks
+    memo = self.survivors
+    tick = self.meter.tick
+    must_break_all = dims_left == 1
+    pairwise = dims_left == 2
+    rem_nbr = [0] * n
+    for i in _bits(remaining):
+        u, v = self.non_edges[i]
+        rem_nbr[u] |= 1 << v
+        rem_nbr[v] |= 1 << u
+    guard = [0] * n
+    if target is not None:
+        u, v = self.non_edges[target]
+        guard[u], guard[v] = 1 << v, 1 << u
+    order = []
+    dead = set()
+
+    def extend(placed, open_, surviving, undecided):
+        if undecided == 0:
+            rest = tuple(x for x in range(n) if not placed >> x & 1)
+            return complete(tuple(order) + rest, surviving)
+        for x in range(n):
+            if placed >> x & 1:
+                continue
+            tick()
+            newly = rem_nbr[x] & open_
+            after = surviving
+            if newly:
+                if must_break_all or newly & guard[x]:
+                    continue
+                hit = memo[x].get(newly)
+                if hit is None:
+                    hit = memo[x][newly] = self._survivors(x, newly)
+                add, clash = hit
+                after |= add
+                if pairwise and clash & after:
+                    continue
+            now = placed | 1 << x
+            if (now, after) in dead:
+                continue
+            still_open = open_ | 1 << x
+            check = still_open & (nbr[x] | 1 << x)
+            while check:
+                low = check & -check
+                if not nbr[low.bit_length() - 1] & ~now:
+                    still_open ^= low
+                check ^= low
+            order.append(x)
+            found = extend(now, still_open, after,
+                           undecided - (rem_nbr[x] & placed).bit_count())
+            order.pop()
+            if found is not None:
+                return found
+            dead.add((now, after))
+        return None
+
+    return extend(0, 0, 0, remaining.bit_count())
 
 
 def star(leaves):
