@@ -126,12 +126,13 @@ def verify_representation(B: BoxRepresentation, G: Graph) -> VerificationReport:
     pairs in lexicographic order.
 
     The domain must be exactly V(G); a wrong domain is an input error, not a
-    verification failure.
+    verification failure, and names the lowest vertex on one side only.
     """
-    if set(B.domain()) != set(range(G.n)):
+    stray = min(B.layers[0].keys() ^ range(G.n), default=None)
+    if stray is not None:
+        side = "representation" if stray in B.layers[0] else "graph"
         raise InvalidInput(
-            f"domain {list(B.domain())} does not match vertex set 0..{G.n - 1}"
-        )
+            f"domain does not match the graph: vertex {stray} is only in the {side}")
     missing = []
     extra = []
     for u, v in _disagreeing_pairs(B.meet_masks(), G.nbr_masks):

@@ -206,9 +206,9 @@ def acyclic_coloring_problems(G: Graph, colors: dict[int, int], ids=None) -> lis
     forests, as a one-item list; empty when the coloring is one."""
     name = _namer(ids)
     try:
-        dense = check_coloring(G, colors)
+        dense = check_coloring(G, colors, name)
     except InvalidInput as exc:
-        return [f"coloring: {exc}"]
+        return [str(exc)]
     for u, v in sorted(G.edges):
         if dense[u] == dense[v]:
             return [f"coloring: edge ({name(u)}, {name(v)}) is monochromatic"]

@@ -59,7 +59,7 @@ from .certificates import (
     validate_acyclic_coloring,
 )
 from .errors import BudgetExhausted, CertificateError, InvalidInput, ParseError
-from .graphs import Graph, fields, induced_subgraph, is_int, make_graph
+from .graphs import Graph, fields, induced_subgraph, is_int
 
 StepReport = namedtuple(
     "StepReport", "path rule vertices formula claimed achieved verified note"
@@ -183,8 +183,8 @@ def _sur2bis_check(step, lv):
             raise lv.error(
                 f"K is not a clique, ({lv.to_root[u]}, {lv.to_root[w]}) is a non-edge"
             )
-    stripped = [(u, v) for u, v in lv.H.edges if not (u in kset and v in kset)]
-    return K, [(make_graph(lv.H.n, stripped), None)]
+    stripped = frozenset((u, v) for u, v in lv.H.edges if not (u in kset and v in kset))
+    return K, [(Graph(lv.H.n, stripped), None)]
 
 
 def _sur2bis_build(lv, K, B_sub):
@@ -277,11 +277,11 @@ def _explicit_check(step, lv):
     """The given representation, in level ids, verified here so that the
     dry run rejects a wrong one too."""
     given = step.rep
-    if set(given.domain()) != set(lv.to_root):
-        raise lv.error(
-            f"explicit representation covers vertices {sorted(given.domain())}, "
-            f"expected {sorted(lv.to_root)}"
-        )
+    stray = min(given.layers[0].keys() ^ lv.inverse.keys(), default=None)
+    if stray is not None:
+        side = "representation" if stray in given.layers[0] else "graph"
+        raise lv.error(f"explicit representation covers vertices other than the graph's: "
+                       f"vertex {stray} is only in the {side}")
     local = relabel_box_representation(given, lv.inverse)
     report = verify_representation(local, lv.H)
     if not report.equal:

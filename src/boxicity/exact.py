@@ -55,7 +55,7 @@ from .boxes import (
 from .certificates import ForestStablePartition, PairCover
 from .errors import BudgetExhausted, InvalidInput
 from .graphs import Graph, _bits, check_vertex_set, is_int, within_two
-from .intervals import representation_from_ordering, umbrella_closure
+from .intervals import closure_layer
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower-bound-only"
@@ -361,8 +361,8 @@ class _ClosureSearch:
 
 
 def _stacked_witness(G: Graph, orderings) -> BoxRepresentation:
-    reps = [representation_from_ordering(umbrella_closure(G, s), s) for s in orderings]
-    B = from_interval_reps(reps)
+    """The orderings' closure layers, stacked and verified against G."""
+    B = from_interval_reps(closure_layer(G, s) for s in orderings)
     report = verify_representation(B, G)
     if not report.equal:
         raise RuntimeError("search produced an unsound witness")

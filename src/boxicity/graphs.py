@@ -155,10 +155,15 @@ def check_vertex_set(G: Graph, S, name=None) -> tuple[int, ...]:
     return out
 
 
-def check_coloring(G: Graph, colors: dict[int, int]) -> list[int]:
-    """Normalize a vertex->color map to a dense list with colors 0..k-1."""
-    if set(colors) != set(range(G.n)):
-        raise InvalidInput("coloring must assign a color to every vertex")
+def check_coloring(G: Graph, colors: dict[int, int], name=None) -> list[int]:
+    """Normalize a vertex->color map to a dense list with colors 0..k-1; a
+    stray key or an uncolored vertex v, the lowest, is named (as name(v))."""
+    stray = min(colors.keys() ^ range(G.n), default=None)
+    if stray in colors:
+        raise InvalidInput(f"coloring colors {stray!r}, which is not a vertex "
+                           f"of the {G.n}-vertex graph")
+    if stray is not None:
+        raise InvalidInput(f"coloring gives vertex {name(stray) if name else stray} no color")
     palette = sorted(set(colors.values()))
     index = {c: i for i, c in enumerate(palette)}
     return [index[colors[v]] for v in range(G.n)]

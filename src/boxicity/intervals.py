@@ -11,7 +11,7 @@ them the search space for everything in this package: a graph is the
 intersection of d interval graphs iff there are d orderings whose umbrella
 closures intersect to the graph itself.
 
-Correctness basis for umbrella_closure.  Define reach(u) as the largest
+Correctness basis for closure_layer.  Define reach(u) as the largest
 position among u's neighbors placed after u (or u's own position if there is
 none), and C := { (u, v) : p(u) < p(v) <= reach(u) }.  Then:
 
@@ -24,7 +24,10 @@ none), and C := { (u, v) : p(u) < p(v) <= reach(u) }.  Then:
 
 So C is the unique least umbrella-free supergraph, i.e. the fixpoint of
 repeatedly adding the forced edge uv whenever p(u) < p(v) < p(w) and uw is
-present.  The test suite re-derives the fixpoint naively with randomized
+present: the umbrella closure of sigma.  Giving u the interval
+[p(u) + 1, reach(u) + 1] makes u and a later v meet exactly when
+p(v) <= reach(u), so that layer's graph is C, read off G's reaches without
+building C.  The test suite re-derives the fixpoint naively with randomized
 rule application and compares.
 
 Orderings are plain tuples of vertex ids.  An interval endpoint is an int,
@@ -154,68 +157,17 @@ def _disagreeing_pairs(meet: dict[int, int], nbr, keep=lambda u: -1):
 
 
 # ---------------------------------------------------------------------------
-# umbrella machinery
+# the layer of an ordering's closure
 # ---------------------------------------------------------------------------
 
 
-def check_ordering(G: Graph, sigma) -> tuple[int, ...]:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(G.n)):
-        raise InvalidInput(
-            f"ordering {list(sigma)} is not a permutation of 0..{G.n - 1}"
-        )
-    return sigma
-
-
-def _reach(G: Graph, sigma: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Per position i: reach[i], the largest position of a neighbor of
-    sigma[i] after i (i itself if none), and later[i], how many neighbors
-    of sigma[i] come after i."""
+def closure_layer(G: Graph, sigma) -> dict[int, Interval]:
+    """The layer of sigma's umbrella closure, sigma a permutation of V(G):
+    the vertex at position i gets [i + 1, reach + 1], reach being the last
+    position of it or a neighbour (module docstring)."""
     pos = {v: i for i, v in enumerate(sigma)}
-    reach, later = [], []
-    for i, v in enumerate(sigma):
-        after = [pos[w] for w in G.neighbors(v) if pos[w] > i]
-        reach.append(max(after, default=i))
-        later.append(len(after))
-    return reach, later
-
-
-def umbrella_closure(G: Graph, sigma) -> Graph:
-    """Least supergraph of G for which sigma is umbrella-free.
-
-    Equals the fixpoint of the forcing rule (module docstring); computed in
-    one pass from neighbor reaches.
-    """
-    sigma = check_ordering(G, sigma)
-    reach, _ = _reach(G, sigma)
-    edges = set(G.edges)
-    for i in range(G.n):
-        u = sigma[i]
-        for j in range(i + 1, reach[i] + 1):
-            v = sigma[j]
-            edges.add((u, v) if u < v else (v, u))
-    return Graph(G.n, frozenset(edges))
-
-
-def representation_from_ordering(G: Graph, sigma) -> dict[int, Interval]:
-    """Canonical interval representation read off an umbrella-free ordering.
-
-    Vertex at position i (1-based) gets [i, max(i, positions of its later
-    neighbors)].  Its intersection graph is G exactly when the precondition
-    holds.
-
-    The precondition is checked from the reaches in O(n + m).  The later
-    neighbors of the vertex at position i all lie in (i, reach[i]], and
-    sigma is umbrella-free exactly when they fill that range, that is, when
-    there are reach[i] - i of them: an umbrella p(u) < p(v) < p(w) with uw
-    an edge and uv not is a position p(v) in (p(u), reach(u)) holding no
-    neighbor of u.
-    """
-    sigma = check_ordering(G, sigma)
-    reach, later = _reach(G, sigma)
-    if any(later[i] != reach[i] - i for i in range(G.n)):
-        raise InvalidInput("ordering is not umbrella-free for this graph")
-    return {v: Interval(i + 1, reach[i] + 1) for i, v in enumerate(sigma)}
+    return {v: Interval(i + 1, max([i, *map(pos.__getitem__, G.neighbors(v))]) + 1)
+            for v, i in pos.items()}
 
 
 # ---------------------------------------------------------------------------

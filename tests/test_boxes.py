@@ -35,7 +35,7 @@ from boxicity.graphs import (
     random_graph,
     roberts_graph,
 )
-from boxicity.intervals import Interval, representation_from_ordering
+from boxicity.intervals import Interval, closure_layer
 
 from util import (
     assert_represents,
@@ -330,7 +330,7 @@ def test_sur2_random_cases():
 
 
 def test_sur2bis_double_completes_a_path_into_a_triangle():
-    R = representation_from_ordering(path(3), (0, 1, 2))
+    R = closure_layer(path(3), (0, 1, 2))
     B = from_interval_reps([R])
     doubled = sur2bis_double(B, (0, 2))
     assert doubled.d == 2

@@ -30,9 +30,9 @@ from boxicity.boxes import (
 )
 from boxicity.certificates import ForestStablePartition, PairCover, Separation
 from boxicity.cli import _dump, main
-from boxicity.derivation import BaseOracleStep, RobertsStep, Sur1Step, Sur2Step
+from boxicity.derivation import AcyclicStep, BaseOracleStep, RobertsStep, Sur1Step, Sur2Step
 from boxicity.exact import SearchBudget
-from boxicity.graphs import graph_from_dict, graph_to_dict, roberts_graph
+from boxicity.graphs import graph_from_dict, graph_to_dict, make_graph, roberts_graph
 from boxicity.intervals import Interval
 from boxicity.posets import adjacency_poset, intersect_orders, is_linear_extension, starred_poset
 
@@ -908,6 +908,22 @@ def test_verify_domain_mismatch_is_input_error(tmp_path):
     assert main(["verify", str(c4), str(rep)]) == 2
 
 
+@pytest.mark.parametrize("graph_n, layout_n, message", [
+    (1999, 2000, "vertex 1999 is only in the representation"),
+    (2001, 2000, "vertex 2000 is only in the graph"),
+    (0, 2000, "vertex 0 is only in the representation"),
+])
+def test_verify_names_one_vertex_of_a_domain_mismatch(tmp_path, capsys, graph_n, layout_n,
+                                                      message):
+    g, layout, rep = tmp_path / "g.json", tmp_path / "layout.json", tmp_path / "rep.json"
+    assert main(["gen", "path", str(layout_n), "-o", str(layout)]) == 0
+    assert main(["construct", "forest", str(layout), "-o", str(rep)]) == 0
+    assert main(["gen", "path", str(graph_n), "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(g), str(rep)]) == 2
+    assert capsys.readouterr().err == f"error: domain does not match the graph: {message}\n"
+
+
 @pytest.mark.parametrize("row, message", [
     ([[5, [1, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
     ([[[0, 1, 1], [1, 1]]], "vertices[0][0]: rational must be [numerator, denominator]"),
@@ -970,6 +986,37 @@ def test_poset_realizer_file(tmp_path):
     P, star = adjacency_poset(G), starred_poset(G)
     assert all(is_linear_extension(P, L) for L in orders)
     assert intersect_orders(orders) & star.relation == P.relation
+
+
+def acyclic_under_sur1(colors):
+    """A derive script whose root sur1 step hands vertices 2..4 (level ids
+    0..2) to an acyclic step with the given coloring, in root ids."""
+    return Sur1Step(cover=PairCover(X=(0, 1), pairs=((0, 1),)),
+                    sub=AcyclicStep(coloring=colors))
+
+
+@pytest.mark.parametrize("argv, colors, message", [
+    (["poset", "g.json", "--coloring", "col.json"], {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 7: 0},
+     "coloring colors 7, which is not a vertex of the 5-vertex graph"),
+    (["poset", "g.json", "--coloring", "col.json"], {0: 0, 1: 1, 2: 0, 4: 2},
+     "coloring gives vertex 3 no color"),
+    (["construct", "acyclic", "g.json", "--coloring", "col.json", "-o", "rep.json"],
+     {0: 0, 1: 1, 2: 0, 4: 2}, "root: coloring gives vertex 3 no color"),
+    (["derive", "g.json", "s.json", "-o", "rep.json"], {2: 0, 3: 1},
+     "root/sub: coloring gives vertex 4 no color"),
+], ids=["poset-extra-key", "poset-missing", "acyclic-missing", "derive-child-missing"])
+def test_a_coloring_fault_names_its_vertex(tmp_path, capsys, monkeypatch, argv, colors, message):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "derive":
+        write_json(tmp_path / "g.json", graph_to_dict(make_graph(5, [(2, 3), (3, 4)])))
+        write_json(tmp_path / "s.json", script_doc(acyclic_under_sur1(colors)))
+    else:
+        assert main(["gen", "cycle", "5", "-o", "g.json"]) == 0
+        write_json(tmp_path / "col.json", {"colors": {str(v): c for v, c in colors.items()}})
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_poset_dimension_queries(tmp_path, capsys):

@@ -272,8 +272,9 @@ def test_sur2bis_requires_a_clique():
 def test_explicit_rep_must_match():
     G = cycle(4)
     wrong = universal_representation(cycle(5))
-    with pytest.raises(CertificateError, match="covers vertices"):
+    with pytest.raises(CertificateError, match="covers vertices") as info:
         assemble(G, BaseExplicitStep(rep=wrong))
+    assert str(info.value).endswith("vertex 4 is only in the representation")
     close = universal_representation(make_graph(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(CertificateError, match="disagrees on pair"):
         assemble(G, BaseExplicitStep(rep=close))

@@ -33,12 +33,11 @@ from boxicity.graphs import (
 from boxicity.intervals import (
     Interval,
     canonical_extension,
+    closure_layer,
     interval_from_pairs,
     interval_to_pairs,
     meet_masks,
-    representation_from_ordering,
     span,
-    umbrella_closure,
 )
 
 from util import (
@@ -197,10 +196,10 @@ def test_is_umbrella_free_examples():
 
 def test_umbrella_closure_on_a_four_cycle():
     G = cycle(4)
-    closed = umbrella_closure(G, (0, 1, 2, 3))
+    closed = interval_graph_of(closure_layer(G, (0, 1, 2, 3)))
     assert closed.edges == G.edges | {(0, 2)}
     # the other diagonal is forced when the ordering is rotated
-    closed = umbrella_closure(G, (1, 2, 3, 0))
+    closed = interval_graph_of(closure_layer(G, (1, 2, 3, 0)))
     assert closed.edges == G.edges | {(1, 3)}
 
 
@@ -237,7 +236,7 @@ def test_umbrella_closure_matches_randomized_fixpoint():
         G = random_graph(n, rng.random(), rng.randrange(10**6))
         sigma = list(range(n))
         rng.shuffle(sigma)
-        closed = umbrella_closure(G, sigma)
+        closed = interval_graph_of(closure_layer(G, sigma))
         # fixpoint is unique no matter the order forced edges are added in
         for shuffle_seed in (case, case + 1):
             assert naive_closure(G, sigma, shuffle_seed) == closed
@@ -250,39 +249,16 @@ def test_umbrella_closure_properties():
         G = random_graph(n, rng.random(), rng.randrange(10**6))
         sigma = list(range(n))
         rng.shuffle(sigma)
-        closed = umbrella_closure(G, sigma)
+        closed = interval_graph_of(closure_layer(G, sigma))
         assert closed.edges >= G.edges
         assert is_umbrella_free(closed, sigma)
-        # closure is the identity exactly on umbrella-free pairs
+        # the layer's graph is G exactly on umbrella-free orderings
         assert (closed == G) == is_umbrella_free(G, sigma)
 
 
-def test_representation_from_ordering_frozen_example():
-    R = representation_from_ordering(path(3), (0, 1, 2))
+def test_closure_layer_frozen_example():
+    R = closure_layer(path(3), (0, 1, 2))
     assert R == {0: iv(1, 2), 1: iv(2, 3), 2: iv(3, 3)}
-
-
-def test_representation_from_ordering_requires_umbrella_free():
-    with pytest.raises(InvalidInput):
-        representation_from_ordering(cycle(4), (0, 1, 2, 3))
-
-
-def test_representation_from_ordering_recovers_the_graph():
-    rng = random.Random(99)
-    for _ in range(60):
-        n = rng.randrange(1, 9)
-        G = random_graph(n, rng.random(), rng.randrange(10**6))
-        sigma = list(range(n))
-        rng.shuffle(sigma)
-        # the reach test rejects exactly the orderings the triple loop does
-        if is_umbrella_free(G, sigma):
-            assert interval_graph_of(representation_from_ordering(G, sigma)) == G
-        else:
-            with pytest.raises(InvalidInput, match="not umbrella-free"):
-                representation_from_ordering(G, sigma)
-        closed = umbrella_closure(G, sigma)
-        R = representation_from_ordering(closed, sigma)
-        assert interval_graph_of(R) == closed
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +315,8 @@ def test_canonical_extension_properties():
         sub_edges = {
             (u, v) for u, v in combinations(X, 2) if G.has_edge(u, v)
         }
-        # build a representation of a supergraph of G[X] from an umbrella
-        # closure of the induced subgraph
+        # build a representation of a supergraph of G[X] from the closure
+        # layer of an ordering of the induced subgraph
         spread = {v: i for i, v in enumerate(X)}
         H = Graph(
             len(X),
@@ -348,8 +324,7 @@ def test_canonical_extension_properties():
         )
         sigma = list(range(len(X)))
         rng.shuffle(sigma)
-        closed = umbrella_closure(H, sigma)
-        R = {X[i]: x for i, x in representation_from_ordering(closed, sigma).items()}
+        R = {X[i]: x for i, x in closure_layer(H, sigma).items()}
         [ext] = canonical_extension([R], G)
         assert set(ext) == set(range(n))
         for u, v in combinations(range(n), 2):

@@ -4,10 +4,11 @@ perfbench/tracing.py wraps `(module, name)` pairs and certificate classes
 by attribute; a renamed or deleted function would make `--trace 1` fail or
 time nothing.  The file is imported by path and left as it is.
 
-The same names bound the package's public surface: every public function
-or class in src/ must have a caller in src/, except the few pinned ones
-that only the tracer keeps.  Every *_from_dict decoder, timed by the
-tracer or not, reads its document through graphs.fields.
+The same names bound the package's surface: every module-level function
+or class in src/, public or private, must have a caller in src/, except
+the few pinned public ones that only the tracer keeps.  Every *_from_dict
+decoder, timed by the tracer or not, reads its document through
+graphs.fields.
 """
 
 import ast
@@ -45,10 +46,11 @@ TRACER_ONLY = ["derivation.validate_script", "exact.acyclic_chromatic_number",
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    """A public module-level def or class is used somewhere in src/ outside
-    its own definition (as a name, an attribute or an import alias); a
-    function that only calls itself has no caller.  The names the tracer
-    alone keeps are pinned, so a new one shows here too."""
+    """A module-level def or class, private ones included (dunders
+    aside), is used somewhere in src/ outside its own definition (as a
+    name, an attribute or an import alias); a function that only calls
+    itself has no caller.  The public names the tracer alone keeps are
+    pinned, so a new one shows here too."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     used = set()
     for tree in trees.values():
@@ -70,7 +72,7 @@ def test_every_public_name_has_a_caller_in_the_package():
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
     ]
     traced = {name for targets in load_tracing().WRAPPED.values() for _, name in targets}

@@ -29,9 +29,10 @@ from boxicity.derivation import (
     Sur2Step,
     Sur2bisStep,
 )
+from boxicity.errors import InvalidInput
 from boxicity.exact import SearchBudget
 from boxicity.graphs import Graph, _bits, make_graph, roberts_graph
-from boxicity.intervals import Interval, check_ordering
+from boxicity.intervals import Interval
 
 
 def all_graphs(n):
@@ -152,7 +153,9 @@ def intersect_orders_reference(orders) -> frozenset:
 def is_umbrella_free(G: Graph, sigma) -> bool:
     """Definition-level check over all position triples: p(u) < p(v) < p(w)
     with uw an edge forces uv to be an edge."""
-    sigma = check_ordering(G, sigma)
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(G.n)):
+        raise InvalidInput(f"ordering {list(sigma)} is not a permutation of 0..{G.n - 1}")
     for a in range(G.n):
         u = sigma[a]
         for c in range(a + 2, G.n):
