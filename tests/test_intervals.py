@@ -261,6 +261,24 @@ def test_closure_layer_frozen_example():
     assert R == {0: iv(1, 2), 1: iv(2, 3), 2: iv(3, 3)}
 
 
+def test_representation_from_ordering_recovers_the_graph():
+    rng = random.Random(99)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        G = random_graph(n, rng.random(), rng.randrange(10**6))
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        # the layer represents G itself exactly when the triple loop finds
+        # sigma umbrella-free; otherwise it represents a strict supergraph
+        layer_graph = interval_graph_of(closure_layer(G, sigma))
+        if is_umbrella_free(G, sigma):
+            assert layer_graph == G
+        else:
+            assert layer_graph.edges > G.edges
+        # the closure is umbrella-free for sigma, so its own layer gives it back
+        assert interval_graph_of(closure_layer(layer_graph, sigma)) == layer_graph
+
+
 # ---------------------------------------------------------------------------
 # recognition: G is an interval graph exactly when box(G) <= 1
 # ---------------------------------------------------------------------------
