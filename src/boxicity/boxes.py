@@ -17,9 +17,10 @@ and their agreement with the graph, so that each child is checked once, by
 the composition that takes it; canonical_extension then lifts its layers
 unchecked, since a child that agrees with the graph covers every edge in
 each layer.  sur2bis_double takes its child as it is, and the pipelines
-lift exact forest_two_dim layouts: what consumes these results checks them
-(derivation.assemble at the root).  Doubling keeps every pair outside K,
-so a wrong child still fails that check.  The dimensions:
+lay out their forests in G's own ids, unchecked: what consumes these
+results checks them (derivation.assemble at the root).  Doubling keeps
+every pair outside K, so a wrong child still fails that check.  The
+dimensions:
 
   pair/singleton gadgets      1 dimension, breaks all non-adjacencies at the
                               chosen vertices
@@ -44,8 +45,7 @@ from .graphs import (
     Graph,
     check_vertex_set,
     fields,
-    find_cycle,
-    induced_subgraph,
+    forest_walk,
     is_int,
     vertex_map,
 )
@@ -128,16 +128,23 @@ def verify_representation(B: BoxRepresentation, G: Graph) -> VerificationReport:
     The domain must be exactly V(G); a wrong domain is an input error, not a
     verification failure, and names the lowest vertex on one side only.
     """
-    stray = min(B.layers[0].keys() ^ range(G.n), default=None)
-    if stray is not None:
-        side = "representation" if stray in B.layers[0] else "graph"
-        raise InvalidInput(
-            f"domain does not match the graph: vertex {stray} is only in the {side}")
+    _check_domain(B, range(G.n), "domain does not match the graph",
+                  "the representation", "the graph")
     missing = []
     extra = []
     for u, v in _disagreeing_pairs(B.meet_masks(), G.nbr_masks):
         (missing if G.has_edge(u, v) else extra).append((u, v))
     return VerificationReport(not missing and not extra, missing, extra)
+
+
+def _check_domain(B: BoxRepresentation, vertices, what: str, ours: str, theirs: str) -> None:
+    """Require B's domain to be exactly vertices, else raise InvalidInput
+    naming the lowest vertex on one side only, as "only in" ours (B's side)
+    or theirs."""
+    stray = min(B.layers[0].keys() ^ vertices, default=None)
+    if stray is not None:
+        side = ours if stray in B.layers[0] else theirs
+        raise InvalidInput(f"{what}: vertex {stray} is only in {side}")
 
 
 def _check_agrees(B: BoxRepresentation, G: Graph, what: str) -> None:
@@ -207,13 +214,9 @@ def sur1_compose(
     pair contributes one pair-gadget dimension and every uncovered vertex of
     X one singleton dimension.  Total: d(B_sub) + |X| - #pairs.
     """
-    xs = set(cover.X)
-    rest = tuple(v for v in G.vertices() if v not in xs)
-    if B_sub.domain() != rest:
-        raise InvalidInput(
-            f"sub-representation domain {list(B_sub.domain())} is not "
-            f"V minus X = {list(rest)}"
-        )
+    _check_domain(B_sub, set(G.vertices()).difference(cover.X),
+                  "sub-representation domain is not V minus X", "the sub-representation",
+                  "V minus X")
     _check_agrees(B_sub, G, "sub-representation")
     dims = canonical_extension(B_sub.layers, G)
     for a, b in cover.pairs:
@@ -237,16 +240,8 @@ def sur2_compose(
     pair by pair.  One extra dimension places V1 at 0, V2 at 1 and X across
     [0, 1].  Total: d(B1) + d(B2) + 1.
     """
-    side1 = tuple(sorted(set(sep.V1) | set(sep.X)))
-    side2 = tuple(sorted(set(sep.V2) | set(sep.X)))
-    if B1.domain() != side1:
-        raise InvalidInput(
-            f"B1 domain {list(B1.domain())} is not V1 + X = {list(side1)}"
-        )
-    if B2.domain() != side2:
-        raise InvalidInput(
-            f"B2 domain {list(B2.domain())} is not V2 + X = {list(side2)}"
-        )
+    _check_domain(B1, {*sep.V1, *sep.X}, "B1 domain is not V1 + X", "B1", "V1 + X")
+    _check_domain(B2, {*sep.V2, *sep.X}, "B2 domain is not V2 + X", "B2", "V2 + X")
     # B1 may add non-edges inside X: those pairs are not compared
     in_x = set(sep.X)
     x_mask = sum(1 << v for v in in_x)
@@ -297,45 +292,27 @@ def sur2bis_double(B: BoxRepresentation, K) -> BoxRepresentation:
     return from_interval_reps(dims)
 
 
+def _forest_layers(G: Graph, S) -> tuple[dict[int, Interval], dict[int, Interval]]:
+    """The two layers of forest_two_dim for the forest G[S], in G's ids."""
+    walk, cyc = forest_walk(G, S)
+    if cyc is not None:
+        raise InvalidInput(f"not a forest: contains the cycle {cyc}")
+    return ({v: Interval(entry, exit_) for v, (entry, exit_, _) in walk.items()},
+            {v: Interval(2 * depth, 2 * depth + 2) for v, (_, _, depth) in walk.items()})
+
+
 def forest_two_dim(F: Graph) -> BoxRepresentation:
     """Two-dimensional representation of a forest.
 
-    Dimension 1 is the [entry, exit] window of a depth-first traversal
-    (boxes nest along root-to-leaf paths and are disjoint across branches);
-    dimension 2 is the depth band [2 depth, 2 depth + 2], which two boxes
-    share exactly when their depths differ by at most one.  Boxes then meet
-    exactly for parent-child pairs.  Components are traversed one after the
-    other from their smallest vertex, so their windows are disjoint.
+    Dimension 1 is the [entry, exit] window of a depth-first walk
+    (graphs.forest_walk: boxes nest along root-to-leaf paths and are
+    disjoint across branches); dimension 2 is the depth band
+    [2 depth, 2 depth + 2], which two boxes share exactly when their depths
+    differ by at most one.  Boxes then meet exactly for parent-child pairs.
+    Components are walked one after the other from their smallest vertex,
+    so their windows are disjoint.
     """
-    cyc = find_cycle(F)
-    if cyc is not None:
-        raise InvalidInput(f"not a forest: contains the cycle {cyc}")
-    entry = [0] * F.n
-    exit_ = [0] * F.n
-    depth = [0] * F.n
-    clock = 0
-    for root in range(F.n):
-        if entry[root]:
-            continue
-        clock += 1
-        entry[root] = clock
-        stack = [(root, iter(sorted(F.neighbors(root))))]
-        while stack:
-            v, children = stack[-1]
-            clock += 1
-            for w in children:
-                if not entry[w]:  # in a forest, only the parent was entered before
-                    entry[w] = clock
-                    depth[w] = depth[v] + 1
-                    stack.append((w, iter(sorted(F.neighbors(w)))))
-                    break
-            else:
-                exit_[v] = clock
-                stack.pop()
-    return BoxRepresentation((
-        {v: Interval(entry[v], exit_[v]) for v in F.vertices()},
-        {v: Interval(2 * depth[v], 2 * depth[v] + 2) for v in F.vertices()},
-    ))
+    return BoxRepresentation(_forest_layers(F, F.vertices()))
 
 
 def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
@@ -352,12 +329,7 @@ def acyclic_pipeline(G: Graph, colors: dict[int, int]) -> BoxRepresentation:
     dims = []
     for i, j in combinations(range(k), 2):
         keep = [v for v in G.vertices() if dense[v] in (i, j)]
-        sub, vmap = induced_subgraph(G, keep)
-        two = forest_two_dim(sub)
-        lifted = relabel_box_representation(
-            two, {new: old for new, old in enumerate(vmap)}
-        )
-        dims += canonical_extension(lifted.layers, G)
+        dims += canonical_extension(_forest_layers(G, keep), G)
     return from_interval_reps(dims)
 
 
@@ -378,11 +350,7 @@ def girth4_pipeline(G: Graph, part: ForestStablePartition) -> BoxRepresentation:
     p = len(S)
     pos = {s: t + 1 for t, s in enumerate(S)}
     if F:
-        sub, vmap = induced_subgraph(G, F)
-        two = relabel_box_representation(
-            forest_two_dim(sub), {new: old for new, old in enumerate(vmap)}
-        )
-        dims = canonical_extension(two.layers, G)
+        dims = canonical_extension(_forest_layers(G, F), G)
     else:
         # no forest side: the stable dimensions already separate everything
         dims = [dict.fromkeys(G.vertices(), Interval(0, 1))] * 2

@@ -18,8 +18,7 @@ from .graphs import (
     check_coloring,
     check_vertex_set,
     fields,
-    find_cycle,
-    induced_subgraph,
+    forest_walk,
     is_int,
     vertex_map,
     within_two,
@@ -179,12 +178,9 @@ class ForestStablePartition(namedtuple("ForestStablePartition", "F S")):
             raise CertificateError(f"partition: vertex {name(min(overlap))} is in both F and S")
         if len(F) + len(S) != G.n:
             raise CertificateError("partition: F and S do not cover the vertex set")
-        sub, vmap = induced_subgraph(G, F)
-        cyc = find_cycle(sub)
+        _, cyc = forest_walk(G, F)
         if cyc is not None:
-            raise CertificateError(
-                f"partition: F contains the cycle {[name(vmap[v]) for v in cyc]}"
-            )
+            raise CertificateError(f"partition: F contains the cycle {list(map(name, cyc))}")
         # lowest a first, then its lowest partner b > a
         in_s = sum(1 << v for v in S)
         for near, fault in ((G.nbr_masks, "edge ({}, {}) inside S"),
@@ -213,11 +209,9 @@ def acyclic_coloring_problems(G: Graph, colors: dict[int, int], ids=None) -> lis
         if dense[u] == dense[v]:
             return [f"coloring: edge ({name(u)}, {name(v)}) is monochromatic"]
     for i, j in combinations(range(max(dense, default=0) + 1), 2):
-        sub, vmap = induced_subgraph(G, [v for v in G.vertices() if dense[v] in (i, j)])
-        cyc = find_cycle(sub)
+        _, cyc = forest_walk(G, [v for v in G.vertices() if dense[v] in (i, j)])
         if cyc is not None:
-            return [f"coloring: classes {i} and {j} contain the cycle "
-                    f"{[name(vmap[v]) for v in cyc]}"]
+            return [f"coloring: classes {i} and {j} contain the cycle {list(map(name, cyc))}"]
     return []
 
 

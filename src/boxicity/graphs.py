@@ -263,37 +263,42 @@ def random_forest(n: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def find_cycle(G: Graph) -> list[int] | None:
-    """Some cycle of G as a vertex list, or None if G is a forest."""
-    parent: dict[int, int | None] = {}
-    for root in range(G.n):
-        if root in parent:
+def forest_walk(G: Graph, S) -> tuple[dict[int, tuple[int, int, int]], list[int] | None]:
+    """A depth-first walk of G[S] in G's own ids: roots in increasing order,
+    and each vertex's neighbours in S in increasing order, one clock tick
+    per step.  Returns (walk, None) with walk[v] = (entry, exit, depth) when
+    G[S] is a forest.  At the first edge to an entered vertex other than
+    the parent it stops and returns (walk so far, cycle), the cycle that
+    edge closes read off the walk's stack from that vertex down.
+    """
+    inside = set(S)
+    walk: dict[int, tuple[int, int, int]] = {}
+    depth: dict[int, int] = {}
+    clock = 0
+    for root in sorted(inside):
+        if root in depth:
             continue
-        parent[root] = None
-        stack = [(root, -1)]
+        clock += 1
+        depth[root] = 0
+        stack = [(root, clock, iter(sorted(G.neighbors(root) & inside)))]
         while stack:
-            v, prev = stack.pop()
-            for w in sorted(G.neighbors(v)):
-                if w == prev:
-                    continue
-                if w in parent:
-                    # walk both endpoints up to the root; the cycle closes at
-                    # the first common ancestor
-                    path_v = [v]
-                    x = v
-                    while parent[x] is not None:
-                        x = parent[x]
-                        path_v.append(x)
-                    ancestors = {u: i for i, u in enumerate(path_v)}
-                    path_w = [w]
-                    x = w
-                    while x not in ancestors:
-                        x = parent[x]
-                        path_w.append(x)
-                    return path_w + path_v[: ancestors[path_w[-1]]][::-1]
-                parent[w] = v
-                stack.append((w, v))
-    return None
+            v, entry, nbrs = stack[-1]
+            clock += 1
+            for w in nbrs:
+                if w not in depth:
+                    depth[w] = len(stack)
+                    stack.append((w, clock, iter(sorted(G.neighbors(w) & inside))))
+                    break
+                # an entered w is an ancestor of v, at stack index depth[w]:
+                # a vertex already left would have entered v, and a deeper
+                # descendant would have stopped the walk at this edge.  Any
+                # ancestor but the parent (index len(stack) - 2) closes a cycle.
+                if depth[w] < len(stack) - 2:
+                    return walk, [u for u, _, _ in stack[depth[w]:]]
+            else:
+                stack.pop()
+                walk[v] = (entry, clock, len(stack))
+    return walk, None
 
 
 def within_two(G: Graph) -> list[int]:

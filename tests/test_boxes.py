@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxicity.boxes import (
     BoxRepresentation,
+    _forest_layers,
     acyclic_pipeline,
     box_rep_from_dict,
     box_rep_to_dict,
@@ -28,6 +31,7 @@ from boxicity.errors import InvalidInput
 from boxicity.graphs import (
     complete,
     cycle,
+    forest_walk,
     induced_subgraph,
     make_graph,
     path,
@@ -43,6 +47,7 @@ from util import (
     box_graph_of,
     box_of,
     boxes_of,
+    forest_layout_reference,
     greedy_acyclic_coloring,
     interval_adjacent,
     interval_graph_of,
@@ -214,9 +219,13 @@ def test_sur1_compose_validates_inputs():
     with pytest.raises(CertificateError, match="is an edge"):
         # (0, 2) is an edge
         PairCover(X=(0, 1, 2, 3), pairs=((0, 2),)).validate(G)
-    with pytest.raises(InvalidInput):
-        # wrong domain
+    # a wrong domain names its lowest stray vertex and the side it is on
+    with pytest.raises(InvalidInput, match=r"^sub-representation domain is not V minus X: "
+                                           r"vertex 2 is only in V minus X$"):
         sur1_compose(G, PairCover(X=(0, 1), pairs=()), B_sub)
+    with pytest.raises(InvalidInput, match=r"^sub-representation domain is not V minus X: "
+                                           r"vertex 4 is only in the sub-representation$"):
+        sur1_compose(G, PairCover(X=(0, 1, 2, 3, 4), pairs=((0, 1), (2, 3))), B_sub)
     with pytest.raises(InvalidInput, match="X must leave at least one vertex"):
         # X must leave something behind
         assemble(roberts_graph(1),
@@ -296,6 +305,13 @@ def test_sur2_compose_validates_inputs():
     with pytest.raises(InvalidInput):
         # represents the non-edge (1, 2) but B2 must be exact
         sur2_compose(G, Separation(V1=(0,), V2=(3,), X=(1, 2)), B1, bad_b2)
+    # a wrong domain names its lowest stray vertex and the side it is on
+    sep = Separation(V1=(0,), V2=(3,), X=(1, 2))
+    with pytest.raises(InvalidInput, match=r"^B1 domain is not V1 \+ X: vertex 0 is only in "
+                                           r"V1 \+ X$"):
+        sur2_compose(G, sep, B2, B2)
+    with pytest.raises(InvalidInput, match=r"^B2 domain is not V2 \+ X: vertex 0 is only in B2$"):
+        sur2_compose(G, sep, B1, B1)
 
 
 def test_sur2_random_cases():
@@ -397,6 +413,32 @@ def test_forest_two_dim_random_forests():
     for seed in range(30):
         F = random_forest(9, seed)
         assert_represents(forest_two_dim(F), F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forest_layers_match_the_layout_of_the_induced_copy(data):
+    """Walking G[S] in G's own ids, for S in any order, gives the layers
+    that laying out the induced copy and relabelling it back gives; a cycle
+    is reported exactly when the reference search finds one, and it is a
+    real cycle of G[S]."""
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = list(combinations(range(n), 2))
+    G = make_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
+    S = data.draw(st.lists(st.sampled_from(range(n)), unique=True), label="S")
+    if data.draw(st.booleans(), label="sorted"):
+        S.sort()
+    reference = forest_layout_reference(G, S)
+    _, cyc = forest_walk(G, S)
+    assert (cyc is None) == (reference is not None)
+    if cyc is None:
+        assert _forest_layers(G, S) == reference
+        return
+    assert len(cyc) >= 3 and len(set(cyc)) == len(cyc) and set(cyc) <= set(S)
+    assert all(G.has_edge(v, cyc[i - 1]) for i, v in enumerate(cyc))
+    with pytest.raises(InvalidInput) as caught:
+        _forest_layers(G, S)
+    assert str(caught.value) == f"not a forest: contains the cycle {cyc}"
 
 
 def test_acyclic_pipeline_on_a_five_cycle():

@@ -52,7 +52,7 @@ CHORDED = make_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (6, 1), 
     # F holds a cycle and S an edge and a distance-2 pair: the cycle first
     (make_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]),
      ForestStablePartition(F=(0, 1, 2, 4), S=(3, 5, 6)),
-     "partition: F contains the cycle [1, 0, 2]"),
+     "partition: F contains the cycle [0, 1, 2]"),
     # an edge inside S comes before a distance-2 pair, even a lower one
     (path(7), ForestStablePartition(F=(1, 3, 4), S=(0, 2, 5, 6)),
      "partition: edge (5, 6) inside S"),
@@ -94,7 +94,7 @@ def test_coloring_reports_its_first_finding_only():
     # proper, but classes 0 and 1 hold the whole cycle
     alternating = {v: v % 2 for v in range(6)}
     assert acyclic_coloring_problems(G, alternating) == [
-        "coloring: classes 0 and 1 contain the cycle [1, 0, 5, 4, 3, 2]"
+        "coloring: classes 0 and 1 contain the cycle [0, 1, 2, 3, 4, 5]"
     ]
     assert validate_acyclic_coloring(G, {v: 2 * (v % 3) for v in range(6)}) == [
         0, 1, 2, 0, 1, 2

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxicity.__main__ as entry
-from boxicity import cli, exact
+from boxicity import cli, exact, posets
 
 from boxicity.boxes import (
     BoxRepresentation,
@@ -32,7 +32,7 @@ from boxicity.certificates import ForestStablePartition, PairCover, Separation
 from boxicity.cli import _dump, main
 from boxicity.derivation import AcyclicStep, BaseOracleStep, RobertsStep, Sur1Step, Sur2Step
 from boxicity.exact import SearchBudget
-from boxicity.graphs import graph_from_dict, graph_to_dict, make_graph, roberts_graph
+from boxicity.graphs import cycle, graph_from_dict, graph_to_dict, make_graph, path, roberts_graph
 from boxicity.intervals import Interval
 from boxicity.posets import adjacency_poset, intersect_orders, is_linear_extension, starred_poset
 
@@ -547,13 +547,51 @@ def test_every_document_names_its_shape_fault(tmp_path, capsys, command, doc, me
     """Each document kind read through graphs.fields: not an object, a
     missing key, an unknown key (a budget has no required key), and a
     vertex map that is not an object."""
+    assert_refused(tmp_path, capsys, graph_to_dict(cycle(6)), command, doc, message)
+
+
+def assert_refused(tmp_path, capsys, graph, command, doc, message):
+    """command, its {g} the graph and its {doc} the document (if any),
+    exits 2 with message and writes no {out}."""
     g, d, out = tmp_path / "g.json", tmp_path / "doc.json", tmp_path / "out.json"
-    assert main(["gen", "cycle", "6", "-o", str(g)]) == 0
-    d.write_text(doc)
+    write_json(g, graph)
+    if doc is not None:
+        d.write_text(doc)
     capsys.readouterr()
     assert main([arg.format(g=g, doc=d, out=out) for arg in command]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+FOREST = ["construct", "forest", "{g}", "-o", "{out}"]
+ASSIGNED = '{"cycle": [0, 1, 2, 3, 4, 5], "assignments": {%s}}'
+
+REFUSALS = [
+    (FIGURE1, ASSIGNED % '"0": ["S1", 0]', "classification: cycle vertex 0 has an assignment"),
+    (FIGURE1, ASSIGNED % '"9": ["S1", 0]',
+     "classification: assigned vertex 9 is not in the graph"),
+    (FIGURE1, ASSIGNED % '"6": ["S9", 0]', "classification: vertex 6 has unknown class 'S9'"),
+    (FIGURE1, ASSIGNED % '"6": ["S1", 6]', "classification: vertex 6 anchor 6 out of range"),
+    (GIRTH4, '{"F": [0, 1, 2], "S": [4]}',
+     "root: partition: F and S do not cover the vertex set"),
+    (DERIVE_DOC, '{"rule": "sur1", "cover": {"X": [0, 1, 2], "pairs": [[0, 2, 1]]}, '
+                 '"sub": {"rule": "roberts"}}', "pairs[0] must be a [a, b] pair"),
+    (DERIVE_DOC, CERT % '{"V1": [], "V2": [0, 1, 2, 3, 4, 5, 6], "X": []}',
+     "root: V1 and V2 must both be nonempty"),
+    (DERIVE_DOC, '{"rule": "sur2bis", "K": [0, 1, 0], "sub": {"rule": "roberts"}}',
+     "root: clique vertices must be distinct"),
+    (DERIVE_DOC, '{"rule": "base_oracle", "d_max": 0}', "root: d_max must be at least 1"),
+    (FOREST, None, "not a forest: contains the cycle [0, 1, 2, 3, 4, 5]"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", REFUSALS,
+                         ids=[message for _, _, message in REFUSALS])
+def test_every_refusal_names_its_fault(tmp_path, capsys, command, doc, message):
+    """Certificate and script faults past the document's shape, on a
+    six-cycle 0..5 with vertex 6 apart."""
+    graph = {"n": 7, "edges": [[v, (v + 1) % 6] for v in range(6)]}
+    assert_refused(tmp_path, capsys, graph, command, doc, message)
 
 
 def test_malformed_numbers_in_other_inputs_exit_2(tmp_path, capsys):
@@ -986,6 +1024,22 @@ def test_poset_realizer_file(tmp_path):
     P, star = adjacency_poset(G), starred_poset(G)
     assert all(is_linear_extension(P, L) for L in orders)
     assert intersect_orders(orders) & star.relation == P.relation
+
+
+def test_a_realizer_that_keeps_a_starred_pair_is_an_internal_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    """Without class 1's order, every order still puts 1 before its copy 3,
+    so the self-check finds the starred pair (1, 3) in all of them."""
+    p2, out = tmp_path / "p2.json", tmp_path / "realizer.json"
+    assert main(["gen", "path", "2", "-o", str(p2)]) == 0
+    real = posets.chi_realizer_extensions
+    assert real(path(2), {0: 0, 1: 1}) == [(1, 2, 0, 3), (0, 3, 1, 2)]
+    monkeypatch.setattr(posets, "chi_realizer_extensions", lambda G, colors: real(G, colors)[:1])
+    capsys.readouterr()
+    assert main(["poset", str(p2), "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: realizer lost the adjacency poset\n"
+    assert not out.exists()
 
 
 def acyclic_under_sur1(colors):

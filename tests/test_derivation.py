@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from boxicity.boxes import (
     BoxRepresentation,
+    _forest_layers,
     box_rep_from_dict,
-    forest_two_dim,
     relabel_box_representation,
     roberts_representation,
     verify_representation,
@@ -321,7 +321,7 @@ _HEXAGON = [(2 + i, 2 + (i + 1) % 6) for i in range(6)]
     + ("root/sub: coloring: edge (2, 3) is monochromatic",),
     _under_sur1(4, [(2, 3), (3, 4), (4, 5), (2, 5)],
                 AcyclicStep(coloring={2: 0, 3: 1, 4: 0, 5: 1}))
-    + ("root/sub: coloring: classes 0 and 1 contain the cycle [3, 2, 5, 4]",),
+    + ("root/sub: coloring: classes 0 and 1 contain the cycle [2, 3, 4, 5]",),
     _under_sur1(3, [(2, 3), (3, 4)], Sur2bisStep(K=(2, 4), sub=BaseOracleStep()))
     + ("root/sub: K is not a clique, (2, 4) is a non-edge",),
     _under_sur1(4, [(2, 3), (4, 5)], RobertsStep())
@@ -338,7 +338,7 @@ def test_nested_findings_name_the_step_and_root_ids(G, script, message):
 def test_root_findings_name_the_root_step():
     with pytest.raises(CertificateError) as caught:
         assemble(cycle(4), Girth4Step(part=ForestStablePartition(F=(0, 1, 2, 3), S=())))
-    assert str(caught.value) == "root: partition: F contains the cycle [1, 0, 3, 2]"
+    assert str(caught.value) == "root: partition: F contains the cycle [0, 1, 2, 3]"
 
 
 def test_assembly_verifies_the_result_once(monkeypatch):
@@ -405,13 +405,13 @@ def test_a_forest_layout_that_loses_an_edge_fails_at_the_root(monkeypatch, G, st
     loses an edge is a program fault, which the root check reports."""
     assemble(G, step)
 
-    def detached(F):
+    def detached(G, S):
         """The layout with forest vertex 0 moved off every window of
         dimension 1, so that it loses its forest edges."""
-        x, y = forest_two_dim(F).layers
-        return BoxRepresentation(({**x, 0: Interval(-2, -1)}, y))
+        x, y = _forest_layers(G, S)
+        return {**x, 0: Interval(-2, -1)}, y
 
-    monkeypatch.setattr("boxicity.boxes.forest_two_dim", detached)
+    monkeypatch.setattr("boxicity.boxes._forest_layers", detached)
     with pytest.raises(RuntimeError, match=r"^root: assembled representation disagrees "
                                            rf"on pair \({pair[0]}, {pair[1]}\)$"):
         assemble(G, step)

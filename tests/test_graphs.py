@@ -13,7 +13,7 @@ from boxicity.graphs import (
     complete,
     cycle,
     fields,
-    find_cycle,
+    forest_walk,
     graph_from_dict,
     graph_to_dict,
     induced_subgraph,
@@ -142,7 +142,7 @@ def test_subdivided_complete_three_is_a_six_cycle():
     assert len(G.edges) == 6
     assert all(G.degree(v) == 2 for v in G.vertices())
     assert len(connected_components(G)) == 1
-    assert find_cycle(G) is not None
+    assert forest_walk(G, G.vertices())[1] == [0, 3, 1, 5, 2, 4]
 
 
 def test_random_generators_are_seed_deterministic():
@@ -155,14 +155,15 @@ def test_random_generators_are_seed_deterministic():
 
 def test_random_forest_is_a_forest():
     for seed in range(20):
-        assert find_cycle(random_forest(10, seed)) is None
+        F = random_forest(10, seed)
+        assert forest_walk(F, F.vertices())[1] is None
 
 
-def test_find_cycle_returns_a_real_cycle():
+def test_forest_walk_returns_a_real_cycle():
     rng = random.Random(5)
     for _ in range(30):
         G = random_graph(8, rng.random(), rng.randrange(10**6))
-        cyc = find_cycle(G)
+        _, cyc = forest_walk(G, G.vertices())
         if cyc is None:
             continue
         assert len(cyc) >= 3

@@ -94,6 +94,21 @@ def test_every_decoder_reads_its_document_through_fields():
     assert [name for name, ok in decoders.items() if not ok] == []
 
 
+def test_only_derivation_copies_an_induced_subgraph():
+    """Forests are walked in place, in G's own ids (graphs.forest_walk), so
+    an induced, relabelled copy is made only where derivation builds a
+    child level."""
+    callers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "induced_subgraph":
+                    callers.add(path.stem)
+    assert callers == {"derivation"}
+
+
 def test_the_tracer_sees_every_layer_the_cli_jobs_reach(tmp_path):
     """The CLI imports a layer's module inside the subcommand and calls
     through it, so the tracer, which replaces the module's attributes,

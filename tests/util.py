@@ -31,7 +31,7 @@ from boxicity.derivation import (
 )
 from boxicity.errors import InvalidInput
 from boxicity.exact import SearchBudget
-from boxicity.graphs import Graph, _bits, make_graph, roberts_graph
+from boxicity.graphs import Graph, _bits, induced_subgraph, make_graph, roberts_graph
 from boxicity.intervals import Interval
 
 
@@ -76,6 +76,73 @@ def bfs_distances(G: Graph, source: int) -> list[int | None]:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def find_cycle_reference(G: Graph) -> list[int] | None:
+    """Some cycle of G as a vertex list, or None if G is a forest: a
+    stack-pop search that walks both ends of the first non-tree edge up to
+    their first common ancestor."""
+    parent: dict[int, int | None] = {}
+    for root in range(G.n):
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [(root, -1)]
+        while stack:
+            v, prev = stack.pop()
+            for w in sorted(G.neighbors(v)):
+                if w == prev:
+                    continue
+                if w in parent:
+                    path_v = [v]
+                    x = v
+                    while parent[x] is not None:
+                        x = parent[x]
+                        path_v.append(x)
+                    ancestors = {u: i for i, u in enumerate(path_v)}
+                    path_w = [w]
+                    x = w
+                    while x not in ancestors:
+                        x = parent[x]
+                        path_w.append(x)
+                    return path_w + path_v[: ancestors[path_w[-1]]][::-1]
+                parent[w] = v
+                stack.append((w, v))
+    return None
+
+
+def forest_layout_reference(G: Graph, S):
+    """The two forest layers of G[S] in G's ids, the long way: the induced
+    copy of G[S], checked by find_cycle_reference, laid out by a walk of
+    its own ([entry, exit] windows and depth bands [2 depth, 2 depth + 2]),
+    and relabelled back.  None when G[S] holds a cycle."""
+    F, vmap = induced_subgraph(G, S)
+    if find_cycle_reference(F) is not None:
+        return None
+    entry = [0] * F.n
+    exit_ = [0] * F.n
+    depth = [0] * F.n
+    clock = 0
+    for root in range(F.n):
+        if entry[root]:
+            continue
+        clock += 1
+        entry[root] = clock
+        stack = [(root, iter(sorted(F.neighbors(root))))]
+        while stack:
+            v, children = stack[-1]
+            clock += 1
+            for w in children:
+                if not entry[w]:  # in a forest, only the parent was entered before
+                    entry[w] = clock
+                    depth[w] = depth[v] + 1
+                    stack.append((w, iter(sorted(F.neighbors(w)))))
+                    break
+            else:
+                exit_[v] = clock
+                stack.pop()
+    return ({vmap[v]: Interval(entry[v], exit_[v]) for v in F.vertices()},
+            {vmap[v]: Interval(2 * depth[v], 2 * depth[v] + 2) for v in F.vertices()})
 
 
 def find_forest_stable_partition_reference(
@@ -413,8 +480,6 @@ def greedy_acyclic_coloring(G: Graph) -> dict[int, int]:
             trial[v] = c
             # validate on the colored prefix only
             sub_vertices = sorted(trial)
-            from boxicity.graphs import induced_subgraph
-
             sub, vmap = induced_subgraph(G, sub_vertices)
             dense = {i: trial[old] for i, old in enumerate(vmap)}
             if not acyclic_coloring_problems(sub, dense):
