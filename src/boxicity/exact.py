@@ -29,15 +29,20 @@ again; the memo lives for one walk, since the tracked set, the dimensions
 left and the target differ between walks.  It holds at most one entry per
 node: at the default cap of 2,000,000 nodes on G(16, 1/2) seed 1 it
 measured +16 MB of peak RSS under Python 3.11, and +1.5 MB at 250,000
-nodes.  Colorings (proper, acyclic, and the critical-pair colorings behind
-poset dimension) share one backtracker.
+nodes.  Up to LATTICE_MAX_VERTICES vertices the last dimension, where
+nearly all nodes go, keeps no memo: its state is its placed set alone, so
+it is decided over all placed sets at once, by bit operations on families
+of 2^n bits, with the walk's ordering and node count.  Colorings
+(proper, acyclic, and the critical-pair colorings behind poset dimension)
+share one backtracker.
 
 Everything here is exponential in the worst case and intended for small
 inputs; budgets cap nodes and wall time rather than letting a search run
 away.  A node of the boxicity search is one unplaced vertex tried at a
 state of an ordering walk, counted in a batch when the walk expands a
-vertex or leaves the state; the clique bound counts one per branch and the
-colorings one per color tried.
+vertex or leaves the state, or in one batch per last dimension decided on
+the lattice; the clique bound counts one per branch and the colorings one
+per color tried.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ from .intervals import closure_layer
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower-bound-only"
 STATUS_BUDGET = "budget-exhausted"
+
+# The last dimension is decided over the lattice of placed sets, one bit
+# per set, up to this many vertices; above it the walk visits them in turn.
+LATTICE_MAX_VERTICES = 12
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes time_limit")):
@@ -186,6 +195,30 @@ def clique_number(adj: list[int], meter: BudgetMeter) -> int:
     return best
 
 
+def subset_families(G: Graph) -> tuple[list[int], list[int]]:
+    """has[x] and open_[y] for each vertex: families of placed sets, bit P
+    of a family set when it holds the vertex mask P.  has[x] holds the sets
+    that contain x, open_[y] those in which y is placed and still has an
+    unplaced neighbour."""
+    size = 1 << G.n
+    has = []
+    for x in range(G.n):
+        # in each block of 2 << x sets, the upper half contains x
+        width = 2 << x
+        family = (1 << width) - (1 << (width >> 1))
+        while width < size:
+            family |= family << width
+            width <<= 1
+        has.append(family)
+    open_ = []
+    for y, nbrs in enumerate(G.nbr_masks):
+        covered = -1
+        for z in _bits(nbrs):
+            covered &= has[z]
+        open_.append(has[y] & ~covered)
+    return has, open_
+
+
 class _ClosureSearch:
     """Sets of non-edges are int masks over the indices of self.non_edges,
     sets of vertices int masks over the vertices.  Nothing depends on d."""
@@ -203,6 +236,8 @@ class _ClosureSearch:
         self.closed = [m | 1 << x for x, m in enumerate(G.nbr_masks)]
         # survivors[x][partners]: _survivors(x, partners), filled as met
         self.survivors: list[dict[int, tuple[int, int]]] = [{} for _ in range(G.n)]
+        # subset_families(G), built at the first last-dimension call
+        self.lattice: tuple[list[int], list[int]] | None = None
 
     def _survivors(self, x: int, partners: int) -> tuple[int, int]:
         """The non-edges from x to the vertex mask partners, and the union of
@@ -237,7 +272,9 @@ class _ClosureSearch:
         it for good.  With two dimensions left, the survivors must be
         pairwise free of chord conflicts.  With one, nothing may survive:
         a state is its placed set alone, and every vertex with a tracked
-        partner among the open ones is cut at once.
+        partner among the open ones is cut at once.  Up to
+        LATTICE_MAX_VERTICES vertices, _last_on_lattice decides that last
+        walk instead, with the same outcome and nodes.
 
         A node is one unplaced vertex tried at a state, cut or expanded.
         The walk counts them when it expands a vertex and when a state's
@@ -260,6 +297,8 @@ class _ClosureSearch:
             rem_nbr[v] |= 1 << u
         # every tracked pair is decided once all these ends are placed
         ends = sum(1 << x for x, partners in enumerate(rem_nbr) if partners)
+        if dims_left == 1 and n <= LATTICE_MAX_VERTICES:
+            return self._last_on_lattice(rem_nbr, ends, complete)
         # guard[x]: placing x lets the target survive if this vertex is open
         guard = [0] * n
         if target is not None:
@@ -347,6 +386,72 @@ class _ClosureSearch:
 
         return last(0, 0) if dims_left == 1 else extend(0, 0, 0)
 
+    def _last_on_lattice(self, rem_nbr: list[int], ends: int, complete):
+        """The last dimension's walk, decided over all placed sets at once.
+
+        allowed[x] is the family of placed sets at which the walk may place
+        x, and the walk's states are the family reached from the empty set.
+        A state that fails tries each unplaced vertex once, as a node.  The
+        first ordering takes at each state the lowest allowed vertex from
+        which a state placing every end is reached; the allowed vertices
+        below it start subtrees that fail whole, and a state on the path
+        counts its unplaced vertices up to the one it places.  One batch
+        tick counts and reads the clock as the walk's ticks would.
+        """
+        if self.lattice is None:
+            self.lattice = subset_families(self.G)
+        has, open_ = self.lattice
+        vertices = (1 << self.G.n) - 1
+        full = (1 << (1 << self.G.n)) - 1
+        allowed = []
+        for x, partners in enumerate(rem_nbr):
+            cut = has[x]
+            for y in _bits(partners):
+                cut |= open_[y]
+            allowed.append(full & ~cut)
+        done = full  # the states that place every end
+        for z in _bits(ends):
+            done &= has[z]
+
+        def forward(family: int) -> int:
+            while True:
+                before = family
+                for x, step in enumerate(allowed):
+                    family |= (family & step) << (1 << x)
+                if family == before:
+                    return family
+
+        def nodes(family: int) -> int:
+            return sum((family & ~h).bit_count() for h in has)
+
+        reach = forward(1)
+        if not reach & done:
+            self.meter.tick(nodes(reach))
+            return None
+        # the reached states from which a state in done is reached
+        good = reach & done
+        while True:
+            before = good
+            for x, step in enumerate(allowed):
+                good |= reach & step & good >> (1 << x)
+            if good == before:
+                break
+        order = []
+        placed = failed = count = 0
+        while not done >> placed & 1:
+            unplaced = vertices & ~placed
+            for x in _bits(unplaced):
+                now = placed | 1 << x
+                if allowed[x] >> placed & 1:
+                    if good >> now & 1:
+                        break
+                    failed |= 1 << now
+            count += (unplaced & (2 << x) - 1).bit_count()
+            order.append(x)
+            placed = now
+        self.meter.tick(count + nodes(forward(failed)))
+        return complete(tuple(order) + tuple(_bits(vertices & ~placed)), 0)
+
     def search(self, dims_left: int, remaining: int):
         """At most dims_left orderings excluding the mask remaining, or None."""
         if not remaining:
@@ -382,8 +487,8 @@ def boxicity_at_most(
     search's chord-conflict table and survivor memo.  The result's nodes
     are this call's.
     """
-    if d < 1:
-        raise InvalidInput("dimension must be at least 1")
+    if not is_int(d) or d < 1:
+        raise InvalidInput(f"dimension must be an int of at least 1, got {d!r}")
     if G.n == 0:
         raise InvalidInput("boxicity needs at least one vertex")
     search = budget if isinstance(budget, _ClosureSearch) else None
@@ -425,8 +530,8 @@ def exact_boxicity(
         raise InvalidInput("boxicity needs at least one vertex")
     if d_max is None:
         d_max = max(1, G.n // 2)
-    if d_max < 1:
-        raise InvalidInput("d_max must be at least 1")
+    if not is_int(d_max) or d_max < 1:
+        raise InvalidInput(f"d_max must be an int of at least 1, got {d_max!r}")
     meter = (budget or SearchBudget()).meter()
     try:
         search = _ClosureSearch(G, meter)

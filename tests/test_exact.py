@@ -89,6 +89,14 @@ def test_invalid_arguments():
             SearchBudget(**limits)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.5, True, 2.0, "2"])
+def test_a_dimension_must_be_an_int(d):
+    with pytest.raises(InvalidInput, match="dimension must be an int of at least 1"):
+        boxicity_at_most(cycle(5), d)
+    with pytest.raises(InvalidInput, match="d_max must be an int of at least 1"):
+        exact_boxicity(cycle(5), d_max=d)
+
+
 def test_exact_known_values():
     for G, want in [
         (path(4), 1),
@@ -240,13 +248,7 @@ def capped_graphs(draw):
     return make_graph(n, edges), SearchBudget(max_nodes=cap)
 
 
-@settings(max_examples=200, deadline=None)
-@given(capped_graphs())
-def test_the_walk_matches_the_one_tick_per_candidate_reference(case):
-    """The bit-mask walk counts a state's nodes in batches, but walks the
-    same tree: the same outcomes, orderings and node counts, capped or not."""
-    G, budget = case
-
+def assert_matches_the_reference(G, budget):
     def calls():
         return [outcome(exact_boxicity(G, budget=budget))] + [
             outcome(boxicity_at_most(G, d, budget)) for d in (1, 2, 3)]
@@ -255,6 +257,37 @@ def test_the_walk_matches_the_one_tick_per_candidate_reference(case):
     with mock.patch.object(exact._ClosureSearch, "_orderings",
                            orderings_one_tick_per_candidate):
         assert walked == calls()
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_graphs())
+def test_the_walk_matches_the_one_tick_per_candidate_reference(case):
+    """The bit-mask walk counts a state's nodes in batches, and these graphs
+    decide their last dimension over the subset lattice, but the search
+    walks the same tree: the same outcomes, orderings and node counts,
+    capped or not."""
+    assert_matches_the_reference(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_graphs())
+def test_the_walk_alone_matches_the_one_tick_per_candidate_reference(case):
+    """With the lattice cap at 0 every last dimension is walked."""
+    with mock.patch.object(exact, "LATTICE_MAX_VERTICES", 0):
+        assert_matches_the_reference(*case)
+
+
+def test_a_graph_above_the_lattice_cap_keeps_its_walk():
+    """G(13, 0.4) seed 2 walks its last dimension, and the lattice, allowed
+    to 13 vertices, gives the same outcome, orderings and nodes."""
+    G = random_graph(13, 0.4, 2)
+    budget = SearchBudget(max_nodes=250_000)
+    walked = outcome(exact_boxicity(G, budget=budget))
+    assert walked[:4] == ("exact", 2, 2, 26_916)
+    assert walked[4] == ((0, 1, 3, 6, 9, 10, 11, 2, 4, 8, 7, 5, 12),
+                         (1, 2, 9, 11, 12, 7, 8, 10, 5, 3, 4, 0, 6))
+    with mock.patch.object(exact, "LATTICE_MAX_VERTICES", 13):
+        assert outcome(exact_boxicity(G, budget=budget)) == walked
 
 
 @pytest.mark.parametrize("n, seed, status, value, nodes", [
@@ -436,20 +469,44 @@ def test_budget_caps_the_whole_call():
 
 
 @pytest.mark.parametrize("G, value, nodes", [
-    (cycle(9), 2, 203), (roberts_graph(5), 5, 75), (random_graph(10, 0.5, 7), 3, 3843)])
+    (cycle(9), 2, 203), (roberts_graph(5), 5, 75), (random_graph(10, 0.5, 7), 3, 3843),
+    (random_graph(11, 0.5, 3), 2, 48_409)])
 def test_one_chord_conflict_table_per_call(monkeypatch, G, value, nodes):
-    """The clique bound and every d share one closure search, so the table
-    is built once per call however many d are tried."""
+    """The clique bound and every d share one closure search, so the
+    chord-conflict table and the lattice tables are each built once per
+    call however many d and last dimensions are tried (G(11, 1/2) seed 3
+    decides 41 last dimensions)."""
     builds = []
 
-    def counted(*args):
-        builds.append(args)
-        return chord_conflicts(*args)
+    def counted(build):
+        def run(*args):
+            builds.append(build.__name__)
+            return build(*args)
+        return run
 
-    monkeypatch.setattr(exact, "chord_conflicts", counted)
+    for build in (chord_conflicts, exact.subset_families):
+        monkeypatch.setattr(exact, build.__name__, counted(build))
     res = exact_boxicity(G)
     assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
-    assert len(builds) == 1
+    assert sorted(builds) == ["chord_conflicts", "subset_families"]
+
+
+def test_a_capped_lattice_call_reads_the_clock_as_the_walk_does(monkeypatch):
+    """G(11, 1/2) seed 3 crosses a cap of 5000 inside a last dimension.
+    The lattice ticks its nodes in one batch and the walk state by state,
+    but both read the clock once for the meter, once per non-edge and
+    chord-conflict row (33 each) and once per 256 nodes, and stop on the
+    tick past the cap."""
+    G = random_graph(11, 0.5, 3)
+
+    def run(cap):
+        clock = StepClock()
+        monkeypatch.setattr(exact, "time", clock)
+        monkeypatch.setattr(exact, "LATTICE_MAX_VERTICES", cap)
+        res = exact_boxicity(G, budget=SearchBudget(max_nodes=5000, time_limit=10**6))
+        return res.status, res.nodes, clock.reads
+
+    assert run(12) == run(0) == ("budget-exhausted", 5001, 1 + 33 + 33 + 5000 // 256)
 
 
 def test_a_call_capped_between_two_d_counts_the_tick_past_the_cap():
