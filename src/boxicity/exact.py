@@ -29,10 +29,11 @@ again; the memo lives for one walk, since the tracked set, the dimensions
 left and the target differ between walks.  It holds at most one entry per
 node: at the default cap of 2,000,000 nodes on G(16, 1/2) seed 1 it
 measured +16 MB of peak RSS under Python 3.11, and +1.5 MB at 250,000
-nodes.  Up to LATTICE_MAX_VERTICES vertices the last dimension, where
-nearly all nodes go, keeps no memo: its state is its placed set alone, so
-it is decided over all placed sets at once, by bit operations on families
-of 2^n bits, with the walk's ordering and node count.  Colorings
+nodes.  Up to LATTICE_MAX_VERTICES vertices a last dimension that fails,
+where nearly all nodes go, keeps no memo: its state is its placed set
+alone, so its failure is decided over all placed sets at once, by bit
+operations on families of 2^n bits, with the walk's node count.  The one
+last dimension that succeeds is walked for its ordering.  Colorings
 (proper, acyclic, and the critical-pair colorings behind poset dimension)
 share one backtracker.
 
@@ -40,7 +41,7 @@ Everything here is exponential in the worst case and intended for small
 inputs; budgets cap nodes and wall time rather than letting a search run
 away.  A node of the boxicity search is one unplaced vertex tried at a
 state of an ordering walk, counted in a batch when the walk expands a
-vertex or leaves the state, or in one batch per last dimension decided on
+vertex or leaves the state, or in one batch per last dimension refuted on
 the lattice; the clique bound counts one per branch and the colorings one
 per color tried.
 """
@@ -273,8 +274,9 @@ class _ClosureSearch:
         pairwise free of chord conflicts.  With one, nothing may survive:
         a state is its placed set alone, and every vertex with a tracked
         partner among the open ones is cut at once.  Up to
-        LATTICE_MAX_VERTICES vertices, _last_on_lattice decides that last
-        walk instead, with the same outcome and nodes.
+        LATTICE_MAX_VERTICES vertices, _refuted_on_lattice first decides
+        whether that last walk fails, and counts its nodes if so; a last
+        dimension that succeeds is walked.
 
         A node is one unplaced vertex tried at a state, cut or expanded.
         The walk counts them when it expands a vertex and when a state's
@@ -298,7 +300,8 @@ class _ClosureSearch:
         # every tracked pair is decided once all these ends are placed
         ends = sum(1 << x for x, partners in enumerate(rem_nbr) if partners)
         if dims_left == 1 and n <= LATTICE_MAX_VERTICES:
-            return self._last_on_lattice(rem_nbr, ends, complete)
+            if self._refuted_on_lattice(rem_nbr, ends):
+                return None
         # guard[x]: placing x lets the target survive if this vertex is open
         guard = [0] * n
         if target is not None:
@@ -386,22 +389,19 @@ class _ClosureSearch:
 
         return last(0, 0) if dims_left == 1 else extend(0, 0, 0)
 
-    def _last_on_lattice(self, rem_nbr: list[int], ends: int, complete):
-        """The last dimension's walk, decided over all placed sets at once.
+    def _refuted_on_lattice(self, rem_nbr: list[int], ends: int) -> bool:
+        """Whether the last dimension's walk fails, decided over all placed
+        sets at once; if it does, its nodes are ticked in one batch.
 
         allowed[x] is the family of placed sets at which the walk may place
         x, and the walk's states are the family reached from the empty set.
-        A state that fails tries each unplaced vertex once, as a node.  The
-        first ordering takes at each state the lowest allowed vertex from
-        which a state placing every end is reached; the allowed vertices
-        below it start subtrees that fail whole, and a state on the path
-        counts its unplaced vertices up to the one it places.  One batch
-        tick counts and reads the clock as the walk's ticks would.
+        It fails when none of them places every end, and then each state
+        tries each unplaced vertex once, as a node.  The batch tick counts
+        and reads the clock as the walk's ticks would.
         """
         if self.lattice is None:
             self.lattice = subset_families(self.G)
         has, open_ = self.lattice
-        vertices = (1 << self.G.n) - 1
         full = (1 << (1 << self.G.n)) - 1
         allowed = []
         for x, partners in enumerate(rem_nbr):
@@ -409,48 +409,20 @@ class _ClosureSearch:
             for y in _bits(partners):
                 cut |= open_[y]
             allowed.append(full & ~cut)
-        done = full  # the states that place every end
+        reach = 1
+        while True:
+            before = reach
+            for x, step in enumerate(allowed):
+                reach |= (reach & step) << (1 << x)
+            if reach == before:
+                break
+        done = reach  # the reached states that place every end
         for z in _bits(ends):
             done &= has[z]
-
-        def forward(family: int) -> int:
-            while True:
-                before = family
-                for x, step in enumerate(allowed):
-                    family |= (family & step) << (1 << x)
-                if family == before:
-                    return family
-
-        def nodes(family: int) -> int:
-            return sum((family & ~h).bit_count() for h in has)
-
-        reach = forward(1)
-        if not reach & done:
-            self.meter.tick(nodes(reach))
-            return None
-        # the reached states from which a state in done is reached
-        good = reach & done
-        while True:
-            before = good
-            for x, step in enumerate(allowed):
-                good |= reach & step & good >> (1 << x)
-            if good == before:
-                break
-        order = []
-        placed = failed = count = 0
-        while not done >> placed & 1:
-            unplaced = vertices & ~placed
-            for x in _bits(unplaced):
-                now = placed | 1 << x
-                if allowed[x] >> placed & 1:
-                    if good >> now & 1:
-                        break
-                    failed |= 1 << now
-            count += (unplaced & (2 << x) - 1).bit_count()
-            order.append(x)
-            placed = now
-        self.meter.tick(count + nodes(forward(failed)))
-        return complete(tuple(order) + tuple(_bits(vertices & ~placed)), 0)
+        if done:
+            return False
+        self.meter.tick(sum((reach & ~h).bit_count() for h in has))
+        return True
 
     def search(self, dims_left: int, remaining: int):
         """At most dims_left orderings excluding the mask remaining, or None."""
@@ -499,6 +471,9 @@ def boxicity_at_most(
         found = search.search(d, (1 << len(search.non_edges)) - 1)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes - start)
+    except RecursionError:
+        raise InvalidInput(f"the ordering walk on n = {G.n} vertices at d = {d} "
+                           "is deeper than the recursion limit") from None
     nodes = meter.nodes - start
     if found is None:
         return BoxicityResult(None, None, STATUS_EXACT, lower_bound=d + 1, nodes=nodes)
@@ -538,6 +513,9 @@ def exact_boxicity(
         bound = clique_number(search.conflicts, meter)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
+    except RecursionError:
+        raise InvalidInput(f"the clique bound on n = {G.n} vertices "
+                           "is deeper than the recursion limit") from None
     for d in range(max(1, bound), d_max + 1):
         step = boxicity_at_most(G, d, search)
         if step.status == STATUS_BUDGET or step.value is not None:

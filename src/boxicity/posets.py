@@ -23,7 +23,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import InvalidInput
-from .graphs import MAX_VERTICES, Graph, _bits, check_coloring
+from .graphs import MAX_VERTICES, Graph, _bits, check_coloring, is_int
 
 LinearOrder = tuple[int, ...]
 
@@ -157,6 +157,8 @@ def poset_dimension_at_most(
     """
     from .exact import SearchBudget, _backtrack_coloring
 
+    if not is_int(d):
+        raise InvalidInput(f"dimension must be an int, got {d!r}")
     if not 1 <= d <= MAX_VERTICES:  # the realizer holds d orders
         raise InvalidInput(f"dimension must be in 1..{MAX_VERTICES}, got {d}")
     meter = (budget or SearchBudget()).meter()
@@ -247,6 +249,9 @@ def bound_calculator(
     whether the paper states 5g + 3 for Euler genus is unverified here."""
     if g is None and (box is None or chi is None):
         raise InvalidInput("need a genus, or both box and chi")
+    for name, value in (("g", g), ("box", box), ("chi", chi)):
+        if value is not None and not is_int(value):
+            raise InvalidInput(f"{name} must be an int, got {value!r}")
     box_bound = chi_bound = dim_bound = None
     if g is not None:
         if g < 1:

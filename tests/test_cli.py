@@ -152,6 +152,20 @@ def test_vertex_counts_above_the_cap_exit_2_at_once(tmp_path, n):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
+def test_an_oracle_walk_past_the_recursion_limit_exits_2(tmp_path):
+    """K500 minus two disjoint edges walks one level per vertex placed."""
+    gone = {(496, 497), (498, 499)}
+    write_json(tmp_path / "g.json", {"n": 500, "edges": [
+        [u, v] for u in range(500) for v in range(u + 1, 500) if (u, v) not in gone]})
+    write_json(tmp_path / "s.json", {"rule": "base_oracle"})
+    for argv in (["exact", "g.json"], ["derive", "g.json", "s.json", "-o", "rep.json"]):
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+            "error: the ordering walk on n = 500 vertices at d = 2 "
+            "is deeper than the recursion limit\n")), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "s.json"]
+
+
 @pytest.mark.parametrize("argv", [["complete", "1000000"],
                                   ["random", "1000000", "-p", "0", "--seed", "1"]],
                          ids=["complete", "random"])

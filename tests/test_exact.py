@@ -1,6 +1,8 @@
 """Ordering-search oracle, coloring oracles, and certificate finders."""
 
+import inspect
 import random
+import sys
 import time
 from itertools import combinations, permutations
 from unittest import mock
@@ -95,6 +97,28 @@ def test_a_dimension_must_be_an_int(d):
         boxicity_at_most(cycle(5), d)
     with pytest.raises(InvalidInput, match="d_max must be an int of at least 1"):
         exact_boxicity(cycle(5), d_max=d)
+
+
+def test_a_walk_past_the_recursion_limit_is_invalid_input():
+    """K500 minus two disjoint edges has boxicity 2, but its walk at d = 2
+    goes one level deeper per vertex placed in either dimension."""
+    gone = {(496, 497), (498, 499)}
+    G = make_graph(500, (e for e in combinations(range(500), 2) if e not in gone))
+    with pytest.raises(InvalidInput, match="n = 500 vertices at d = 2 is deeper than the rec"):
+        exact_boxicity(G)
+
+
+def test_a_clique_bound_past_the_recursion_limit_is_invalid_input():
+    """roberts(60)'s 60 chord conflicts form a clique, one level per vertex."""
+    G = roberts_graph(60)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        with pytest.raises(InvalidInput, match="clique bound on n = 120 vertices is deeper"):
+            exact_boxicity(G)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_exact_known_values():
@@ -288,6 +312,24 @@ def test_a_graph_above_the_lattice_cap_keeps_its_walk():
                          (1, 2, 9, 11, 12, 7, 8, 10, 5, 3, 4, 0, 6))
     with mock.patch.object(exact, "LATTICE_MAX_VERTICES", 13):
         assert outcome(exact_boxicity(G, budget=budget)) == walked
+
+
+@pytest.mark.parametrize("n, seed, refuted, walked", [(11, 3, 40, 1), (12, 1, 4, 1)])
+def test_the_lattice_refutes_every_failing_last_dimension(n, seed, refuted, walked):
+    """The lattice gives the walk's outcomes and nodes, so only a spy shows
+    that it still answers: it refutes every last dimension that fails, and
+    only the one that succeeds is walked."""
+    answers = []
+    real = exact._ClosureSearch._refuted_on_lattice
+
+    def spy(search, rem_nbr, ends):
+        answers.append(real(search, rem_nbr, ends))
+        return answers[-1]
+
+    with mock.patch.object(exact._ClosureSearch, "_refuted_on_lattice", spy):
+        res = exact_boxicity(random_graph(n, 0.5, seed), budget=SearchBudget(max_nodes=250_000))
+    assert res.status == "exact"
+    assert (answers.count(True), answers.count(False)) == (refuted, walked)
 
 
 @pytest.mark.parametrize("n, seed, status, value, nodes", [

@@ -221,6 +221,21 @@ def test_dimension_search_computes_the_padding_extension_once():
             poset_dimension_at_most(P, d)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.5, True, 2.0, "2"])
+def test_a_dimension_must_be_an_int(d):
+    P = adjacency_poset(make_graph(3, [(0, 1), (1, 2)]))
+    with pytest.raises(InvalidInput, match="^dimension must be an int, got "):
+        poset_dimension_at_most(P, d)
+
+
+@pytest.mark.parametrize("name", ["g", "box", "chi"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+def test_bound_arguments_must_be_ints(name, value):
+    args = {"g": 2, "box": 2, "chi": 2, name: value}
+    with pytest.raises(InvalidInput, match=f"^{name} must be an int, got "):
+        bound_calculator(**args)
+
+
 def test_dimension_search_budget():
     with pytest.raises(BudgetExhausted):
         poset_dimension_at_most(antichain(8), 4, SearchBudget(max_nodes=10))
