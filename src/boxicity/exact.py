@@ -35,7 +35,9 @@ alone, so its failure is decided over all placed sets at once, by bit
 operations on families of 2^n bits, with the walk's node count.  The one
 last dimension that succeeds is walked for its ordering.  Colorings
 (proper, acyclic, and the critical-pair colorings behind poset dimension)
-share one backtracker.
+share one backtracker.  Every depth-first search here is written as a
+recursion of generators that _walk runs on a list, so its depth is bounded
+by memory, not by Python's recursion limit.
 
 Everything here is exponential in the worst case and intended for small
 inputs; budgets cap nodes and wall time rather than letting a search run
@@ -177,22 +179,36 @@ def chord_conflicts(
     return out
 
 
+def _walk(root):
+    """Run a recursion written as generators: a generator yields the
+    generator of each recursive call and is sent its return value."""
+    stack, value = [root], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 def clique_number(adj: list[int], meter: BudgetMeter) -> int:
     """Size of a largest clique of the graph in which vertex i has neighbor
     mask adj[i]; branch on the lowest candidate, cut when even taking every
     candidate left would not beat the best, one tick per branch."""
     best = 0
 
-    def grow(size: int, cand: int) -> None:
+    def grow(size: int, cand: int):
         nonlocal best
         best = max(best, size)
         while cand and size + cand.bit_count() > best:
             meter.tick()
             low = cand & -cand
             cand ^= low
-            grow(size + 1, cand & adj[low.bit_length() - 1])
+            yield grow(size + 1, cand & adj[low.bit_length() - 1])
 
-    grow(0, (1 << len(adj)) - 1)
+    _walk(grow(0, (1 << len(adj)) - 1))
     return best
 
 
@@ -264,7 +280,8 @@ class _ClosureSearch:
 
     def _orderings(self, remaining: int, dims_left: int, target: int | None, complete):
         """Walk the admissible orderings in DFS order and return the first
-        non-None complete(ordering, mask of still-surviving non-edges).
+        non-None value of complete(ordering, mask of still-surviving
+        non-edges); both are generators for _walk.
 
         A tracked non-edge is decided the moment its later endpoint is
         placed.  The closure adds the pair (the non-edge survives,
@@ -326,7 +343,7 @@ class _ClosureSearch:
         def last(placed: int, open_: int):
             uncounted = cand = full & ~placed
             if not cand & ends:
-                return complete(tuple(order) + tuple(_bits(cand)), 0)
+                return (yield complete(tuple(order) + tuple(_bits(cand)), 0))
             check = open_
             while check:
                 low = check & -check
@@ -342,7 +359,7 @@ class _ClosureSearch:
                 uncounted &= -(low << 1)
                 x = low.bit_length() - 1
                 order.append(x)
-                found = last(now, opened(x, now, open_))
+                found = yield last(now, opened(x, now, open_))
                 order.pop()
                 if found is not None:
                     return found
@@ -356,7 +373,7 @@ class _ClosureSearch:
             if not uncounted & ends:
                 # every tracked pair is decided; one completion suffices,
                 # any other gives the same surviving set
-                return complete(tuple(order) + tuple(_bits(uncounted)), surviving)
+                return (yield complete(tuple(order) + tuple(_bits(uncounted)), surviving))
             for x in _bits(uncounted):
                 # the closure reaches past x from every open partner (open
                 # vertices are placed)
@@ -379,7 +396,7 @@ class _ClosureSearch:
                 tick((uncounted & (2 << x) - 1).bit_count())
                 uncounted &= -2 << x
                 order.append(x)
-                found = extend(now, opened(x, now, open_), after)
+                found = yield extend(now, opened(x, now, open_), after)
                 order.pop()
                 if found is not None:
                     return found
@@ -387,7 +404,7 @@ class _ClosureSearch:
             tick(uncounted.bit_count())
             return None
 
-        return last(0, 0) if dims_left == 1 else extend(0, 0, 0)
+        return (yield last(0, 0) if dims_left == 1 else extend(0, 0, 0))
 
     def _refuted_on_lattice(self, rem_nbr: list[int], ends: int) -> bool:
         """Whether the last dimension's walk fails, decided over all placed
@@ -431,10 +448,10 @@ class _ClosureSearch:
         target = self._pick_target(remaining) if dims_left > 1 else None
 
         def complete(sigma, surviving):
-            rest = self.search(dims_left - 1, surviving)
+            rest = yield self.search(dims_left - 1, surviving)
             return None if rest is None else (sigma,) + rest
 
-        return self._orderings(remaining, dims_left, target, complete)
+        return (yield self._orderings(remaining, dims_left, target, complete))
 
 
 def _stacked_witness(G: Graph, orderings) -> BoxRepresentation:
@@ -468,12 +485,9 @@ def boxicity_at_most(
     start = meter.nodes
     try:
         search = search or _ClosureSearch(G, meter)
-        found = search.search(d, (1 << len(search.non_edges)) - 1)
+        found = _walk(search.search(d, (1 << len(search.non_edges)) - 1))
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes - start)
-    except RecursionError:
-        raise InvalidInput(f"the ordering walk on n = {G.n} vertices at d = {d} "
-                           "is deeper than the recursion limit") from None
     nodes = meter.nodes - start
     if found is None:
         return BoxicityResult(None, None, STATUS_EXACT, lower_bound=d + 1, nodes=nodes)
@@ -513,9 +527,6 @@ def exact_boxicity(
         bound = clique_number(search.conflicts, meter)
     except BudgetExhausted:
         return BoxicityResult(None, None, STATUS_BUDGET, nodes=meter.nodes)
-    except RecursionError:
-        raise InvalidInput(f"the clique bound on n = {G.n} vertices "
-                           "is deeper than the recursion limit") from None
     for d in range(max(1, bound), d_max + 1):
         step = boxicity_at_most(G, d, search)
         if step.status == STATUS_BUDGET or step.value is not None:
@@ -532,32 +543,26 @@ def _backtrack_coloring(n: int, k: int, allowed, meter) -> dict[int, int] | None
     one tick of meter, so an exhausted budget raises.
 
     Colors are canonical: item 0 gets color 0 and each new color is the
-    smallest unused one, which collapses the k! palette symmetries.  The
-    depth-first walk keeps its own stack, so n is not bounded by recursion.
+    smallest unused one, which collapses the k! palette symmetries.
     """
     if k < 0:
         raise InvalidInput("k must be nonnegative")
     colors: dict[int, int] = {}
-    # per colored prefix 0..i-1: the next color to try at i, and the number
-    # of colors the prefix uses
-    start, used = [0], [0]
-    while start:
-        i = len(start) - 1
+
+    def color(i: int, used: int):
+        # items 0..i-1 are colored with used colors
         if i == n:
             return colors
-        for c in range(start[i], min(k, used[i] + 1)):
+        for c in range(min(k, used + 1)):
             meter.tick()
             if allowed(colors, i, c):
                 colors[i] = c
-                start[i] = c + 1
-                start.append(0)
-                used.append(max(used[i], c + 1))
-                break
-        else:
-            start.pop()
-            used.pop()
-            colors.pop(i - 1, None)
-    return None
+                if (yield color(i + 1, max(used, c + 1))) is not None:
+                    return colors
+                del colors[i]
+        return None
+
+    return _walk(color(0, 0))
 
 
 def proper_coloring(
@@ -657,7 +662,7 @@ def find_pair_cover(G: Graph, X) -> PairCover:
         raise InvalidInput("X must be nonempty")
     memo: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
 
-    def best(avail: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    def best(avail: frozenset[int]):
         if len(avail) < 2:
             return ()
         cached = memo.get(avail)
@@ -665,16 +670,16 @@ def find_pair_cover(G: Graph, X) -> PairCover:
             return cached
         rest = sorted(avail)
         u = rest[0]
-        out = best(avail - {u})
+        out = yield best(avail - {u})
         for v in rest[1:]:
             if not G.has_edge(u, v):
-                cand = ((u, v),) + best(avail - {u, v})
+                cand = ((u, v),) + (yield best(avail - {u, v}))
                 if len(cand) > len(out):
                     out = cand
         memo[avail] = out
         return out
 
-    return PairCover(X=xs, pairs=best(frozenset(xs)))
+    return PairCover(X=xs, pairs=_walk(best(frozenset(xs))))
 
 
 def find_forest_stable_partition(
@@ -689,37 +694,22 @@ def find_forest_stable_partition(
     """
     meter = (budget or SearchBudget()).meter()
     near = within_two(G)
-    # vertex masks; v keeps the forest acyclic unless two of its forest
-    # neighbours are already connected in it
-    forest = stable = 0
-    # Vertices are placed in turn, the forest tried before the stable set.
-    # side[v] for the placed prefix and the vertex being placed: the next
-    # side to try for v, 0 the forest, 1 the stable set, 2 neither.  The
-    # depth-first walk keeps its own stack, so n is not bounded by recursion.
-    side = [0]
-    while side:
-        v = len(side) - 1
+
+    def place(v: int, forest: int, stable: int):
+        # vertices are placed in turn, the forest tried before the stable
+        # set; v keeps the forest acyclic unless two of its forest
+        # neighbours are already connected in it
         if v == G.n:
             return ForestStablePartition(F=tuple(_bits(forest)), S=tuple(_bits(stable)))
-        if side[v] == 0:
-            meter.tick()
-            side[v] = 1
-            if not _joins_two(G, G.nbr_masks[v] & forest, forest):
-                forest |= 1 << v
-                side.append(0)
-                continue
-        if side[v] == 1:
-            side[v] = 2
-            if not near[v] & stable:
-                stable |= 1 << v
-                side.append(0)
-                continue
-        side.pop()
-        if side:
-            # v - 1 leaves the side it sat on; its next side is tried next
-            forest &= ~(1 << v - 1)
-            stable &= ~(1 << v - 1)
-    return None
+        meter.tick()
+        found = None
+        if not _joins_two(G, G.nbr_masks[v] & forest, forest):
+            found = yield place(v + 1, forest | 1 << v, stable)
+        if found is None and not near[v] & stable:
+            found = yield place(v + 1, forest, stable | 1 << v)
+        return found
+
+    return _walk(place(0, 0, 0))
 
 
 def boxicity_result_to_dict(result: BoxicityResult) -> dict:

@@ -152,18 +152,17 @@ def test_vertex_counts_above_the_cap_exit_2_at_once(tmp_path, n):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
-def test_an_oracle_walk_past_the_recursion_limit_exits_2(tmp_path):
-    """K500 minus two disjoint edges walks one level per vertex placed."""
-    gone = {(496, 497), (498, 499)}
-    write_json(tmp_path / "g.json", {"n": 500, "edges": [
-        [u, v] for u in range(500) for v in range(u + 1, 500) if (u, v) not in gone]})
+def test_an_oracle_walk_deeper_than_the_recursion_limit_is_decided(tmp_path):
+    """roberts(22)'s walk at d = 22 nests one level per vertex placed in
+    each dimension, about 1,000 levels deep, past Python's default
+    recursion limit."""
+    write_json(tmp_path / "g.json", graph_to_dict(roberts_graph(22)))
     write_json(tmp_path / "s.json", {"rule": "base_oracle"})
-    for argv in (["exact", "g.json"], ["derive", "g.json", "s.json", "-o", "rep.json"]):
-        proc = run_cli(*argv, cwd=tmp_path)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
-            "error: the ordering walk on n = 500 vertices at d = 2 "
-            "is deeper than the recursion limit\n")), argv
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "s.json"]
+    proc = run_cli("exact", "g.json", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "22\n", "")
+    proc = run_cli("derive", "g.json", "s.json", "-o", "rep.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "rep.json")["d"] == 22
 
 
 @pytest.mark.parametrize("argv", [["complete", "1000000"],
