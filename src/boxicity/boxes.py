@@ -11,7 +11,8 @@ each vertex's box as a row of d intervals.
 The composition operations each consume a certificate and produce a
 representation whose dimension is an exact function of the inputs.  They
 take the certificate as valid: the derivation rule that calls them has
-already validated it (see `certificates`).  What they still check is what
+already validated it (see `certificates`, whose classes this module names
+only in annotations and never imports).  What they still check is what
 the certificate does not cover, the child representations: their domains,
 and their agreement with the graph, so that each child is checked once, by
 the composition that takes it; canonical_extension then lifts its layers
@@ -39,10 +40,10 @@ from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 
-from .certificates import ForestStablePartition, PairCover, Separation, check_coloring
 from .errors import InvalidInput, ParseError
 from .graphs import (
     Graph,
+    check_coloring,
     check_vertex_set,
     fields,
     forest_walk,

@@ -11,7 +11,9 @@ well-formed command line is read from that table directly; argparse is
 imported and built from it only for help, usage errors and the forms of
 argument only it reads (abbreviations, --opt=value and the like), so the
 two always agree.  Each subcommand imports the modules it uses, so a run
-loads only what its subcommand needs.
+loads only what its subcommand needs.  JSON is read and written through
+CPython's _json accelerator, which json itself calls; the json package is
+imported only to word the fault in a file that does not parse.
 
 Exit codes: 0 success, 1 a finished representation failed verification,
 2 invalid input (bad file, flag, certificate, or script), 3 a search
@@ -21,9 +23,9 @@ one stderr line).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from _json import encode_basestring_ascii, make_scanner
 
 from .errors import BudgetExhausted, InvalidInput
 
@@ -45,13 +47,13 @@ _INTERVAL = ("      [\n        [\n          %d,\n          %d\n        ],\n"
 
 
 def _dump(doc) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, a newline at the
-    end.  A dict goes through json.dumps.  A BoxRepresentation is written
-    straight from its Intervals, the four ints of each through one %d
-    template, in the bytes json.dumps gives for boxes.box_rep_to_dict(doc):
-    rows keyed in string order ("10" before "2")."""
+    """Canonical JSON text, the bytes of json.dumps(doc, indent=2,
+    sort_keys=True) and a newline.  A BoxRepresentation is written straight
+    from its Intervals, the four ints of each through one %d template, in
+    the bytes that gives for boxes.box_rep_to_dict(doc): rows keyed in
+    string order ("10" before "2")."""
     if isinstance(doc, dict):
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text(doc, "\n") + "\n"
     layers = doc.layers
     ints = []
     for v in sorted(layers[0], key=str):
@@ -63,6 +65,33 @@ def _dump(doc) -> str:
     row = '    "%d": [\n' + ",\n".join([_INTERVAL] * len(layers)) + "\n    ]"
     rows = ",\n".join([row] * len(layers[0])) % tuple(ints)
     return '{\n  "d": %d,\n  "vertices": {\n%s\n  }\n}\n' % (len(layers), rows)
+
+
+# what json writes for None, the bools and the floats without digits
+_WORDS = {None: "null", True: "true", False: "false",
+          "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(doc, newline: str) -> str:
+    """doc as json.dumps(indent=2, sort_keys=True) writes it, its inner
+    lines starting with newline plus two spaces."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None or doc is True or doc is False:
+        return _WORDS[doc]
+    if isinstance(doc, (int, float)):
+        text = (int if isinstance(doc, int) else float).__repr__(doc)
+        return _WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(doc, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(doc[key], inner)
+                 for key in sorted(doc)]
+    elif isinstance(doc, (list, tuple)):
+        items = [_json_text(item, inner) for item in doc]
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    ends = "{}" if isinstance(doc, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
 def _write_atomic(*outputs) -> None:
@@ -97,7 +126,33 @@ def _write_atomic(*outputs) -> None:
                 pass
 
 
+class _Decoding:
+    """json.loads's defaults, which the scanner reads as a decoder's."""
+
+    strict, object_hook, object_pairs_hook = True, None, None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+_scan = make_scanner(_Decoding)
+_WHITESPACE = " \t\n\r"  # what json skips around a document
+
+
 def _read_json(path: str):
+    try:  # json.loads's own scanner; json is imported only to word a fault
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        doc, end = _scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        if not text[end:].strip(_WHITESPACE):
+            return doc
+    # a fault: the scanner raises StopIteration where a value is missing and,
+    # on CPython 3.11 while json.decoder is not loaded, SystemError for the
+    # rest of bad syntax; reading the file again through json words it
+    except (OSError, ValueError, StopIteration, SystemError, RecursionError):
+        pass
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
@@ -195,7 +250,7 @@ def _construct_rep(args):
         if problems:
             raise RuntimeError(f"gadget check: {problems[0]}")
         return B
-    from . import certificates, derivation, exact
+    from . import certificates, derivation  # exact only finds a missing certificate
 
     if kind == "roberts":
         step = derivation.RobertsStep()
@@ -203,12 +258,16 @@ def _construct_rep(args):
         if args.coloring is not None:
             colors = certificates.coloring_from_dict(_read_json(args.coloring))
         else:
+            from . import exact
+
             colors = exact.least_coloring(exact.acyclic_coloring, G, _budget_from_args(args))
         step = derivation.AcyclicStep(coloring=colors)
     else:  # girth4, the last choice the parser allows
         if args.partition is not None:
             part = certificates.partition_from_dict(_read_json(args.partition))
         else:
+            from . import exact
+
             part = exact.find_forest_stable_partition(G, _budget_from_args(args))
             if part is None:
                 raise InvalidInput(
@@ -258,7 +317,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    from . import certificates, exact, posets
+    from . import posets
 
     G = _load_graph(args.graph)
     if args.check_dimension is not None:
@@ -270,9 +329,13 @@ def _cmd_poset(args) -> int:
         else:
             print(f"yes: realized by {len(orders)} linear orders")
         return EXIT_OK
+    from . import certificates
+
     if args.coloring is not None:
         colors = certificates.coloring_from_dict(_read_json(args.coloring))
     else:
+        from . import exact
+
         colors = exact.least_coloring(exact.proper_coloring, G, _budget_from_args(args))
     orders = posets.chi_realizer_extensions(G, colors)
     P, star = posets.adjacency_poset(G), posets.starred_poset(G)

@@ -60,7 +60,6 @@ from .boxes import (
     from_interval_reps,
     verify_representation,
 )
-from .certificates import ForestStablePartition, PairCover
 from .errors import BudgetExhausted, InvalidInput
 from .graphs import Graph, _bits, check_vertex_set, is_int, within_two
 from .intervals import closure_layer
@@ -657,6 +656,8 @@ def find_pair_cover(G: Graph, X) -> PairCover:
     Plain branch-and-memo maximum matching on the non-adjacency relation;
     exact, intended for small X.
     """
+    from .certificates import PairCover
+
     xs = check_vertex_set(G, X)
     if not xs:
         raise InvalidInput("X must be nonempty")
@@ -692,6 +693,8 @@ def find_forest_stable_partition(
     budget raises instead, so "none exists" is never conflated with "gave
     up".
     """
+    from .certificates import ForestStablePartition
+
     meter = (budget or SearchBudget()).meter()
     near = within_two(G)
 

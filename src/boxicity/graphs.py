@@ -6,7 +6,6 @@ sorted tuples; there is no wrapper class for them.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
@@ -245,7 +244,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph; deterministic for a fixed seed."""
     if not (0.0 <= p <= 1.0):
         raise InvalidInput(f"edge probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
+    from random import Random
+
+    rng = Random(seed)
     edges = (e for e in _pairs(n) if rng.random() < p)
     return make_graph(n, edges)
 
@@ -253,7 +254,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def random_forest(n: int, seed: int) -> Graph:
     """Random forest: each vertex i > 0 attaches to an earlier vertex with
     probability 0.8, otherwise starts a new component."""
-    rng = random.Random(seed)
+    from random import Random
+
+    rng = Random(seed)
     edges = ((rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8)
     return make_graph(n, edges)
 

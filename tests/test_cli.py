@@ -14,9 +14,10 @@ from fractions import Fraction
 from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import boxicity.__main__ as entry
@@ -607,6 +608,41 @@ def test_every_refusal_names_its_fault(tmp_path, capsys, command, doc, message):
     assert_refused(tmp_path, capsys, graph, command, doc, message)
 
 
+# every fault a file that does not parse can have, and the line it gets
+# (the json package words it: see cli._read_json)
+UNPARSED = {
+    "empty": (b"", "bad JSON at line 1 column 1: Expecting value"),
+    "utf8-bom": (b'\xef\xbb\xbf{"n": 1, "edges": []}',
+                 "bad JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "invalid-utf8": (b'{"n": 1, "edges": [\xff]}', "bad JSON: 'utf-8' codec can't decode "
+                     "byte 0xff in position 19: invalid start byte"),
+    "trailing-data": (b'{"n": 1, "edges": []} {}', "bad JSON at line 1 column 23: Extra data"),
+    # a form feed is whitespace to Python but not to JSON
+    "trailing-form-feed": (b'{"n": 1, "edges": []}\x0c',
+                           "bad JSON at line 1 column 22: Extra data"),
+    "5000-digit-int": (b'{"n": ' + b"7" * 5000 + b', "edges": []}',
+                       "bad JSON: Exceeds the limit (4300 digits) for integer string "
+                       "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+                       "to increase the limit"),
+    "100000-deep": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("content, message", UNPARSED.values(), ids=UNPARSED)
+def test_a_file_that_does_not_parse_is_named_with_its_fault(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["exact", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_a_nan_vertex_count_parses_and_is_refused_by_the_graph_reader(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": NaN, "edges": []}')
+    assert main(["exact", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: vertex count must be a non-negative int, got nan\n"
+
+
 def test_malformed_numbers_in_other_inputs_exit_2(tmp_path, capsys):
     g, bad_g = tmp_path / "g.json", tmp_path / "bad_g.json"
     rep, colors = tmp_path / "rep.json", tmp_path / "colors.json"
@@ -932,6 +968,49 @@ def test_box_text_is_json_dumps_of_the_dict(B):
     assert box_rep_from_dict(json.loads(text)) == B
 
 
+# JSON documents of every kind json writes: any text, lone surrogates and
+# control characters included, huge ints, floats with NaN and +-inf
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()))
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | st.floats() | _JSON_TEXT,
+    lambda items: (st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, items, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+@example({"b": [1, 2.5, [], {}], "a": {"\x00\ud800é\u2028": (None, True, False)}})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**400, -(10**30)])
+def test_the_writer_gives_the_bytes_of_json_dumps(doc):
+    doc = {"doc": doc}  # _dump writes dicts; any document can sit in one
+    assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_PADDING = st.text(st.sampled_from(" \t\n\r"), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS, st.booleans(), st.lists(_PADDING, min_size=6, max_size=6))
+@example({"n": 1, "edges": [[0, 1]]}, True, [" \t\n\r"] * 6)
+def test_the_reader_gives_what_json_loads_gives(tmp_path_factory, doc, ascii_only, pads):
+    """Documents laid out with every mix of JSON's four whitespace
+    characters around and between their tokens, read back as json.loads
+    reads them, without falling back on json.  They are compared by repr,
+    which tells 1 from 1.0 and -0.0 from 0.0, and matches NaN with NaN."""
+    lead, trail, indent, before, after, colon = pads
+    text = lead + json.dumps(doc, ensure_ascii=ascii_only, indent=indent,
+                             separators=(before + "," + after, colon + ":" + after)) + trail
+    assume(not any("\ud800" <= c <= "\udfff" for c in text))  # not UTF-8
+    path = tmp_path_factory.mktemp("reader") / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.dict(sys.modules, {"json": None}):  # importing json fails
+        doc_read = cli._read_json(str(path))
+    assert repr(doc_read) == repr(json.loads(text))
+
+
 # --------------------------------------------------------------- verify
 
 
@@ -1159,8 +1238,9 @@ SRC = Path(exact.__file__).resolve().parents[1]  # the package's parent director
 
 def loaded_modules(code: str, *args: str) -> list[str]:
     """The names in sys.modules after code runs in a new interpreter
-    without site packages, with the package on its path."""
-    code += "\nimport json; print(json.dumps(sorted(sys.modules)))"
+    without site packages, with the package on its path, taken before
+    json is imported to print them."""
+    code += "\nloaded = sorted(sys.modules)\nimport json; print(json.dumps(loaded))"
     proc = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     return json.loads(proc.stdout.splitlines()[-1])
@@ -1201,23 +1281,79 @@ def no_files(tmp_path):
     return ()
 
 
-@pytest.mark.parametrize("files, command, loads, skips", [
-    (forest_files, ["verify", "{0}", "{1}"], {"boxicity.boxes"},
-     RARE | {"boxicity.derivation", "boxicity.posets"}),
-    (forest_files, ["construct", "forest", "{0}", "-o", "{out}"], {"boxicity.boxes"},
-     RARE | {"boxicity.derivation", "boxicity.posets"}),
-    (sur1_roberts_files, DERIVE, {"boxicity.derivation"}, RARE | {"boxicity.posets"}),
-    (k8_files, DERIVE, {"boxicity.exact"}, {"boxicity.figure1", "fractions", "decimal"}),
-    (nested_files, DERIVE, {"boxicity.figure1", "fractions"}, {"boxicity.exact"}),
-    (no_files, ["bounds", "--genus", "1", "-o", "{out}"], {"boxicity.posets"},
-     RARE | {"boxicity.boxes", "boxicity.intervals", "boxicity.derivation",
-             "boxicity.certificates"}),
-], ids=["verify", "construct-forest", "derive", "derive-oracle", "derive-figure1", "bounds"])
+def roberts_files(tmp_path):
+    g = tmp_path / "r3.json"
+    write_json(g, graph_to_dict(roberts_graph(3)))
+    return (g,)
+
+
+# (files, command line, modules it loads, modules it skips) of each job;
+# no job of a file that parses loads json, which only words a fault
+JOBS = {
+    "verify": (forest_files, ["verify", "{0}", "{1}"], {"boxicity.boxes"},
+               RARE | {"boxicity.derivation", "boxicity.posets", "boxicity.certificates"}),
+    "construct-forest": (forest_files, ["construct", "forest", "{0}", "-o", "{out}"],
+                         {"boxicity.boxes"},
+                         RARE | {"boxicity.derivation", "boxicity.posets",
+                                 "boxicity.certificates"}),
+    "construct-roberts": (roberts_files, ["construct", "roberts", "{0}", "-o", "{out}"],
+                          {"boxicity.derivation"}, RARE | {"boxicity.posets"}),
+    "exact": (roberts_files, ["exact", "{0}", "-o", "{out}"], {"boxicity.exact"},
+              {"boxicity.certificates", "boxicity.derivation", "boxicity.posets",
+               "boxicity.figure1"}),
+    "poset-check-dimension": (roberts_files, ["poset", "{0}", "--check-dimension", "3"],
+                              {"boxicity.posets", "boxicity.exact"},
+                              {"boxicity.certificates", "boxicity.derivation",
+                               "boxicity.figure1"}),
+    "derive": (sur1_roberts_files, DERIVE, {"boxicity.derivation"}, RARE | {"boxicity.posets"}),
+    "derive-oracle": (k8_files, DERIVE, {"boxicity.exact"},
+                      {"boxicity.figure1", "fractions", "decimal"}),
+    "derive-figure1": (nested_files, DERIVE, {"boxicity.figure1", "fractions"},
+                       {"boxicity.exact"}),
+    "bounds": (no_files, ["bounds", "--genus", "1", "-o", "{out}"], {"boxicity.posets"},
+               RARE | {"boxicity.boxes", "boxicity.intervals", "boxicity.derivation",
+                       "boxicity.certificates"}),
+}
+
+
+def job_argv(tmp_path, files, command):
+    return [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]
+
+
+@pytest.mark.parametrize("files, command, loads, skips", JOBS.values(), ids=JOBS)
 def test_a_job_loads_only_the_modules_it_uses(tmp_path, files, command, loads, skips):
-    argv = [arg.format(*files(tmp_path), out=tmp_path / "out.json") for arg in command]
     loaded = set(loaded_modules("import sys; from boxicity.cli import main; "
-                                "assert main(sys.argv[1:]) == 0", *argv))
-    assert loads <= loaded and not (skips | PARSER) & loaded
+                                "assert main(sys.argv[1:]) == 0",
+                                *job_argv(tmp_path, files, command)))
+    assert loads <= loaded and not (skips | PARSER | {"json"}) & loaded
+
+
+def run_module_importing(tmp_path, *args):
+    """The job args run as `python -S -m boxicity`, the benchmark's entry
+    point, with -X importtime, which puts a line on stderr for every module
+    the process imports, up to its fast exit; and the names of those
+    modules."""
+    proc = run_python("-S", "-X", "importtime", "-m", "boxicity", *args, cwd=tmp_path)
+    lines = proc.stderr.splitlines()
+    return proc, {line.rpartition("|")[2].strip() for line in lines if "|" in line}
+
+
+def test_a_job_run_as_the_module_loads_only_the_modules_it_uses(tmp_path):
+    files, command, loads, skips = JOBS["exact"]
+    proc, loaded = run_module_importing(tmp_path, *job_argv(tmp_path, files, command))
+    assert (proc.returncode, proc.stdout) == (0, "3\n")
+    assert loads <= loaded and not (skips | PARSER | {"json"}) & loaded
+
+
+def test_only_a_file_that_does_not_parse_loads_json(tmp_path):
+    """In a fresh process the scanner meets the fault before json is
+    loaded; json, imported then, words it as it always has."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3,')
+    proc, loaded = run_module_importing(tmp_path, "exact", str(bad))
+    assert proc.returncode == 2 and "json" in loaded
+    assert proc.stderr.splitlines()[-1] == (f"error: {bad}: bad JSON at line 1 column 9: "
+                                            "Expecting property name enclosed in double quotes")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["exact", "g.json", "--max-d", "x"]],
